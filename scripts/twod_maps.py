@@ -14,7 +14,7 @@ import numpy as np
 from polariton2dcs import Axis, build_matrix, decompose, twod_signal
 from polariton2dcs.cli import write_csv
 from polariton2dcs.peaks import find_peaks_2d
-from polariton2dcs.signals import _twod_prefactor, twod_values
+from polariton2dcs.signals import twod_prefactor, twod_values
 from polariton2dcs.validate import reference_params
 from polariton2dcs.vibrations import kernel_from_params
 
@@ -26,7 +26,7 @@ CROSS_PEAK = (17913.0, 14913.0)   # pump at the upper polariton, emit one phonon
 def cross_peak_height(sys_params, dec, kernel, t_wait, half=60.0, points=61):
     w1 = np.linspace(CROSS_PEAK[0] - half, CROSS_PEAK[0] + half, points) - sys_params.axis_offset
     w3 = np.linspace(CROSS_PEAK[1] - half, CROSS_PEAK[1] + half, points) - sys_params.axis_offset
-    vals = twod_values(dec, kernel, w1, w3, t_wait, _twod_prefactor(sys_params))
+    vals = twod_values(dec, kernel, w1, w3, t_wait, twod_prefactor(sys_params))
     return float(np.abs(vals.imag).max())
 
 

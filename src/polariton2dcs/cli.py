@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .errors import MalformedGrid, ParameterError, PolaritonError
-from .model import PulseSchedule, SystemParams, derived_quantities, validate_params
+from .model import RAD_PER_CM_FS, PulseSchedule, SystemParams, derived_quantities, validate_params
 from .peaks import grid_peak_report, load_grid
 from .propagator import build_matrix, decompose
 from .signals import Axis, SpectrumGrid, linear_absorption, pump_probe, pump_probe_slices, twod_signal
@@ -31,7 +31,7 @@ class ConfigError(ValueError):
     """Bad job configuration; maps to exit code 2."""
 
 
-_TOP_KEYS = {"system", "kernel", "grids", "t_wait", "stokes_orders", "output", "workers"}
+_TOP_KEYS = {"system", "kernel", "grids", "t_wait", "stokes_orders", "output"}
 _KERNEL_KEYS = {"tail_eps", "m_max"}
 _GRID_KEYS = {"start", "stop", "count"}
 _GRID_SECTIONS = {"absorption", "omega1", "omega3", "pump_probe"}
@@ -49,7 +49,6 @@ class JobSpec:
     stokes_orders: tuple[int, ...]
     out_dir: Path
     formats: tuple[str, ...]
-    workers: int
     config_echo: dict = field(default_factory=dict)
 
 
@@ -59,29 +58,28 @@ def _reject_unknown(section: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
+def _integer(value, key: str) -> int:
+    """An integral config number; booleans and fractional values are rejected."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _axis(section: dict, name: str, offset: float) -> Axis:
     _reject_unknown(section, _GRID_KEYS, f"grids.{name}")
     missing = sorted(_GRID_KEYS - set(section))
     if missing:
         raise ConfigError(f"grids.{name} missing key(s): {', '.join(missing)}")
+    count = _integer(section["count"], f"grids.{name}.count")
     try:
-        return Axis(float(section["start"]), float(section["stop"]),
-                    int(section["count"]), offset, name)
+        return Axis(float(section["start"]), float(section["stop"]), count, offset, name)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"grids.{name}: {exc}") from exc
 
 
-def _resolve_workers(value) -> int:
-    workers = int(value)
-    if workers < 0:
-        raise ConfigError("workers must be >= 0")
-    if workers == 0:
-        workers = int(os.environ.get("POLARITON2DCS_WORKERS", "1"))
-    return max(workers, 1)
-
-
 def build_jobspec(mode: str, config: dict, out_override: str | None = None,
-                  formats_override: str | None = None, workers_override: int | None = None,
+                  formats_override: str | None = None,
                   t_list_override: str | None = None) -> JobSpec:
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
@@ -96,7 +94,7 @@ def build_jobspec(mode: str, config: dict, out_override: str | None = None,
     kernel_cfg = config.get("kernel", {})
     _reject_unknown(kernel_cfg, _KERNEL_KEYS, "kernel")
     if "m_max" in kernel_cfg and kernel_cfg["m_max"] is not None:
-        kernel = kernel_from_params(params, m_max=int(kernel_cfg["m_max"]))
+        kernel = kernel_from_params(params, m_max=_integer(kernel_cfg["m_max"], "kernel.m_max"))
     else:
         kernel = kernel_from_params(params, tail_eps=float(kernel_cfg.get("tail_eps", 1e-10)))
 
@@ -127,7 +125,7 @@ def build_jobspec(mode: str, config: dict, out_override: str | None = None,
             except ParameterError as exc:
                 raise ConfigError(f"bad waiting time {t}: {exc}") from exc
 
-    orders = tuple(int(m) for m in config.get("stokes_orders", (1, 2)))
+    orders = tuple(_integer(m, "stokes_orders") for m in config.get("stokes_orders", (1, 2)))
     if any(m < 1 for m in orders):
         raise ConfigError("stokes_orders must be >= 1")
 
@@ -142,11 +140,9 @@ def build_jobspec(mode: str, config: dict, out_override: str | None = None,
     if bad or not formats:
         raise ConfigError(f"formats must be a nonempty subset of {sorted(_FORMATS)}")
 
-    workers = _resolve_workers(workers_override if workers_override is not None
-                               else config.get("workers", 0))
     return JobSpec(mode=mode, params=params, kernel=kernel, grids=grids,
                    t_list=t_list, stokes_orders=orders, out_dir=out_dir,
-                   formats=formats, workers=workers, config_echo=config)
+                   formats=formats, config_echo=config)
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +231,8 @@ def write_manifest(spec: JobSpec, written: list[str], wall_time: float,
         "params_hash": params_hash(spec),
         "code_version": __version__,
         "wall_time_s": wall_time,
-        "workers": spec.workers,
         "truncation": {"m_max": spec.kernel.m_max, "tail_eps": spec.kernel.tail_eps},
-        "unit_bridge_rad_per_cm_fs": 1.8836515673088532e-4,
+        "unit_bridge_rad_per_cm_fs": RAD_PER_CM_FS,
         "outputs": written,
         "created_unix": time.time(),
     }
@@ -267,18 +262,16 @@ def run_job(spec: JobSpec) -> list[str]:
     extra: dict = {}
 
     if spec.mode == "absorption":
-        grid = linear_absorption(spec.params, dec, spec.kernel,
-                                 spec.grids["absorption"], workers=spec.workers)
+        grid = linear_absorption(spec.params, dec, spec.kernel, spec.grids["absorption"])
         _write_grid(spec, grid, "absorption", written)
     elif spec.mode == "twod":
         for t_wait in spec.t_list:
             grid = twod_signal(spec.params, dec, spec.kernel, spec.grids["omega1"],
-                               spec.grids["omega3"], t_wait, workers=spec.workers)
+                               spec.grids["omega3"], t_wait)
             _write_grid(spec, grid, f"twod_T{_t_stem(t_wait)}fs", written)
     elif spec.mode == "pump-probe":
         for t_wait in spec.t_list:
-            grid = pump_probe(spec.params, dec, spec.kernel,
-                              spec.grids["pump_probe"], t_wait, workers=spec.workers)
+            grid = pump_probe(spec.params, dec, spec.kernel, spec.grids["pump_probe"], t_wait)
             _write_grid(spec, grid, f"pump_probe_T{_t_stem(t_wait)}fs", written)
     elif spec.mode == "slices":
         report = pump_probe_slices(spec.params, dec, spec.kernel,
@@ -361,8 +354,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="JSON job configuration")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--format", default=None, help="comma-separated subset of csv,json")
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker processes (0 = POLARITON2DCS_WORKERS or 1)")
         p.add_argument("--t-list", default=None, help="comma-separated waiting times in fs")
     peaks_p = sub.add_parser("peaks")
     peaks_p.add_argument("grid_file", help="CSV or JSON grid produced by this tool")
@@ -413,8 +404,7 @@ def main(argv=None) -> int:
 
     try:
         spec = build_jobspec(args.mode, config, out_override=args.out,
-                             formats_override=args.format, workers_override=args.workers,
-                             t_list_override=args.t_list)
+                             formats_override=args.format, t_list_override=args.t_list)
     except (ConfigError, ParameterError, ValueError) as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return 2

@@ -24,8 +24,8 @@ from itertools import product
 
 import numpy as np
 
-from .errors import NegativeWaitingTime, TooLarge
-from .model import SystemParams
+from .errors import DivergentTransform, NegativeWaitingTime, TooLarge
+from .model import RAD_PER_CM_FS, SystemParams
 from .propagator import (
     ModeDecomposition,
     PatternEntries,
@@ -157,8 +157,10 @@ def _wait_factor(kernel: VibKernel, t_wait: float) -> complex:
     if t_wait < 0:
         raise NegativeWaitingTime(f"waiting time must be >= 0, got {t_wait}")
     z = kernel.wait_factor(t_wait)
-    # one-phonon factor must never grow with T
-    assert abs(z) <= 1.0 + 1e-12
+    # one-phonon factor must never grow with T; a NaN fails this test too
+    if not abs(z) <= 1.0 + 1e-12:
+        raise DivergentTransform(
+            f"one-phonon wait factor |z| = {abs(z)} exceeds 1 at T = {t_wait} fs")
     return z
 
 
@@ -195,41 +197,6 @@ def _weight_table(kernel: VibKernel, free: tuple[bool, ...], z: complex) -> np.n
         coeff = w6[m6] * phonon_parity(0, m6) * zp[m6] * f3
         table[m6:m6 + len(u), m6:m6 + len(v)] += coeff * np.outer(u, v)
     return table
-
-
-def _emission_blocks(dec: ModeDecomposition, kernel: VibKernel, w3_rot: np.ndarray) -> dict:
-    """G-transform pattern values at all emission-side shifts.
-
-    A[pat][t, a] = transform entry at (w3_rot[t] + shift(a)) for the
-    molecule-diagonal / molecule-off-diagonal patterns.
-    """
-    dim = 3 * kernel.m_max + 1
-    blocks = {"D": np.empty((w3_rot.size, dim), dtype=complex),
-              "O": np.empty((w3_rot.size, dim), dtype=complex)}
-    for a in range(dim):
-        ent = fourier_entries(dec, w3_rot + kernel.shift(a))
-        blocks["D"][:, a] = ent.mm_diag
-        blocks["O"][:, a] = ent.mm_off
-    return blocks
-
-
-def _absorption_blocks(dec: ModeDecomposition, kernel: VibKernel, w1_rot: np.ndarray) -> dict:
-    """Conjugate-transform pattern values at all absorption-side shifts.
-
-    B[pat][u, k] = conjugate-transform entry at (w1_rot[u] - shift(k)); the
-    'P' pattern is the photon-row/molecule-column entry needed when the extra
-    propagation index lands on the photon slot.
-    """
-    dim = 3 * kernel.m_max + 1
-    blocks = {"D": np.empty((w1_rot.size, dim), dtype=complex),
-              "O": np.empty((w1_rot.size, dim), dtype=complex),
-              "P": np.empty((w1_rot.size, dim), dtype=complex)}
-    for k in range(dim):
-        ent = fourier_conj_entries(dec, w1_rot - kernel.shift(k))
-        blocks["D"][:, k] = ent.mm_diag
-        blocks["O"][:, k] = ent.mm_off
-        blocks["P"][:, k] = ent.ph_mol
-    return blocks
 
 
 def _p_cases(cls: IndexClass, n: int) -> list[tuple[int, str, str]]:
@@ -269,22 +236,14 @@ def _twod_core(dec: ModeDecomposition, kernel: VibKernel, t_wait: float) -> dict
     return core
 
 
-def _twod_prefactor(sys: SystemParams) -> complex:
+def twod_prefactor(sys: SystemParams) -> complex:
+    """Overall constant i * exp(i*phase) * dipole^4 of the 2D signal."""
     return 1j * cmath.exp(1j * sys.phase) * sys.dipole ** 4
-
-
-def _twod_row_block(blocks_b: dict, folded: dict, sl: slice) -> np.ndarray:
-    """Rows [sl] of the 2D signal from precomputed pattern blocks."""
-    out = None
-    for pj_pat, mat in folded.items():
-        part = blocks_b[pj_pat][sl] @ mat
-        out = part if out is None else out + part
-    return out
 
 
 def twod_values(dec: ModeDecomposition, kernel: VibKernel,
                 w1_rot: np.ndarray, w3_rot: np.ndarray, t_wait: float,
-                prefactor: complex = 1j, workers: int = 0) -> np.ndarray:
+                prefactor: complex = 1j) -> np.ndarray:
     """Complex 2D signal on rotating-frame axes; shape (len(w1), len(w3)).
 
     ``w1_rot`` is the user-facing absorption axis; the conjugated first
@@ -293,26 +252,31 @@ def twod_values(dec: ModeDecomposition, kernel: VibKernel,
     w1_rot = np.atleast_1d(np.asarray(w1_rot, dtype=float))
     w3_rot = np.atleast_1d(np.asarray(w3_rot, dtype=float))
     core = _twod_core(dec, kernel, t_wait)
-    blocks_a = _emission_blocks(dec, kernel, w3_rot)
-    blocks_b = _absorption_blocks(dec, kernel, w1_rot)
+    shifts = kernel.shift(np.arange(3 * kernel.m_max + 1))
+    # pattern blocks A[pat][t, a] at w3[t] + shift(a) and B[pat][u, k] at w1[u] - shift(k)
+    emission = fourier_entries(dec, w3_rot[:, None] + shifts)
+    absorption = fourier_conj_entries(dec, w1_rot[:, None] - shifts)
     # fold emission side: folded[pj][k, t] = sum_il A[il][t, a] core[(il, pj)][a, k]
     folded: dict[str, np.ndarray] = {}
     for (pat_il, pj_pat), mat in core.items():
-        contrib = (blocks_a[pat_il] @ mat).T
+        contrib = (_pattern_pick(emission, pat_il) @ mat).T
         folded[pj_pat] = folded.get(pj_pat, 0) + contrib
-    out = np.empty((w1_rot.size, w3_rot.size), dtype=complex)
-    slices, parts = _map_row_chunks(_twod_row_block, (blocks_b, folded), w1_rot.size, workers)
-    for sl, part in zip(slices, parts):
-        out[sl] = part
+    out = None
+    for pj_pat, mat in folded.items():
+        part = _pattern_pick(absorption, pj_pat) @ mat
+        if out is None:
+            out = part
+        else:
+            out += part
     out *= prefactor
     return out
 
 
 def twod_signal(sys: SystemParams, dec: ModeDecomposition, kernel: VibKernel,
-                axis1: Axis, axis3: Axis, t_wait: float, workers: int = 0) -> SpectrumGrid:
+                axis1: Axis, axis3: Axis, t_wait: float) -> SpectrumGrid:
     """Heterodyne-detected 2D signal on absolute axes; display is the Im part."""
     values = twod_values(dec, kernel, axis1.rotating(), axis3.rotating(),
-                         t_wait, _twod_prefactor(sys), workers)
+                         t_wait, twod_prefactor(sys))
     meta = _base_metadata(sys, kernel)
     meta.update(display="imag", axis1_role="absorption", axis2_role="emission")
     return SpectrumGrid("twod", axis1, axis3, t_wait, values, meta)
@@ -326,7 +290,7 @@ def twod_signal_point(sys: SystemParams, dec: ModeDecomposition, kernel: VibKern
     user-facing absorption axis as w1_rot = -omega1.
     """
     vals = twod_values(dec, kernel, np.array([-omega1]), np.array([omega3]),
-                       t_wait, _twod_prefactor(sys))
+                       t_wait, twod_prefactor(sys))
     return complex(vals[0, 0])
 
 
@@ -363,7 +327,7 @@ def twod_signal_direct(sys: SystemParams, dec: ModeDecomposition, kernel: VibKer
             total += np.conj(g_wait[l, p]) * g_wait[l, j] * np.sum(
                 weight * a_val[alpha] * b_val[kappa]
             )
-    return complex(_twod_prefactor(sys) * total)
+    return complex(twod_prefactor(sys) * total)
 
 
 # ---------------------------------------------------------------------------
@@ -371,33 +335,25 @@ def twod_signal_direct(sys: SystemParams, dec: ModeDecomposition, kernel: VibKer
 
 
 def linear_absorption(sys: SystemParams, dec: ModeDecomposition, kernel: VibKernel,
-                      axis: Axis, workers: int = 0) -> SpectrumGrid:
+                      axis: Axis) -> SpectrumGrid:
     """Linear absorption on the absolute axis (real spectrum).
 
     The zero-phonon term sums the transform over all molecule pairs (the
     delta^0 convention); every m >= 1 sideband only keeps the diagonal pairs.
     """
+    n = dec.n_molecules
+    s = kernel.weights
     w_rot = axis.rotating()
-    slices, parts = _map_row_chunks(_absorption_chunk, (dec, kernel, w_rot, sys.dipole ** 2),
-                                    w_rot.size, workers)
-    values = np.empty(w_rot.size, dtype=complex)
-    for sl, part in zip(slices, parts):
-        values[sl] = part
+    ent = fourier_entries(dec, w_rot[:, None] - np.conj(kernel.shift(np.arange(kernel.m_max + 1))))
+    terms = s * n * ent.mm_diag
+    terms[:, 0] = s[0] * (n * ent.mm_diag[:, 0] + n * (n - 1) * ent.mm_off[:, 0])
+    # add the sidebands one order at a time, m = 1, 2, ...; a reduction
+    # would round in another order
+    acc = np.add.accumulate(terms, axis=1)[:, -1]
+    values = sys.dipole ** 2 * np.real(acc) + 0.0j
     meta = _base_metadata(sys, kernel)
     meta.update(display="real", axis1_role="absorption")
     return SpectrumGrid("absorption", axis, None, None, values, meta)
-
-
-def _absorption_chunk(dec: ModeDecomposition, kernel: VibKernel,
-                      w_rot: np.ndarray, scale: float, sl: slice) -> np.ndarray:
-    n = dec.n_molecules
-    w = w_rot[sl]
-    s = kernel.weights
-    ent0 = fourier_entries(dec, w)
-    acc = s[0] * (n * ent0.mm_diag + n * (n - 1) * ent0.mm_off)
-    for m in range(1, kernel.m_max + 1):
-        acc = acc + s[m] * n * fourier_entries(dec, w - np.conj(kernel.shift(m))).mm_diag
-    return scale * np.real(acc) + 0.0j
 
 
 # ---------------------------------------------------------------------------
@@ -486,29 +442,16 @@ def pump_probe_values(dec: ModeDecomposition, kernel: VibKernel,
         pat_il = "D" if cls.equal(I_, L_) else "O"
         coeff = mult * np.conj(g_ljp) * g_lj * f2
         wvec[pat_il][: w13.size] += coeff * w13
-    blocks = {pat: np.empty((w_rot.size, dim), dtype=complex) for pat in ("D", "O")}
-    for x in range(dim):
-        ent = fourier_entries(dec, w_rot + kernel.shift(x))
-        blocks["D"][:, x] = ent.mm_diag
-        blocks["O"][:, x] = ent.mm_off
-    total = blocks["D"] @ wvec["D"] + blocks["O"] @ wvec["O"]
+    ent = fourier_entries(dec, w_rot[:, None] + kernel.shift(np.arange(dim)))
+    total = ent.mm_diag @ wvec["D"] + ent.mm_off @ wvec["O"]
     return scale * np.real(total)
 
 
-def _pp_row_block(dec, kernel, w_rot, t_wait, scale, sl: slice) -> np.ndarray:
-    return pump_probe_values(dec, kernel, w_rot[sl], t_wait, scale)
-
-
 def pump_probe(sys: SystemParams, dec: ModeDecomposition, kernel: VibKernel,
-               axis: Axis, t_wait: float, workers: int = 0) -> SpectrumGrid:
+               axis: Axis, t_wait: float) -> SpectrumGrid:
     """Pump-probe spectrum on the absolute axis (real values)."""
-    w_rot = axis.rotating()
-    scale = 4.0 * sys.dipole ** 4
-    slices, parts = _map_row_chunks(_pp_row_block, (dec, kernel, w_rot, t_wait, scale),
-                                    w_rot.size, workers)
-    values = np.empty(w_rot.size, dtype=complex)
-    for sl, part in zip(slices, parts):
-        values[sl] = part
+    values = pump_probe_values(dec, kernel, axis.rotating(), t_wait,
+                               4.0 * sys.dipole ** 4) + 0.0j
     meta = _base_metadata(sys, kernel)
     meta.update(display="real", axis1_role="detection")
     return SpectrumGrid("pump_probe", axis, None, t_wait, values, meta)
@@ -661,12 +604,10 @@ def pump_probe_slices(sys: SystemParams, dec: ModeDecomposition, kernel: VibKern
 
 
 # ---------------------------------------------------------------------------
-# metadata and parallel plumbing
+# metadata
 
 
 def _base_metadata(sys: SystemParams, kernel: VibKernel) -> dict:
-    from .model import RAD_PER_CM_FS
-
     return {
         "n_molecules": sys.n_molecules,
         "g": sys.g,
@@ -685,40 +626,3 @@ def _base_metadata(sys: SystemParams, kernel: VibKernel) -> dict:
         "tail_eps": kernel.tail_eps,
         "rad_per_cm_fs": RAD_PER_CM_FS,
     }
-
-
-_CHUNK_ROWS = 64
-_POOL_CTX = None
-
-
-def _chunk_slices(n: int, size: int = _CHUNK_ROWS) -> list[slice]:
-    return [slice(s, min(s + size, n)) for s in range(0, n, size)]
-
-
-def _pool_init(fn, args):
-    global _POOL_CTX
-    _POOL_CTX = (fn, args)
-
-
-def _pool_call(sl: slice):
-    fn, args = _POOL_CTX
-    return fn(*args, sl)
-
-
-def _map_row_chunks(fn, args, n_rows: int, workers: int):
-    """Evaluate fn(*args, slice) over fixed-size row chunks.
-
-    Chunking is static and independent of the worker count, so results are
-    bitwise identical however many processes participate.
-    """
-    slices = _chunk_slices(n_rows)
-    if workers and workers > 1 and len(slices) > 1:
-        import multiprocessing as mp
-
-        ctx = mp.get_context("fork")
-        with ctx.Pool(processes=min(workers, len(slices)),
-                      initializer=_pool_init, initargs=(fn, args)) as pool:
-            parts = pool.map(_pool_call, slices)
-    else:
-        parts = [fn(*args, sl) for sl in slices]
-    return slices, parts

@@ -80,6 +80,9 @@ class VibKernel:
     tail_eps: float
 
     def __post_init__(self):
+        for name in ("lambda_hr", "omega_v", "gamma_v"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.omega_v <= 0.0:
             raise ValueError("omega_v must be > 0")
         if self.gamma_v < 0.0:
@@ -98,7 +101,8 @@ class VibKernel:
         w.setflags(write=False)
         return w
 
-    def shift(self, m: int) -> complex:
+    def shift(self, m):
+        """Shift of the m-phonon sideband; an integer array of orders gives an array."""
         return phonon_shift(m, self.omega_v, self.gamma_v)
 
     def wait_factor(self, t_wait: float) -> complex:

@@ -28,7 +28,6 @@ BASE_CONFIG = {
     },
     "t_wait": [0.0, 250.0],
     "output": {"directory": "out", "formats": ["csv", "json"]},
-    "workers": 1,
 }
 
 
@@ -86,11 +85,6 @@ class TestJobSpec:
         spec = build_jobspec("twod", BASE_CONFIG, t_list_override="0,100,250")
         assert spec.t_list == [0.0, 100.0, 250.0]
 
-    def test_workers_env_default(self, monkeypatch):
-        monkeypatch.setenv("POLARITON2DCS_WORKERS", "3")
-        cfg = dict(BASE_CONFIG, workers=0)
-        assert build_jobspec("absorption", cfg).workers == 3
-
     def test_negative_waiting_time_rejected(self):
         with pytest.raises(ConfigError):
             build_jobspec("twod", BASE_CONFIG, t_list_override="-5")
@@ -115,6 +109,17 @@ class TestMainExitCodes:
     def test_unknown_key_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, **{"system.bogus": 1.0})
         assert main(["absorption", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("dotted, value, key", [
+        ("grids.absorption.count", 2.7, "grids.absorption.count"),
+        ("system.n_molecules", True, "n_molecules"),
+        ("kernel.m_max", 3.9, "kernel.m_max"),
+        ("stokes_orders", [1.5], "stokes_orders"),
+    ])
+    def test_non_integer_field_exits_2(self, tmp_path, capsys, dotted, value, key):
+        cfg = write_config(tmp_path, **{dotted: value})
+        assert main(["absorption", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
 
     def test_empty_grid_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, **{"grids.absorption.count": 1})
@@ -195,12 +200,12 @@ class TestValidateSuite:
 
 
 class TestDeterminism:
-    def test_worker_count_does_not_change_bytes(self, tmp_path):
+    def test_two_runs_write_identical_bytes(self, tmp_path):
         cfg = write_config(tmp_path, **{"t_wait": [0.0], "output.formats": ["csv"]})
-        out1 = tmp_path / "w1"
-        out8 = tmp_path / "w8"
-        assert main(["twod", "--config", str(cfg), "--out", str(out1), "--workers", "1"]) == 0
-        assert main(["twod", "--config", str(cfg), "--out", str(out8), "--workers", "8"]) == 0
+        out1 = tmp_path / "run1"
+        out2 = tmp_path / "run2"
+        assert main(["twod", "--config", str(cfg), "--out", str(out1)]) == 0
+        assert main(["twod", "--config", str(cfg), "--out", str(out2)]) == 0
         a = (out1 / "twod_T0fs.csv").read_bytes()
-        b = (out8 / "twod_T0fs.csv").read_bytes()
+        b = (out2 / "twod_T0fs.csv").read_bytes()
         assert a == b

@@ -24,6 +24,7 @@ from polariton2dcs import (
     twod_signal_direct,
     twod_signal_point,
     twod_values,
+    validate_params,
 )
 from polariton2dcs.peaks import find_peaks_1d, find_peaks_2d
 from polariton2dcs.signals import falling_factorial
@@ -36,6 +37,31 @@ from polariton2dcs.validate import (
 from polariton2dcs.vibrations import VibKernel, kernel_from_params
 
 POLARITON_LINES = (14313.0, 17913.0)
+ORACLE_RTOL = 1e-10
+
+
+def random_detuned_case(seed: int, n: int):
+    """Detuned parameter set with unequal rates, drawn from the ranges of the
+    validate suite's random sets, with a small random phonon cutoff."""
+    rng = np.random.default_rng(seed)
+    sys = validate_params({
+        "n_molecules": n,
+        "g": float(rng.uniform(5.0, 600.0)),
+        "delta_x": float(rng.uniform(-300.0, 300.0)),
+        "delta_c": float(rng.uniform(-300.0, 300.0)),
+        "gamma_x": float(rng.uniform(0.3, 3.0)),
+        "gamma_c": float(rng.uniform(0.3, 3.0)),
+        "omega_v": float(rng.uniform(600.0, 1600.0)),
+        "gamma_v": float(rng.uniform(5.0, 40.0)),
+        "lambda_hr": float(rng.uniform(0.0, 1.5)),
+        "omega_ref": 16113.0,
+    })
+    kernel = kernel_from_params(sys, m_max=int(rng.integers(1, 4)))
+    return sys, decompose(build_matrix(sys)), kernel, rng
+
+
+def assert_oracle_match(fast, slow):
+    assert abs(fast - slow) <= ORACLE_RTOL * max(abs(fast), abs(slow))
 
 
 def full_axis(count=300, offset=16113.0):
@@ -164,6 +190,15 @@ class TestTwodSignal:
         result = check_twod_direct(points=4)
         assert result.passed, result.line()
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_direct_loop_random_detuned_sets(self, n):
+        sys, dec, kernel, rng = random_detuned_case(300 + n, n)
+        for _ in range(3):
+            om1, om3 = rng.uniform(-2400.0, 2400.0, size=2)
+            t_wait = float(rng.uniform(0.0, 400.0))
+            assert_oracle_match(twod_signal_point(sys, dec, kernel, om1, om3, t_wait),
+                                twod_signal_direct(sys, dec, kernel, om1, om3, t_wait))
+
     def test_direct_loop_size_guard(self, dye_system, dye_dec, dye_kernel):
         with pytest.raises(TooLarge):
             twod_signal_direct(dye_system, dye_dec, dye_kernel, 0.0, 0.0, 0.0)
@@ -249,6 +284,15 @@ class TestPumpProbe:
     def test_direct_loop_agreement_sample(self):
         result = check_pump_probe_direct(points=4)
         assert result.passed, result.line()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_direct_loop_random_detuned_sets(self, n):
+        sys, dec, kernel, rng = random_detuned_case(400 + n, n)
+        omegas = rng.uniform(12000.0, 20000.0, size=3)
+        for omega, t_wait in zip(omegas, rng.uniform(0.0, 500.0, size=3)):
+            fast = pump_probe_values(dec, kernel, np.array([omega - sys.axis_offset]),
+                                     t_wait, 4.0 * sys.dipole ** 4)[0]
+            assert_oracle_match(fast, pump_probe_direct(sys, dec, kernel, omega, t_wait))
 
     def test_direct_loop_size_guard(self, dye_system, dye_dec, dye_kernel):
         with pytest.raises(TooLarge):

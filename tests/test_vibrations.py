@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import polariton2dcs
 from polariton2dcs import (
     RAD_PER_CM_FS,
     TimeQuadruple,
@@ -245,6 +250,37 @@ class TestVibKernel:
             VibKernel(lambda_hr=1.0, omega_v=-5.0, gamma_v=1.0, m_max=3, tail_eps=1e-8)
         with pytest.raises(ValueError):
             VibKernel(lambda_hr=-1.0, omega_v=5.0, gamma_v=1.0, m_max=3, tail_eps=1e-8)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["lambda_hr", "omega_v", "gamma_v"])
+    def test_non_finite_parameters_rejected(self, name, value):
+        fields = dict(lambda_hr=1.0, omega_v=OMEGA_V, gamma_v=GAMMA_V, m_max=3, tail_eps=1e-10)
+        fields[name] = value
+        with pytest.raises(ValueError, match=name):
+            VibKernel(**fields)
+
+    def test_invariant_checks_survive_python_O(self):
+        # -O strips assert statements; both checks must still raise
+        script = """
+import polariton2dcs as p
+from polariton2dcs.validate import reference_params
+sys = reference_params()
+dec = p.decompose(p.build_matrix(sys))
+kernel = p.kernel_from_params(sys)
+print(__debug__)
+for call in (lambda: p.VibKernel(1.0, 1200.0, float("nan"), 3, 1e-10),
+             lambda: p.pump_probe_values(dec, kernel, [0.0], float("nan"))):
+    try:
+        call()
+        print("accepted")
+    except (ValueError, p.DivergentTransform) as exc:
+        print(type(exc).__name__)
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(polariton2dcs.__file__).resolve().parents[1]))
+        result = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                                text=True, env=env, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["False", "ValueError", "DivergentTransform"]
 
     def test_wait_factor_never_grows(self, dye_kernel):
         for t in (0.0, 10.0, 500.0):
