@@ -58,6 +58,18 @@ def _reject_unknown(section: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
+def _object(value, key: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a JSON object, got {value!r}")
+    return value
+
+
+def _list(value, key: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key} must be a JSON list, got {value!r}")
+    return list(value)
+
+
 def _integer(value, key: str) -> int:
     """An integral config number; booleans and fractional values are rejected."""
     integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
@@ -67,6 +79,7 @@ def _integer(value, key: str) -> int:
 
 
 def _axis(section: dict, name: str, offset: float) -> Axis:
+    _object(section, f"grids.{name}")
     _reject_unknown(section, _GRID_KEYS, f"grids.{name}")
     missing = sorted(_GRID_KEYS - set(section))
     if missing:
@@ -87,18 +100,22 @@ def build_jobspec(mode: str, config: dict, out_override: str | None = None,
     if "system" not in config:
         raise ConfigError("config needs a 'system' section")
     try:
-        params = validate_params(config["system"])
+        params = validate_params(_object(config["system"], "system"))
     except ParameterError as exc:
         raise ConfigError(f"system section invalid: {exc}") from exc
 
-    kernel_cfg = config.get("kernel", {})
+    kernel_cfg = _object(config.get("kernel", {}), "kernel")
     _reject_unknown(kernel_cfg, _KERNEL_KEYS, "kernel")
     if "m_max" in kernel_cfg and kernel_cfg["m_max"] is not None:
         kernel = kernel_from_params(params, m_max=_integer(kernel_cfg["m_max"], "kernel.m_max"))
     else:
-        kernel = kernel_from_params(params, tail_eps=float(kernel_cfg.get("tail_eps", 1e-10)))
+        try:
+            tail_eps = float(kernel_cfg.get("tail_eps", 1e-10))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"kernel.tail_eps must be a number, got {kernel_cfg['tail_eps']!r}") from exc
+        kernel = kernel_from_params(params, tail_eps=tail_eps)
 
-    grids_cfg = config.get("grids", {})
+    grids_cfg = _object(config.get("grids", {}), "grids")
     _reject_unknown(grids_cfg, _GRID_SECTIONS, "grids")
     grids = {name: _axis(sec, name, params.axis_offset) for name, sec in grids_cfg.items()}
 
@@ -115,7 +132,10 @@ def build_jobspec(mode: str, config: dict, out_override: str | None = None,
             raise ConfigError(f"bad --t-list: {exc}") from exc
     else:
         raw_t = config.get("t_wait", 0.0)
-        t_list = [float(t) for t in raw_t] if isinstance(raw_t, (list, tuple)) else [float(raw_t)]
+        try:
+            t_list = [float(t) for t in raw_t] if isinstance(raw_t, (list, tuple)) else [float(raw_t)]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"t_wait must be a number or a list of numbers, got {raw_t!r}") from exc
     if mode in ("twod", "pump-probe", "slices"):
         if not t_list:
             raise ConfigError(f"mode '{mode}' needs at least one waiting time")
@@ -125,19 +145,22 @@ def build_jobspec(mode: str, config: dict, out_override: str | None = None,
             except ParameterError as exc:
                 raise ConfigError(f"bad waiting time {t}: {exc}") from exc
 
-    orders = tuple(_integer(m, "stokes_orders") for m in config.get("stokes_orders", (1, 2)))
+    orders = tuple(_integer(m, "stokes_orders")
+                   for m in _list(config.get("stokes_orders", (1, 2)), "stokes_orders"))
     if any(m < 1 for m in orders):
         raise ConfigError("stokes_orders must be >= 1")
 
-    out_cfg = config.get("output", {})
+    out_cfg = _object(config.get("output", {}), "output")
     _reject_unknown(out_cfg, _OUTPUT_KEYS, "output")
-    out_dir = Path(out_override or out_cfg.get("directory", "."))
+    directory = out_override or out_cfg.get("directory", ".")
+    if not isinstance(directory, str):
+        raise ConfigError(f"output.directory must be a string, got {directory!r}")
+    out_dir = Path(directory)
     if formats_override is not None:
         formats = tuple(tok.strip() for tok in formats_override.split(",") if tok.strip())
     else:
-        formats = tuple(out_cfg.get("formats", ("csv",)))
-    bad = set(formats) - _FORMATS
-    if bad or not formats:
+        formats = tuple(_list(out_cfg.get("formats", ("csv",)), "output.formats"))
+    if not formats or any(not isinstance(f, str) or f not in _FORMATS for f in formats):
         raise ConfigError(f"formats must be a nonempty subset of {sorted(_FORMATS)}")
 
     return JobSpec(mode=mode, params=params, kernel=kernel, grids=grids,

@@ -100,7 +100,10 @@ def validate_params(raw: Mapping) -> SystemParams:
         raise ParameterError(violations)
 
     n_raw = values["n_molecules"]
-    n = int(n_raw) if not isinstance(n_raw, bool) and float(n_raw) == int(n_raw) else -1
+    try:
+        n = int(n_raw) if not isinstance(n_raw, bool) and float(n_raw) == int(n_raw) else -1
+    except (TypeError, ValueError, OverflowError):   # None, "abc", nan, inf
+        n = -1
     if n < 1:
         violations.append(Violation("NegativeCount", "n_molecules", f"need an integer >= 1, got {n_raw!r}"))
 

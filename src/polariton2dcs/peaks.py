@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import MalformedGrid
 from .signals import Axis, SpectrumGrid
@@ -72,6 +71,13 @@ def find_peaks_1d(x: np.ndarray, values: np.ndarray, min_rel_height: float = 0.0
     return out
 
 
+def _mean_3x3(mag: np.ndarray) -> np.ndarray:
+    """3x3 moving average, the edge rows and columns repeated outward."""
+    padded = np.pad(mag, 1, mode="edge")
+    rows = padded[:-2] + padded[1:-1] + padded[2:]
+    return (rows[:, :-2] + rows[:, 1:-1] + rows[:, 2:]) / 9.0
+
+
 def classify_2d(omega1: float, omega3: float, omega_v: float, tol: float) -> tuple[str, int | None]:
     diff = omega1 - omega3
     k = int(round(diff / omega_v))
@@ -94,7 +100,7 @@ def find_peaks_2d(ax1: np.ndarray, ax2: np.ndarray, values: np.ndarray,
     mag = np.abs(np.asarray(values))
     if mag.shape[0] < 3 or mag.shape[1] < 3 or np.all(mag == mag.flat[0]):
         return []
-    smooth = ndimage.uniform_filter(mag, size=3, mode="nearest")
+    smooth = _mean_3x3(mag)
     step1 = ax1[1] - ax1[0]
     step2 = ax2[1] - ax2[0]
     if tol is None:

@@ -515,15 +515,117 @@ def _fit_scale(formula: np.ndarray, exact: np.ndarray) -> tuple[float, float]:
     return scale, float(np.sqrt(np.mean(resid ** 2)) / norm)
 
 
-def pump_probe_slices(sys: SystemParams, dec: ModeDecomposition, kernel: VibKernel,
-                      t_list, stokes_orders: tuple[int, ...] = (1, 2)) -> SliceReport:
-    """Waiting-time traces at the upper polariton and the Stokes phonon lines.
+# The Stokes sums run over (site, l, j', j): their cost grows as N^4.  With
+# four waiting times and two orders they take 1.5 s at N = 40, 50 s at N = 100.
+SLICES_MAX_N = 100
 
-    The closed-form traces use the resonance-dominated expressions (uniform
-    bright weight for the polariton line; explicit discrete-Fourier dark
-    phases for the Stokes lines) and are cross-validated against the full
-    kernel up to a fitted constant, which is reported alongside.
+
+def _slice_sums_direct(s, z, zp, gg, dark_weight, stokes_orders) -> tuple[float, dict]:
+    """Upper-polariton and Stokes sums of the slice formulas as literal site loops."""
+    n = gg.shape[0]
+    mm = s.size - 1
+    accum = 0.0
+    for l, jp, j in product(range(n), repeat=3):
+        d = float(jp == l) - float(j == l)
+        accum += float(np.real(np.sum(s * d ** np.arange(mm + 1) * zp * gg[l, jp, j])))
+    stokes = {}
+    for order in stokes_orders:
+        acc = 0.0
+        m_idx = np.arange(mm + 1)
+        for site, l in product(range(n), repeat=2):
+            dw = dark_weight[site, l]
+            if dw == 0.0:
+                continue
+            for jp, j in product(range(n), repeat=2):
+                d2 = float(jp == l) - float(j == l)
+                d3 = float(site == j) - float(site == jp)
+                for m1 in range(order + 1):
+                    m3 = order - m1
+                    if m1 > mm or m3 > mm:
+                        continue
+                    if m1 > 0 and site != l:
+                        continue
+                    w13 = s[m1] * s[m3] * (d3 ** m3)
+                    if w13 == 0.0:
+                        continue
+                    inner = np.sum(s * d2 ** m_idx * zp * gg[l, jp, j]) * (z ** m3)
+                    acc += w13 * float(np.real(dw * inner))
+        stokes[order] = acc
+    return accum, stokes
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First index of each bitwise-distinct row of a float array, and the class of every row."""
+    bits = np.ascontiguousarray(rows, dtype=float).view(np.int64)
+    _, first, cls = np.unique(bits, axis=0, return_index=True, return_inverse=True)
+    return first, cls.ravel()
+
+
+def _sequential_sum(start: float, terms: np.ndarray) -> float:
+    """start + terms[0] + terms[1] + ..., added one at a time in C order."""
+    return np.add.accumulate(np.concatenate(([start], terms.ravel())))[-1]
+
+
+def _slice_sums(s, z, zp, gg, dark_weight, stokes_orders) -> tuple[float, dict]:
+    """The sums of :func:`_slice_sums_direct`, bit for bit, on arrays.
+
+    The loops' expression for the phonon sum is evaluated once per distinct
+    (d, gg) value; its products with z^m3 and the dark weight stay scalar
+    products, since array products may round differently.  The terms are added
+    in the loops' order, (l, j', j) and (site, l, j', j, m1), with an exact zero
+    wherever the loops skip, one site at a time to bound the memory at O(N^3).
     """
+    n = gg.shape[0]
+    mm = s.size - 1
+    m_idx = np.arange(mm + 1)
+    eye = np.eye(n)
+    d = eye[:, :, None] - eye[:, None, :]           # [l, jp, j] = (jp == l) - (j == l)
+    first, cls = _distinct_rows(np.stack([d.ravel(), gg.real.ravel(), gg.imag.ravel()], axis=1))
+    phonon = [np.sum(s * float(d.flat[i]) ** m_idx * zp * gg.flat[i]) for i in first]
+    cls = cls.reshape(n, n, n)
+    accum = _sequential_sum(0.0, np.array([p.real for p in phonon])[cls])
+
+    dw_first, dw_cls = _distinct_rows(dark_weight.reshape(-1, 1))
+    dw_cls = dw_cls.reshape(n, n)
+    diagonal = np.unique(dw_cls.diagonal())
+    on_site = np.eye(n, dtype=bool)
+    stokes = {}
+    for order in stokes_orders:
+        m1_list = range(order + 1)
+        # w13[d3 + 1, m1] = s[m1] s[m3] d3^m3, zero for orders beyond the cutoff
+        w13 = np.zeros((3, order + 1))
+        for m1 in m1_list:
+            m3 = order - m1
+            if m1 <= mm and m3 <= mm:
+                for d3 in (-1.0, 0.0, 1.0):
+                    w13[int(d3) + 1, m1] = s[m1] * s[m3] * (d3 ** m3)
+        # re_dw[k, u, m1] = Re(dw_k * phonon_u * z^m3); m1 > 0 only needs the diagonal
+        re_dw = np.zeros((dw_first.size, first.size, order + 1))
+        for m1 in m1_list:
+            if not w13[:, m1].any():
+                continue
+            zm3 = z ** (order - m1)
+            for u, p in enumerate(phonon):
+                inner = p * zm3
+                for k in (range(dw_first.size) if m1 == 0 else diagonal):
+                    re_dw[k, u, m1] = float(np.real(dark_weight.flat[dw_first[k]] * inner))
+        open_m1 = np.arange(order + 1) == 0
+        acc = 0.0
+        for site in range(n):
+            d3 = (eye[site][None, :] - eye[site][:, None]).astype(int) + 1   # [jp, j]
+            w = w13[d3]                                                       # [jp, j, m1]
+            terms = w * re_dw[dw_cls[site][:, None, None], cls]              # [l, jp, j, m1]
+            keep = ((w != 0.0)
+                    & (dark_weight[site] != 0.0)[:, None, None, None]
+                    & (open_m1 | on_site[site][:, None])[:, None, None, :])
+            acc = _sequential_sum(acc, np.where(keep, terms, 0.0))
+        stokes[order] = acc
+    return accum, stokes
+
+
+def _slice_report(sys: SystemParams, dec: ModeDecomposition, kernel: VibKernel,
+                  t_list, stokes_orders: tuple[int, ...], sums) -> SliceReport:
+    """Formula and exact traces, with ``sums`` evaluating the formula sums at each T."""
     t_list = np.asarray(list(t_list), dtype=float)
     if np.any(t_list < 0):
         raise NegativeWaitingTime("waiting times must be >= 0")
@@ -551,12 +653,9 @@ def pump_probe_slices(sys: SystemParams, dec: ModeDecomposition, kernel: VibKern
         g = propagator_G(dec, t_wait)[:n, :n]
         gg = np.conj(g)[:, :, None] * g[:, None, :]   # [l, jp, j]
         zp = z ** np.arange(mm + 1)
+        accum, stokes_acc = sums(s, z, zp, gg, dark_weight, stokes_orders)
 
         # polariton line: only the zero-phonon absorption/emission term resonates
-        accum = 0.0
-        for l, jp, j in product(range(n), repeat=3):
-            d = float(jp == l) - float(j == l)
-            accum += float(np.real(np.sum(s * d ** np.arange(mm + 1) * zp * gg[l, jp, j])))
         up_formula[it] = math.exp(-lam2) / (2.0 * dec.mu_up.real) * accum
         up_exact[it] = pump_probe_values(dec, kernel,
                                          np.array([omega_up_abs - sys.axis_offset]),
@@ -564,27 +663,7 @@ def pump_probe_slices(sys: SystemParams, dec: ModeDecomposition, kernel: VibKern
 
         for order in stokes_orders:
             gamma_res = dec.mu_dark.real + order * kernel.gamma_v
-            acc = 0.0
-            m_idx = np.arange(mm + 1)
-            for site, l in product(range(n), repeat=2):
-                dw = dark_weight[site, l]
-                if dw == 0.0:
-                    continue
-                for jp, j in product(range(n), repeat=2):
-                    d2 = float(jp == l) - float(j == l)
-                    d3 = float(site == j) - float(site == jp)
-                    for m1 in range(order + 1):
-                        m3 = order - m1
-                        if m1 > mm or m3 > mm:
-                            continue
-                        if m1 > 0 and site != l:
-                            continue
-                        w13 = s[m1] * s[m3] * (d3 ** m3)
-                        if w13 == 0.0:
-                            continue
-                        inner = np.sum(s * d2 ** m_idx * zp * gg[l, jp, j]) * (z ** m3)
-                        acc += w13 * float(np.real(dw * inner))
-            eds_formula[order][it] = math.exp(lam2) / n * acc / gamma_res
+            eds_formula[order][it] = math.exp(lam2) / n * stokes_acc[order] / gamma_res
             omega_abs = sys.axis_offset + sys.delta_x - order * kernel.omega_v
             eds_exact[order][it] = pump_probe_values(dec, kernel,
                                                      np.array([omega_abs - sys.axis_offset]),
@@ -601,6 +680,30 @@ def pump_probe_slices(sys: SystemParams, dec: ModeDecomposition, kernel: VibKern
         upper_polariton=SliceTrace(omega_up_abs, up_formula, up_exact, up_scale, up_res),
         stokes=stokes,
     )
+
+
+def pump_probe_slices(sys: SystemParams, dec: ModeDecomposition, kernel: VibKernel,
+                      t_list, stokes_orders: tuple[int, ...] = (1, 2)) -> SliceReport:
+    """Waiting-time traces at the upper polariton and the Stokes phonon lines.
+
+    The closed-form traces use the resonance-dominated expressions (uniform
+    bright weight for the polariton line; explicit discrete-Fourier dark
+    phases for the Stokes lines) and are cross-validated against the full
+    kernel up to a fitted constant, which is reported alongside.  The Stokes
+    sums cost O(N^4); refuse N > SLICES_MAX_N.
+    """
+    if sys.n_molecules > SLICES_MAX_N:
+        raise TooLarge(f"slices limited to N <= {SLICES_MAX_N} (cost grows as N^4), "
+                       f"got N = {sys.n_molecules}")
+    return _slice_report(sys, dec, kernel, t_list, stokes_orders, _slice_sums)
+
+
+def pump_probe_slices_direct(sys: SystemParams, dec: ModeDecomposition, kernel: VibKernel,
+                             t_list, stokes_orders: tuple[int, ...] = (1, 2)) -> SliceReport:
+    """:func:`pump_probe_slices` with the formula sums as literal site loops (oracle); refuse N > 6."""
+    if sys.n_molecules > 6:
+        raise TooLarge("direct slices oracle limited to N <= 6")
+    return _slice_report(sys, dec, kernel, t_list, stokes_orders, _slice_sums_direct)
 
 
 # ---------------------------------------------------------------------------

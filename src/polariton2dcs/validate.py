@@ -28,6 +28,7 @@ from .signals import (
     peak_ratios,
     pump_probe_direct,
     pump_probe_slices,
+    pump_probe_slices_direct,
     pump_probe_values,
     twod_signal_direct,
     twod_signal_point,
@@ -235,6 +236,27 @@ def check_slices_grid(tol: float = 1e-8) -> CheckResult:
     return _result("slices_grid", worst, tol, detail)
 
 
+def check_slices_direct(seed: int = 107, tol: float = 1e-10) -> CheckResult:
+    """Array slice formula sums against the literal site loops."""
+    rng = np.random.default_rng(seed)
+    cases = [(reference_params(n_molecules=n), [0.0, 100.0, 250.0, 500.0]) for n in (2, 3, 4, 5)]
+    cases += [(_random_params(rng, n), [0.0] + list(rng.uniform(0.0, 600.0, size=2)))
+              for n in (1, 2, 3, 4)]
+    worst = 0.0
+    for sys, t_list in cases:
+        dec = decompose(build_matrix(sys))
+        kernel = kernel_from_params(sys)
+        fast = pump_probe_slices(sys, dec, kernel, t_list, stokes_orders=(1, 2, 3))
+        slow = pump_probe_slices_direct(sys, dec, kernel, t_list, stokes_orders=(1, 2, 3))
+        pairs = [(fast.upper_polariton, slow.upper_polariton)]
+        pairs += [(fast.stokes[m], slow.stokes[m]) for m in slow.stokes]
+        for a, b in pairs:
+            scale = float(np.max(np.abs(b.formula)))
+            if scale > 0.0:
+                worst = max(worst, float(np.max(np.abs(a.formula - b.formula))) / scale)
+    return _result("slices_direct", worst, tol, "N=2..5 reference, N=1..4 random, relative")
+
+
 def _local_peak_height(sys, dec, kernel, center_abs: float, halfwidth: float = 8.0) -> float:
     axis = Axis(center_abs - halfwidth, center_abs + halfwidth, 801, sys.axis_offset)
     grid = linear_absorption(sys, dec, kernel, axis)
@@ -291,6 +313,7 @@ ALL_CHECKS = (
     check_twod_direct,
     check_pump_probe_direct,
     check_slices_grid,
+    check_slices_direct,
     check_ratio_law,
     lambda: check_ratio_law(equal_rates=True),
     check_truncation_stability,

@@ -121,6 +121,25 @@ class TestMainExitCodes:
         assert main(["absorption", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dotted, value, key", [
+        ("system", 5, "system"),
+        ("kernel", 5, "kernel"),
+        ("grids", 5, "grids"),
+        ("grids.absorption", 5, "grids.absorption"),
+        ("output", 5, "output"),
+        ("stokes_orders", 5, "stokes_orders"),
+        ("output.formats", 5, "output.formats"),
+        ("output.directory", 5, "output.directory"),
+        ("t_wait", "abc", "t_wait"),
+        ("t_wait", [0.0, None], "t_wait"),
+        ("kernel.tail_eps", "abc", "kernel.tail_eps"),
+        ("system.n_molecules", "abc", "n_molecules"),
+    ])
+    def test_wrong_json_type_exits_2(self, tmp_path, capsys, dotted, value, key):
+        cfg = write_config(tmp_path, **{dotted: value})
+        assert main(["eig", "--config", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+
     def test_empty_grid_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, **{"grids.absorption.count": 1})
         assert main(["absorption", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2

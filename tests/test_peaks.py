@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polariton2dcs
 from polariton2dcs import Axis, MalformedGrid, SpectrumGrid
 from polariton2dcs.peaks import (
+    _mean_3x3,
     classify_2d,
     find_peaks_1d,
     find_peaks_2d,
@@ -67,6 +73,23 @@ class TestFindPeaks2D:
         assert abs(top.refined_position[1] - 15800.0) < 15.0
         assert top.classification == "cross" and top.k_tag == 1
         assert peaks[1].classification == "diagonal"
+
+
+class TestSmoothing:
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 7), (40, 31)])
+    def test_matches_scipy_uniform_filter(self, shape):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        mag = np.abs(np.random.default_rng(shape[0]).standard_normal(shape)) * 1e3
+        expected = ndimage.uniform_filter(mag, size=3, mode="nearest")
+        assert np.max(np.abs(_mean_3x3(mag) - expected)) <= 1e-15 * np.max(mag)
+
+    def test_cli_import_leaves_scipy_out(self):
+        script = "import sys, polariton2dcs.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+        env = dict(os.environ, PYTHONPATH=str(Path(polariton2dcs.__file__).resolve().parents[1]))
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                text=True, env=env, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["False"]
 
 
 class TestGridIO:

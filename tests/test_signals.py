@@ -19,6 +19,7 @@ from polariton2dcs import (
     pump_probe,
     pump_probe_direct,
     pump_probe_slices,
+    pump_probe_slices_direct,
     pump_probe_values,
     twod_signal,
     twod_signal_direct,
@@ -27,7 +28,7 @@ from polariton2dcs import (
     validate_params,
 )
 from polariton2dcs.peaks import find_peaks_1d, find_peaks_2d
-from polariton2dcs.signals import falling_factorial
+from polariton2dcs.signals import SLICES_MAX_N, falling_factorial
 from polariton2dcs.validate import (
     check_pump_probe_direct,
     check_slices_grid,
@@ -373,3 +374,26 @@ class TestSlices:
     def test_negative_waiting_time_rejected(self, dye_system, dye_dec, dye_kernel):
         with pytest.raises(NegativeWaitingTime):
             pump_probe_slices(dye_system, dye_dec, dye_kernel, [-10.0])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_direct_loop_bitwise_random_detuned_sets(self, n):
+        sys, dec, kernel, rng = random_detuned_case(500 + n, n)
+        t_list = [0.0] + list(rng.uniform(0.0, 600.0, size=3))
+        fast = pump_probe_slices(sys, dec, kernel, t_list, stokes_orders=(1, 2, 3))
+        slow = pump_probe_slices_direct(sys, dec, kernel, t_list, stokes_orders=(1, 2, 3))
+        pairs = [(fast.upper_polariton, slow.upper_polariton)]
+        pairs += [(fast.stokes[m], slow.stokes[m]) for m in (1, 2, 3)]
+        for a, b in pairs:
+            assert np.array_equal(a.formula, b.formula)
+            assert np.array_equal(a.exact, b.exact)
+            assert (a.omega_abs, a.fitted_scale, a.residual) == (b.omega_abs, b.fitted_scale, b.residual)
+
+    def test_direct_loop_size_guard(self, dye_system, dye_dec, dye_kernel):
+        with pytest.raises(TooLarge):
+            pump_probe_slices_direct(dye_system, dye_dec, dye_kernel, [0.0])
+
+    def test_size_bound(self):
+        sys = reference_params(n_molecules=SLICES_MAX_N + 1)
+        dec = decompose(build_matrix(sys))
+        with pytest.raises(TooLarge, match=str(SLICES_MAX_N)):
+            pump_probe_slices(sys, dec, kernel_from_params(sys), [0.0])
