@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .errors import MalformedGrid, ParameterError, PolaritonError
 from .model import RAD_PER_CM_FS, PulseSchedule, SystemParams, derived_quantities, validate_params
-from .peaks import grid_peak_report, load_grid
+from .peaks import grid_peak_report
 from .propagator import build_matrix, decompose
 from .signals import Axis, SpectrumGrid, linear_absorption, pump_probe, pump_probe_slices, twod_signal
 from .validate import run_suite
@@ -78,6 +78,13 @@ def _integer(value, key: str) -> int:
     return int(value)
 
 
+def _number(value, key: str) -> float:
+    """A config number; strings, booleans and other JSON types are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _axis(section: dict, name: str, offset: float) -> Axis:
     _object(section, f"grids.{name}")
     _reject_unknown(section, _GRID_KEYS, f"grids.{name}")
@@ -85,9 +92,11 @@ def _axis(section: dict, name: str, offset: float) -> Axis:
     if missing:
         raise ConfigError(f"grids.{name} missing key(s): {', '.join(missing)}")
     count = _integer(section["count"], f"grids.{name}.count")
+    start = _number(section["start"], f"grids.{name}.start")
+    stop = _number(section["stop"], f"grids.{name}.stop")
     try:
-        return Axis(float(section["start"]), float(section["stop"]), count, offset, name)
-    except (TypeError, ValueError) as exc:
+        return Axis(start, stop, count, offset, name)
+    except ValueError as exc:
         raise ConfigError(f"grids.{name}: {exc}") from exc
 
 
@@ -109,10 +118,7 @@ def build_jobspec(mode: str, config: dict, out_override: str | None = None,
     if "m_max" in kernel_cfg and kernel_cfg["m_max"] is not None:
         kernel = kernel_from_params(params, m_max=_integer(kernel_cfg["m_max"], "kernel.m_max"))
     else:
-        try:
-            tail_eps = float(kernel_cfg.get("tail_eps", 1e-10))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"kernel.tail_eps must be a number, got {kernel_cfg['tail_eps']!r}") from exc
+        tail_eps = _number(kernel_cfg.get("tail_eps", 1e-10), "kernel.tail_eps")
         kernel = kernel_from_params(params, tail_eps=tail_eps)
 
     grids_cfg = _object(config.get("grids", {}), "grids")
@@ -132,10 +138,7 @@ def build_jobspec(mode: str, config: dict, out_override: str | None = None,
             raise ConfigError(f"bad --t-list: {exc}") from exc
     else:
         raw_t = config.get("t_wait", 0.0)
-        try:
-            t_list = [float(t) for t in raw_t] if isinstance(raw_t, (list, tuple)) else [float(raw_t)]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"t_wait must be a number or a list of numbers, got {raw_t!r}") from exc
+        t_list = [_number(t, "t_wait") for t in (raw_t if isinstance(raw_t, (list, tuple)) else [raw_t])]
     if mode in ("twod", "pump-probe", "slices"):
         if not t_list:
             raise ConfigError(f"mode '{mode}' needs at least one waiting time")
@@ -172,10 +175,6 @@ def build_jobspec(mode: str, config: dict, out_override: str | None = None,
 # serialization
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
 def params_hash(spec: JobSpec) -> str:
     payload = {
         "system": {k: getattr(spec.params, k) for k in (
@@ -187,30 +186,23 @@ def params_hash(spec: JobSpec) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _meta_lines(grid: SpectrumGrid) -> list[str]:
-    lines = [f"# signal={grid.signal}"]
-    if grid.t_wait is not None:
-        lines.append(f"# t_wait={_fmt(grid.t_wait)}")
-    for key in sorted(grid.metadata):
-        lines.append(f"# {key}={grid.metadata[key]}")
-    return lines
-
-
 def write_csv(path: Path, grid: SpectrumGrid) -> None:
-    lines = _meta_lines(grid)
-    if grid.axis2 is None:
-        lines.append("omega,value")
-        for omega, val in zip(grid.axis1.values(), grid.values):
-            lines.append(f"{_fmt(omega)},{_fmt(val.real)}")
-    else:
-        lines.append("omega1,omega3,re,im")
-        om1 = grid.axis1.values()
-        om3 = grid.axis2.values()
-        for u, w1 in enumerate(om1):
-            for t, w3 in enumerate(om3):
-                val = grid.values[u, t]
-                lines.append(f"{_fmt(w1)},{_fmt(w3)},{_fmt(val.real)},{_fmt(val.imag)}")
-    path.write_text("\n".join(lines) + "\n")
+    """``# key=value`` metadata lines, a header, then one ``%.17g`` row per grid point."""
+    with open(path, "w") as fh:
+        fh.write(f"# signal={grid.signal}\n")
+        if grid.t_wait is not None:
+            fh.write(f"# t_wait={grid.t_wait:.17g}\n")
+        fh.writelines(f"# {key}={grid.metadata[key]}\n" for key in sorted(grid.metadata))
+        om1 = grid.axis1.values().tolist()
+        if grid.axis2 is None:
+            fh.write("omega,value\n")
+            fh.writelines(map("{:.17g},{:.17g}\n".format, om1, np.real(grid.values).tolist()))
+            return
+        fh.write("omega1,omega3,re,im\n")
+        om3 = grid.axis2.values().tolist()
+        for w1, row in zip(om1, grid.values):
+            row_fmt = f"{w1:.17g},{{:.17g}},{{:.17g}},{{:.17g}}\n"
+            fh.writelines(map(row_fmt.format, om3, row.real.tolist(), row.imag.tolist()))
 
 
 def _axis_record(axis: Axis | None) -> dict | None:
@@ -231,6 +223,94 @@ def write_json_grid(path: Path, grid: SpectrumGrid) -> None:
         "metadata": grid.metadata,
     }
     path.write_text(json.dumps(doc, sort_keys=True) + "\n")
+
+
+def _meta_cast(raw: str):
+    for cast in (int, float):
+        try:
+            return cast(raw)
+        except ValueError:
+            continue
+    return raw
+
+
+def load_grid(path) -> SpectrumGrid:
+    """Read a spectrum grid written by :func:`write_csv` or :func:`write_json_grid`.
+
+    Malformed content raises :class:`MalformedGrid`; a file that cannot be
+    read raises the ``OSError``.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise MalformedGrid(f"no such file: {path}")
+    try:
+        if path.suffix.lower() == ".json":
+            return _load_json(path)
+        return _load_csv(path)
+    except MalformedGrid:
+        raise
+    except (ValueError, KeyError, TypeError, IndexError, AttributeError) as exc:
+        raise MalformedGrid(f"cannot parse {path}: {exc}") from exc
+
+
+def _axis_from_values(vals: np.ndarray, offset: float, label: str) -> Axis:
+    return Axis(float(vals[0]), float(vals[-1]), int(vals.size), offset, label)
+
+
+def _load_csv(path: Path) -> SpectrumGrid:
+    meta: dict = {}
+    lines = path.read_text().splitlines()
+    for at, line in enumerate(lines):
+        line = line.strip()
+        if line.startswith("#"):
+            key, eq, val = line[1:].partition("=")
+            if eq:
+                meta[key.strip()] = _meta_cast(val.strip())
+        elif line:
+            break
+    else:
+        raise MalformedGrid(f"{path}: no data rows")
+    header = [h.strip() for h in line.split(",")]
+    body = lines[at + 1:]
+    if not any(body):
+        raise MalformedGrid(f"{path}: no data rows")
+    data = np.loadtxt(body, delimiter=",", ndmin=2)
+    offset = float(meta.get("axis_offset", 0.0))
+    signal = str(meta.get("signal", "unknown"))
+    t_wait = meta.get("t_wait")
+    if header[:2] == ["omega1", "omega3"]:
+        om1 = np.unique(data[:, 0])
+        om3 = np.unique(data[:, 1])
+        if om1.size * om3.size != data.shape[0]:
+            raise MalformedGrid(f"{path}: 2D grid is not a full product grid")
+        values = data[:, 2].astype(complex)   # not re + 1j*im: 1j*inf has a nan real part
+        values.imag = data[:, 3]
+        values = values.reshape(om1.size, om3.size)
+        return SpectrumGrid(signal, _axis_from_values(om1, offset, "omega1"),
+                            _axis_from_values(om3, offset, "omega3"),
+                            t_wait, values, meta)
+    if header[0] != "omega":
+        raise MalformedGrid(f"{path}: unrecognized column layout {header}")
+    values = data[:, 1].astype(complex)
+    return SpectrumGrid(signal, _axis_from_values(data[:, 0], offset, "omega"),
+                        None, t_wait, values, meta)
+
+
+def _load_json(path: Path) -> SpectrumGrid:
+    doc = json.loads(path.read_text())
+    meta = doc.get("metadata", {})
+
+    def axis(rec, label):
+        if rec is None:
+            return None
+        return Axis(rec["start"], rec["stop"], rec["count"], rec.get("offset", 0.0), label)
+
+    ax1 = axis(doc["axis1"], doc["axis1"].get("label", "omega"))
+    ax2 = axis(doc.get("axis2"), "omega3") if doc.get("axis2") else None
+    values = np.array(doc["values_re"], dtype=complex)
+    values.imag = doc["values_im"]
+    return SpectrumGrid(doc.get("signal", "unknown"), ax1, ax2,
+                        doc.get("t_wait"), values, meta)
 
 
 def _write_grid(spec: JobSpec, grid: SpectrumGrid, stem: str, written: list[str]) -> None:
@@ -389,17 +469,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run_peaks(args) -> int:
     try:
         grid = load_grid(args.grid_file)
+        text = json.dumps(grid_peak_report(grid, min_rel_height=args.min_height), indent=2)
+        if args.report:
+            Path(args.report).write_text(text + "\n")
     except MalformedGrid as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return 2
-    report = grid_peak_report(grid, min_rel_height=args.min_height)
-    text = json.dumps(report, indent=2)
-    if args.report:
-        try:
-            Path(args.report).write_text(text + "\n")
-        except OSError as exc:
-            print(f"i/o error: {exc}", file=_sys.stderr)
-            return 4
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=_sys.stderr)
+        return 4
     print(text)
     return 0
 
@@ -443,7 +521,7 @@ def main(argv=None) -> int:
     except PolaritonError as exc:
         print(f"numeric failure: {type(exc).__name__}: {exc}", file=_sys.stderr)
         return 3
-    except (OSError, NotADirectoryError) as exc:
+    except OSError as exc:
         print(f"i/o error: {exc}", file=_sys.stderr)
         return 4
     return 0

@@ -66,6 +66,8 @@ _FIELD_NAMES = tuple(f.name for f in fields(SystemParams))
 
 def _as_float(name: str, value, violations: list[Violation]) -> float:
     try:
+        if isinstance(value, (str, bool)):   # a quoted number or a flag is a typo
+            raise TypeError
         out = float(value)
     except (TypeError, ValueError):
         violations.append(Violation("NonFinite", name, f"not a number: {value!r}"))
@@ -101,8 +103,8 @@ def validate_params(raw: Mapping) -> SystemParams:
 
     n_raw = values["n_molecules"]
     try:
-        n = int(n_raw) if not isinstance(n_raw, bool) and float(n_raw) == int(n_raw) else -1
-    except (TypeError, ValueError, OverflowError):   # None, "abc", nan, inf
+        n = int(n_raw) if not isinstance(n_raw, (bool, str)) and float(n_raw) == int(n_raw) else -1
+    except (TypeError, ValueError, OverflowError):   # None, a list, nan, inf
         n = -1
     if n < 1:
         violations.append(Violation("NegativeCount", "n_molecules", f"need an integer >= 1, got {n_raw!r}"))

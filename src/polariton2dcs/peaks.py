@@ -1,15 +1,12 @@
-"""Local-maximum detection with sub-grid refinement, plus grid file loading."""
+"""Local-maximum detection with sub-grid refinement, and the peak report of a grid."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import MalformedGrid
-from .signals import Axis, SpectrumGrid
+from .signals import SpectrumGrid
 
 
 @dataclass(frozen=True)
@@ -135,94 +132,6 @@ def find_peaks_2d(ax1: np.ndarray, ax2: np.ndarray, values: np.ndarray,
         ))
     out.sort(key=lambda p: -p.height)
     return out
-
-
-# ---------------------------------------------------------------------------
-# grid file loading
-
-
-def _meta_cast(raw: str):
-    for cast in (int, float):
-        try:
-            return cast(raw)
-        except ValueError:
-            continue
-    return raw
-
-
-def load_grid(path) -> SpectrumGrid:
-    """Read a spectrum grid written by the CLI (CSV or JSON)."""
-    path = Path(path)
-    if not path.exists():
-        raise MalformedGrid(f"no such file: {path}")
-    try:
-        if path.suffix.lower() == ".json":
-            return _load_json(path)
-        return _load_csv(path)
-    except MalformedGrid:
-        raise
-    except Exception as exc:  # malformed content of any flavor
-        raise MalformedGrid(f"cannot parse {path}: {exc}") from exc
-
-
-def _axis_from_values(vals: np.ndarray, offset: float, label: str) -> Axis:
-    return Axis(float(vals[0]), float(vals[-1]), int(vals.size), offset, label)
-
-
-def _load_csv(path: Path) -> SpectrumGrid:
-    meta: dict = {}
-    rows = []
-    header: list[str] | None = None
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, val = body.partition("=")
-                meta[key.strip()] = _meta_cast(val.strip())
-            continue
-        if header is None:
-            header = [h.strip() for h in line.split(",")]
-            continue
-        rows.append([float(tok) for tok in line.split(",")])
-    if header is None or not rows:
-        raise MalformedGrid(f"{path}: no data rows")
-    data = np.array(rows)
-    offset = float(meta.get("axis_offset", 0.0))
-    signal = str(meta.get("signal", "unknown"))
-    t_wait = meta.get("t_wait")
-    if header[:2] == ["omega1", "omega3"]:
-        om1 = np.unique(data[:, 0])
-        om3 = np.unique(data[:, 1])
-        if om1.size * om3.size != data.shape[0]:
-            raise MalformedGrid(f"{path}: 2D grid is not a full product grid")
-        values = (data[:, 2] + 1j * data[:, 3]).reshape(om1.size, om3.size)
-        return SpectrumGrid(signal, _axis_from_values(om1, offset, "omega1"),
-                            _axis_from_values(om3, offset, "omega3"),
-                            t_wait, values, meta)
-    if header[0] != "omega":
-        raise MalformedGrid(f"{path}: unrecognized column layout {header}")
-    values = data[:, 1].astype(complex)
-    return SpectrumGrid(signal, _axis_from_values(data[:, 0], offset, "omega"),
-                        None, t_wait, values, meta)
-
-
-def _load_json(path: Path) -> SpectrumGrid:
-    doc = json.loads(path.read_text())
-    meta = doc.get("metadata", {})
-
-    def axis(rec, label):
-        if rec is None:
-            return None
-        return Axis(rec["start"], rec["stop"], rec["count"], rec.get("offset", 0.0), label)
-
-    ax1 = axis(doc["axis1"], doc["axis1"].get("label", "omega"))
-    ax2 = axis(doc.get("axis2"), "omega3") if doc.get("axis2") else None
-    values = np.array(doc["values_re"]) + 1j * np.array(doc["values_im"])
-    return SpectrumGrid(doc.get("signal", "unknown"), ax1, ax2,
-                        doc.get("t_wait"), values, meta)
 
 
 def grid_peak_report(grid: SpectrumGrid, min_rel_height: float = 0.01) -> list[dict]:

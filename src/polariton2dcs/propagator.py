@@ -175,6 +175,9 @@ def decompose(m: DynamicsMatrix) -> ModeDecomposition:
     )
 
 
+_PATTERN_FIELDS = ("mm_diag", "mm_off", "mol_ph", "ph_mol", "ph_ph")
+
+
 @dataclass(frozen=True)
 class PatternEntries:
     """The five distinct entries of a permutation-symmetric (N+1)**2 matrix."""
@@ -192,6 +195,10 @@ class PatternEntries:
         out[n, :n] = self.ph_mol
         out[n, n] = self.ph_ph
         return out
+
+    def conj(self) -> PatternEntries:
+        """Entry-wise complex conjugate."""
+        return PatternEntries(**{name: np.conj(getattr(self, name)) for name in _PATTERN_FIELDS})
 
 
 def _assemble_entries(dec: ModeDecomposition, bright_fn, dark_fn) -> PatternEntries:
@@ -267,14 +274,7 @@ def fourier_conj_entries(dec: ModeDecomposition, omega) -> PatternEntries:
         raise DivergentTransform(
             f"need Im(omega) < {dec.gamma_min:g} for convergence"
         )
-    plain = fourier_entries(dec, np.conj(omega))
-    return PatternEntries(
-        mm_diag=np.conj(plain.mm_diag),
-        mm_off=np.conj(plain.mm_off),
-        mol_ph=np.conj(plain.mol_ph),
-        ph_mol=np.conj(plain.ph_mol),
-        ph_ph=np.conj(plain.ph_ph),
-    )
+    return fourier_entries(dec, np.conj(omega)).conj()
 
 
 def matrix_exp(a: np.ndarray, taylor_terms: int = 20) -> np.ndarray:
@@ -299,9 +299,6 @@ def expm_propagator(m: DynamicsMatrix, t: float) -> np.ndarray:
     if m.n_molecules > 64:
         raise TooLarge("dense reference limited to N <= 64")
     return matrix_exp(-m.to_dense() * (RAD_PER_CM_FS * t))
-
-
-_PATTERN_FIELDS = ("mm_diag", "mm_off", "mol_ph", "ph_mol", "ph_ph")
 
 
 def quadrature_fourier(dec: ModeDecomposition, omega: complex,
@@ -336,10 +333,7 @@ def quadrature_fourier(dec: ModeDecomposition, omega: complex,
     du = np.broadcast_to(half * gl_w[None, :], (n_panels, panel_points)).ravel()
     kernel = np.exp((1j * w_osc - q) * u) * du
     ent = _entries_at_theta(dec, u)
-    vals = {}
-    for name in _PATTERN_FIELDS:
-        f = getattr(ent, name)
-        if conjugated:
-            f = np.conj(f)
-        vals[name] = complex(np.sum(f * kernel))
+    if conjugated:
+        ent = ent.conj()
+    vals = {name: complex(np.sum(getattr(ent, name) * kernel)) for name in _PATTERN_FIELDS}
     return PatternEntries(**vals).to_dense(dec.n_molecules)

@@ -28,7 +28,6 @@ from .errors import DivergentTransform, NegativeWaitingTime, TooLarge
 from .model import RAD_PER_CM_FS, SystemParams
 from .propagator import (
     ModeDecomposition,
-    PatternEntries,
     fourier_conj_entries,
     fourier_entries,
     propagator_G,
@@ -164,18 +163,6 @@ def _wait_factor(kernel: VibKernel, t_wait: float) -> complex:
     return z
 
 
-def _pattern_pick(entries: PatternEntries, tag: str):
-    if tag == "D":
-        return entries.mm_diag
-    if tag == "O":
-        return entries.mm_off
-    if tag == "X":
-        return entries.mol_ph
-    if tag == "P":
-        return entries.ph_mol
-    raise KeyError(tag)
-
-
 def _weight_table(kernel: VibKernel, free: tuple[bool, ...], z: complex) -> np.ndarray:
     """Collapsed six-fold phonon sum for one index class.
 
@@ -199,11 +186,21 @@ def _weight_table(kernel: VibKernel, free: tuple[bool, ...], z: complex) -> np.n
     return table
 
 
+def _mm_pattern(cls: IndexClass, a: int, b: int) -> str:
+    """The :class:`PatternEntries` field of a molecule-molecule entry at index slots a, b."""
+    return "mm_diag" if cls.equal(a, b) else "mm_off"
+
+
 def _p_cases(cls: IndexClass, n: int) -> list[tuple[int, str, str]]:
-    """(count, G_lp pattern, transform_pj' pattern) for the propagation index."""
+    """(count, G_lp pattern, transform_pj' pattern) for the propagation index.
+
+    Patterns are :class:`PatternEntries` field names.
+    """
     if cls.equal(L_, JP_):
-        return [(1, "D", "D"), (max(n - 1, 0), "O", "O"), (1, "X", "P")]
-    return [(1, "D", "O"), (1, "O", "D"), (max(n - 2, 0), "O", "O"), (1, "X", "P")]
+        return [(1, "mm_diag", "mm_diag"), (max(n - 1, 0), "mm_off", "mm_off"),
+                (1, "mol_ph", "ph_mol")]
+    return [(1, "mm_diag", "mm_off"), (1, "mm_off", "mm_diag"),
+            (max(n - 2, 0), "mm_off", "mm_off"), (1, "mol_ph", "ph_mol")]
 
 
 def _twod_core(dec: ModeDecomposition, kernel: VibKernel, t_wait: float) -> dict:
@@ -222,12 +219,12 @@ def _twod_core(dec: ModeDecomposition, kernel: VibKernel, t_wait: float) -> dict
         if mult == 0:
             continue
         table = _weight_table(kernel, cls.free_mask, z)
-        pat_il = "D" if cls.equal(I_, L_) else "O"
-        g_lj = _pattern_pick(prop, "D" if cls.equal(L_, J_) else "O")
+        pat_il = _mm_pattern(cls, I_, L_)
+        g_lj = getattr(prop, _mm_pattern(cls, L_, J_))
         for count, lp_pat, pj_pat in _p_cases(cls, n):
             if count == 0:
                 continue
-            coeff = mult * count * np.conj(_pattern_pick(prop, lp_pat)) * g_lj
+            coeff = mult * count * np.conj(getattr(prop, lp_pat)) * g_lj
             key = (pat_il, pj_pat)
             if key in core:
                 core[key] = core[key] + coeff * table
@@ -259,11 +256,11 @@ def twod_values(dec: ModeDecomposition, kernel: VibKernel,
     # fold emission side: folded[pj][k, t] = sum_il A[il][t, a] core[(il, pj)][a, k]
     folded: dict[str, np.ndarray] = {}
     for (pat_il, pj_pat), mat in core.items():
-        contrib = (_pattern_pick(emission, pat_il) @ mat).T
+        contrib = (getattr(emission, pat_il) @ mat).T
         folded[pj_pat] = folded.get(pj_pat, 0) + contrib
     out = None
     for pj_pat, mat in folded.items():
-        part = _pattern_pick(absorption, pj_pat) @ mat
+        part = getattr(absorption, pj_pat) @ mat
         if out is None:
             out = part
         else:
@@ -431,19 +428,19 @@ def pump_probe_values(dec: ModeDecomposition, kernel: VibKernel,
     z = _wait_factor(kernel, t_wait)
     prop = propagator_entries(dec, t_wait)
     dim = 2 * kernel.m_max + 1
-    wvec = {"D": np.zeros(dim, dtype=complex), "O": np.zeros(dim, dtype=complex)}
+    wvec = {"mm_diag": np.zeros(dim, dtype=complex), "mm_off": np.zeros(dim, dtype=complex)}
     for cls in index_classes():
         mult = cls.multiplicity(n)
         if mult == 0:
             continue
         w13, f2 = _pp_class_weights(cls, kernel, z)
-        g_lj = _pattern_pick(prop, "D" if cls.equal(L_, J_) else "O")
-        g_ljp = _pattern_pick(prop, "D" if cls.equal(L_, JP_) else "O")
-        pat_il = "D" if cls.equal(I_, L_) else "O"
+        g_lj = getattr(prop, _mm_pattern(cls, L_, J_))
+        g_ljp = getattr(prop, _mm_pattern(cls, L_, JP_))
+        pat_il = _mm_pattern(cls, I_, L_)
         coeff = mult * np.conj(g_ljp) * g_lj * f2
         wvec[pat_il][: w13.size] += coeff * w13
     ent = fourier_entries(dec, w_rot[:, None] + kernel.shift(np.arange(dim)))
-    total = ent.mm_diag @ wvec["D"] + ent.mm_off @ wvec["O"]
+    total = ent.mm_diag @ wvec["mm_diag"] + ent.mm_off @ wvec["mm_off"]
     return scale * np.real(total)
 
 

@@ -134,6 +134,15 @@ class TestMainExitCodes:
         ("t_wait", [0.0, None], "t_wait"),
         ("kernel.tail_eps", "abc", "kernel.tail_eps"),
         ("system.n_molecules", "abc", "n_molecules"),
+        ("system.n_molecules", "3", "n_molecules"),
+        ("system.g", True, "(g)"),
+        ("system.gamma_x", "1.0", "gamma_x"),
+        ("t_wait", "250", "t_wait"),
+        ("t_wait", [0.0, True], "t_wait"),
+        ("kernel.tail_eps", "1e-10", "kernel.tail_eps"),
+        ("kernel.tail_eps", False, "kernel.tail_eps"),
+        ("grids.absorption.start", "13000", "grids.absorption.start"),
+        ("grids.omega3.stop", True, "grids.omega3.stop"),
     ])
     def test_wrong_json_type_exits_2(self, tmp_path, capsys, dotted, value, key):
         cfg = write_config(tmp_path, **{dotted: value})

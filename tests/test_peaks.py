@@ -9,18 +9,38 @@ import pytest
 
 import polariton2dcs
 from polariton2dcs import Axis, MalformedGrid, SpectrumGrid
-from polariton2dcs.peaks import (
-    _mean_3x3,
-    classify_2d,
-    find_peaks_1d,
-    find_peaks_2d,
-    grid_peak_report,
-    load_grid,
-)
+from polariton2dcs.cli import load_grid, main, write_csv, write_json_grid
+from polariton2dcs.peaks import _mean_3x3, classify_2d, find_peaks_1d, find_peaks_2d, grid_peak_report
+
+SPECIAL = [0.0, -0.0, 5e-324, -1e-320, 1.7976931348623157e308, np.inf, -np.inf, np.nan]
 
 
 def lorentzian(x, center, width):
     return width / (width**2 + (x - center) ** 2)
+
+
+def reference_csv(grid: SpectrumGrid) -> str:
+    """Reference for the streamed writer: the grid text built one f-string per value."""
+    lines = [f"# signal={grid.signal}"]
+    if grid.t_wait is not None:
+        lines.append(f"# t_wait={grid.t_wait:.17g}")
+    lines += [f"# {key}={grid.metadata[key]}" for key in sorted(grid.metadata)]
+    if grid.axis2 is None:
+        lines.append("omega,value")
+        for omega, val in zip(grid.axis1.values(), grid.values):
+            lines.append(f"{omega:.17g},{val.real:.17g}")
+    else:
+        lines.append("omega1,omega3,re,im")
+        for u, w1 in enumerate(grid.axis1.values()):
+            for t, w3 in enumerate(grid.axis2.values()):
+                val = grid.values[u, t]
+                lines.append(f"{w1:.17g},{w3:.17g},{val.real:.17g},{val.imag:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def bits(values: np.ndarray) -> np.ndarray:
+    """Bit patterns of the real and imaginary parts, so -0.0 and nan compare exactly."""
+    return np.ascontiguousarray(values).view(np.int64)
 
 
 class TestFindPeaks1D:
@@ -102,23 +122,53 @@ class TestGridIO:
         values = np.linspace(0.0, 1.0, 6).astype(complex)
         return SpectrumGrid("absorption", ax1, None, None, values, {"omega_v": 1200.0})
 
+    def make_special_grid(self, two_dimensional):
+        """A grid holding signed zeros, subnormals, the largest float, infinities and nan."""
+        ax1 = Axis(-1.0 / 3.0, 1e5 / 7.0, 8, offset=16113.0, label="omega1")
+        re = np.array(SPECIAL)
+        if two_dimensional:
+            ax2 = Axis(0.1, 0.7, 8, offset=16113.0, label="omega3")
+            values = np.empty((8, 8), dtype=complex)
+            values.real = re[:, None]
+            values.imag = re[::-1][None, :]
+            return SpectrumGrid("twod", ax1, ax2, 1.0 / 3.0, values, {"omega_v": 1200.0})
+        return SpectrumGrid("absorption", ax1, None, None, re.astype(complex), {"phase": -0.0})
+
     @pytest.mark.parametrize("two_dimensional", [False, True])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_roundtrip(self, tmp_path, two_dimensional, fmt):
-        from polariton2dcs.cli import write_csv, write_json_grid
-
         grid = self.make_grid(two_dimensional)
         path = tmp_path / f"grid.{fmt}"
         (write_csv if fmt == "csv" else write_json_grid)(path, grid)
         loaded = load_grid(path)
         assert loaded.signal == grid.signal
         assert loaded.axis1.count == grid.axis1.count
-        assert np.allclose(loaded.axis1.values(), grid.axis1.values())
+        assert np.array_equal(loaded.axis1.values(), grid.axis1.values())
         if two_dimensional:
-            assert np.allclose(loaded.values, grid.values)
+            assert np.array_equal(loaded.values, grid.values)
             assert loaded.t_wait == 250.0
         else:
-            assert np.allclose(loaded.values.real, grid.values.real)
+            assert np.array_equal(loaded.values.real, grid.values.real)
+
+    @pytest.mark.parametrize("two_dimensional", [False, True])
+    def test_csv_bytes_match_per_value_writer(self, tmp_path, two_dimensional):
+        for grid in (self.make_grid(two_dimensional), self.make_special_grid(two_dimensional)):
+            path = tmp_path / "grid.csv"
+            write_csv(path, grid)
+            assert path.read_text() == reference_csv(grid)
+
+    @pytest.mark.parametrize("two_dimensional", [False, True])
+    def test_csv_roundtrip_is_exact_for_special_values(self, tmp_path, two_dimensional):
+        grid = self.make_special_grid(two_dimensional)
+        path = tmp_path / "grid.csv"
+        write_csv(path, grid)
+        loaded = load_grid(path)
+        assert np.array_equal(loaded.axis1.values(), grid.axis1.values())
+        if two_dimensional:
+            assert np.array_equal(loaded.axis2.values(), grid.axis2.values())
+            assert np.array_equal(bits(loaded.values), bits(grid.values))
+        else:
+            assert np.array_equal(bits(loaded.values.real), bits(grid.values.real))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(MalformedGrid):
@@ -130,15 +180,25 @@ class TestGridIO:
         with pytest.raises(MalformedGrid):
             load_grid(bad)
 
+    def test_directory_is_an_io_error(self, tmp_path, capsys):
+        with pytest.raises(OSError):
+            load_grid(tmp_path)
+        assert main(["peaks", str(tmp_path)]) == 4
+        assert "i/o error" in capsys.readouterr().err
+
     def test_garbage_json(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"signal\": \"absorption\"}")
         with pytest.raises(MalformedGrid):
             load_grid(bad)
 
-    def test_peak_report_dicts(self, tmp_path):
-        from polariton2dcs.cli import write_csv
+    def test_json_that_is_not_an_object(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[1, 2]")
+        with pytest.raises(MalformedGrid):
+            load_grid(bad)
 
+    def test_peak_report_dicts(self, tmp_path):
         ax = Axis(0.0, 100.0, 201)
         x = ax.values()
         grid = SpectrumGrid("absorption", ax, None, None,

@@ -355,6 +355,20 @@ class TestSlices:
         result = check_slices_grid()
         assert result.passed, result.line()
 
+    def test_exact_values_check_catches_a_broken_fast_path(self, monkeypatch):
+        # scale the class-collapsed pump-probe weights only; the literal loop is untouched
+        from polariton2dcs import signals
+
+        weights = signals._pp_class_weights
+
+        def scaled(*args):
+            w13, f2 = weights(*args)
+            return w13, f2 * (1.0 + 1e-6)
+
+        monkeypatch.setattr(signals, "_pp_class_weights", scaled)
+        result = check_slices_grid()
+        assert not result.passed, result.line()
+
     def test_long_delay_decay(self, dye_system, dye_dec, dye_kernel):
         report = pump_probe_slices(dye_system, dye_dec, dye_kernel,
                                    [0.0, 40000.0], stokes_orders=(1,))
