@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys as _sys
 import time
@@ -79,9 +80,10 @@ def _integer(value, key: str) -> int:
 
 
 def _number(value, key: str) -> float:
-    """A config number; strings, booleans and other JSON types are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
+    """A finite config number; NaN, infinities, strings, booleans and other
+    JSON types are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -133,9 +135,10 @@ def build_jobspec(mode: str, config: dict, out_override: str | None = None,
 
     if t_list_override is not None:
         try:
-            t_list = [float(tok) for tok in t_list_override.split(",") if tok.strip()]
+            tokens = [float(tok) for tok in t_list_override.split(",") if tok.strip()]
         except ValueError as exc:
             raise ConfigError(f"bad --t-list: {exc}") from exc
+        t_list = [_number(t, "--t-list") for t in tokens]
     else:
         raw_t = config.get("t_wait", 0.0)
         t_list = [_number(t, "t_wait") for t in (raw_t if isinstance(raw_t, (list, tuple)) else [raw_t])]
@@ -398,6 +401,8 @@ def run_job(spec: JobSpec) -> list[str]:
             {"name": r.name, "max_err": r.max_err, "tol": r.tol, "passed": r.passed}
             for r in results
         ]
+        # wall times go to the manifest only: validate.json stays deterministic
+        extra["oracle_seconds"] = {r.name: r.seconds for r in results}
         (spec.out_dir / "validate.json").write_text(
             json.dumps(extra["oracle_results"], indent=2) + "\n")
         written.append("validate.json")

@@ -309,8 +309,14 @@ def quadrature_fourier(dec: ModeDecomposition, omega: complex,
     Independent cross-check of :func:`propagator_fourier` /
     :func:`fourier_conj_entries`: integrates the time-domain propagator over
     [0, u_max] in theta units (default 40/gamma_min, where the integrand has
-    decayed to ~1e-17) with composite Gauss-Legendre panels sized to hold at
-    most half an oscillation period of integrand times kernel.
+    decayed to ~1e-17) with composite Gauss-Legendre panels, equal in width
+    and sized to hold at most half an oscillation period of integrand times
+    kernel.  G(u) is a fixed combination of the three modal exponentials
+    exp(-mu*u) (LP, UP, dark), so the quadrature runs once per eigenmode on
+    the scalar integrand exp((s - mu)*u), with s the kernel exponent, and the
+    three sums are combined into pattern entries like the pole terms of the
+    closed form.  Each node value is sampled as exp(r*mid_p) * exp(r*half*x_j),
+    the outer product of one exponential per panel and one per node.
     """
     omega = complex(omega)
     if u_max is None:
@@ -329,11 +335,17 @@ def quadrature_fourier(dec: ModeDecomposition, omega: complex,
     edges = np.linspace(0.0, u_max, n_panels + 1)
     half = 0.5 * (edges[1] - edges[0])
     mids = 0.5 * (edges[:-1] + edges[1:])
-    u = (mids[:, None] + half * x[None, :]).ravel()
-    du = np.broadcast_to(half * gl_w[None, :], (n_panels, panel_points)).ravel()
-    kernel = np.exp((1j * w_osc - q) * u) * du
-    ent = _entries_at_theta(dec, u)
+    s = 1j * w_osc - q
+    if conjugated:
+        # sum conj(G) * kernel = conj(sum G * conj(kernel)); the weights are real
+        s = s.conjugate()
+
+    def mode_integral(mu: complex) -> complex:
+        r = s - mu
+        samples = np.exp(r * mids)[:, None] * (np.exp(r * half * x) * (half * gl_w))[None, :]
+        return complex(np.sum(samples))
+
+    ent = _assemble_entries(dec, mode_integral, mode_integral)
     if conjugated:
         ent = ent.conj()
-    vals = {name: complex(np.sum(getattr(ent, name) * kernel)) for name in _PATTERN_FIELDS}
-    return PatternEntries(**vals).to_dense(dec.n_molecules)
+    return ent.to_dense(dec.n_molecules)

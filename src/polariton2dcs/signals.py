@@ -104,6 +104,8 @@ class Axis:
     def __post_init__(self):
         if self.count < 2:
             raise ValueError(f"axis '{self.label}' needs count >= 2, got {self.count}")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValueError(f"axis '{self.label}' needs finite start and stop")
         if not (self.start < self.stop):
             raise ValueError(f"axis '{self.label}' needs start < stop")
 
@@ -305,24 +307,27 @@ def twod_signal_direct(sys: SystemParams, dec: ModeDecomposition, kernel: VibKer
     mm = kernel.m_max
     g_wait = propagator_G(dec, t_wait)
     dim = 3 * mm + 1
-    trans_a = [fourier_entries(dec, omega3 + kernel.shift(a)).to_dense(n) for a in range(dim)]
-    trans_b = [fourier_conj_entries(dec, -omega1 - kernel.shift(k)).to_dense(n) for k in range(dim)]
+    # [shift, row, column]
+    trans_a = np.stack([fourier_entries(dec, omega3 + kernel.shift(a)).to_dense(n)
+                        for a in range(dim)])
+    trans_b = np.stack([fourier_conj_entries(dec, -omega1 - kernel.shift(k)).to_dense(n)
+                        for k in range(dim)])
     full = np.arange(mm + 1)
     pinned = np.arange(1)
+    tables = {}   # (weight, alpha, kappa) by the Kronecker-delta pattern of the tuple
     total = 0.0 + 0.0j
     for i, l, j, jp in product(range(n), repeat=4):
-        ranges = [full if eq else pinned
-                  for eq in ((jp == j), (i == l), (j == l), (jp == l), (i == j), (i == jp))]
-        m1, m2, m3, m4, m5, m6 = np.ix_(*ranges)
-        weight = (s[m1] * s[m2] * s[m3] * s[m4] * s[m5] * s[m6]
-                  * (-1.0) ** (m3 + m6) * z ** (m3 + m4 + m5 + m6))
-        alpha = m2 + m5 + m6
-        kappa = m1 + m4 + m6
-        a_val = np.stack([t[i, l] for t in trans_a])
+        deltas = ((jp == j), (i == l), (j == l), (jp == l), (i == j), (i == jp))
+        if deltas not in tables:
+            m1, m2, m3, m4, m5, m6 = np.ix_(*[full if eq else pinned for eq in deltas])
+            weight = (s[m1] * s[m2] * s[m3] * s[m4] * s[m5] * s[m6]
+                      * (-1.0) ** (m3 + m6) * z ** (m3 + m4 + m5 + m6))
+            tables[deltas] = (weight, m2 + m5 + m6, m1 + m4 + m6)
+        weight, alpha, kappa = tables[deltas]
+        weighted_a = weight * trans_a[:, i, l][alpha]
         for p in range(n + 1):
-            b_val = np.stack([t[p, jp] for t in trans_b])
             total += np.conj(g_wait[l, p]) * g_wait[l, j] * np.sum(
-                weight * a_val[alpha] * b_val[kappa]
+                weighted_a * trans_b[:, p, jp][kappa]
             )
     return complex(twod_prefactor(sys) * total)
 
@@ -465,18 +470,23 @@ def pump_probe_direct(sys: SystemParams, dec: ModeDecomposition, kernel: VibKern
     mm = kernel.m_max
     w_rot = omega_abs - sys.axis_offset
     g_wait = propagator_G(dec, t_wait)
-    trans = [fourier_entries(dec, w_rot + kernel.shift(x)).to_dense(n) for x in range(2 * mm + 1)]
+    # [shift, row, column]
+    trans = np.stack([fourier_entries(dec, w_rot + kernel.shift(x)).to_dense(n)
+                      for x in range(2 * mm + 1)])
     full = np.arange(mm + 1)
     pinned = np.arange(1)
+    tables = {}   # (weight, m1 + m3) by the Kronecker-delta pattern of the tuple
     total = 0.0 + 0.0j
     for i, l, j, jp in product(range(n), repeat=4):
-        r1 = full if i == l else pinned
         d2 = float(jp == l) - float(j == l)
         d3 = float(i == j) - float(i == jp)
-        m1, m2, m3 = np.ix_(r1, full, full)
-        weight = (s[m1] * s[m2] * s[m3] * d2 ** m2 * d3 ** m3 * z ** (m2 + m3))
-        a_val = np.stack([t[i, l] for t in trans])
-        total += np.conj(g_wait[l, jp]) * g_wait[l, j] * np.sum(weight * a_val[m1 + m3])
+        deltas = (i == l, d2, d3)
+        if deltas not in tables:
+            m1, m2, m3 = np.ix_(full if i == l else pinned, full, full)
+            weight = (s[m1] * s[m2] * s[m3] * d2 ** m2 * d3 ** m3 * z ** (m2 + m3))
+            tables[deltas] = (weight, m1 + m3)
+        weight, m13 = tables[deltas]
+        total += np.conj(g_wait[l, jp]) * g_wait[l, j] * np.sum(weight * trans[:, i, l][m13])
     return float(4.0 * sys.dipole ** 4 * np.real(total))
 
 

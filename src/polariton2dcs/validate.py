@@ -8,7 +8,8 @@ functions, so there is exactly one implementation of every comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,6 +72,7 @@ class CheckResult:
     tol: float
     passed: bool
     detail: str = ""
+    seconds: float = 0.0   # wall time of the check, set by run_suite
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -135,7 +137,11 @@ def check_eigenstructure(seed: int = 102, tol: float = 1e-12) -> CheckResult:
 
 
 def check_transform_quadrature(seed: int = 103, n_points: int = 100, tol: float = 1e-6) -> CheckResult:
-    """Pole-sum transform against adaptive oscillatory quadrature."""
+    """Pole-sum transform against composite Gauss-Legendre panel quadrature.
+
+    The panels are equal in width and sized to the oscillation frequency of
+    each target; :func:`quadrature_fourier` integrates them per eigenmode.
+    """
     rng = np.random.default_rng(seed)
     sys = reference_params()
     dec = decompose(build_matrix(sys))
@@ -317,5 +323,13 @@ ALL_CHECKS = (
 
 
 def run_suite() -> list[CheckResult]:
-    """Run every oracle pair with fixed seeds; deterministic output order."""
-    return [check() for check in ALL_CHECKS]
+    """Run every oracle pair with fixed seeds; deterministic output order.
+
+    Each result carries the wall time of its check in ``seconds``.
+    """
+    results = []
+    for check in ALL_CHECKS:
+        start = time.perf_counter()
+        res = check()
+        results.append(replace(res, seconds=time.perf_counter() - start))
+    return results

@@ -19,7 +19,54 @@ from polariton2dcs import (
     propagator_fourier,
     quadrature_fourier,
 )
-from polariton2dcs.validate import check_eigenstructure, check_propagator_expm, reference_params
+from polariton2dcs.propagator import (
+    _PATTERN_FIELDS,
+    ModeDecomposition,
+    PatternEntries,
+    _entries_at_theta,
+)
+from polariton2dcs.validate import (
+    _random_params,
+    check_eigenstructure,
+    check_propagator_expm,
+    check_transform_quadrature,
+    reference_params,
+)
+
+
+def reference_quadrature_fourier(dec: ModeDecomposition, omega: complex,
+                                 u_max: float | None = None, conjugated: bool = False,
+                                 panel_points: int = 10) -> np.ndarray:
+    """Entry-wise panel quadrature: every pattern entry of G(u) sampled at every node.
+
+    The reference for :func:`quadrature_fourier`, which integrates per eigenmode
+    on the same panels.
+    """
+    omega = complex(omega)
+    if u_max is None:
+        u_max = 40.0 / dec.gamma_min
+    if conjugated:
+        # conj(G(u)) * exp(-i z u):  oscillation -Re z, envelope exp(+Im(z) u)
+        w_osc, q = -omega.real, -omega.imag
+    else:
+        w_osc, q = omega.real, omega.imag
+    if q <= -dec.gamma_min:
+        raise DivergentTransform("quadrature target does not converge")
+    freq_scale = abs(w_osc) + max(abs(dec.mu_lp.imag), abs(dec.mu_up.imag),
+                                  abs(dec.mu_dark.imag)) + 1.0
+    n_panels = max(64, int(math.ceil(u_max * freq_scale / math.pi)))
+    x, gl_w = np.polynomial.legendre.leggauss(panel_points)
+    edges = np.linspace(0.0, u_max, n_panels + 1)
+    half = 0.5 * (edges[1] - edges[0])
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    u = (mids[:, None] + half * x[None, :]).ravel()
+    du = np.broadcast_to(half * gl_w[None, :], (n_panels, panel_points)).ravel()
+    kernel = np.exp((1j * w_osc - q) * u) * du
+    ent = _entries_at_theta(dec, u)
+    if conjugated:
+        ent = ent.conj()
+    vals = {name: complex(np.sum(getattr(ent, name) * kernel)) for name in _PATTERN_FIELDS}
+    return PatternEntries(**vals).to_dense(dec.n_molecules)
 
 
 class TestBuildMatrix:
@@ -198,6 +245,44 @@ class TestFourier:
             exact = fourier_conj_entries(dye_dec, omega).to_dense(10)
             quad = quadrature_fourier(dye_dec, omega, conjugated=True)
             assert np.max(np.abs(exact - quad)) / np.max(np.abs(exact)) < 1e-6
+
+    @pytest.mark.parametrize("omega, conjugated", [
+        (0.0, False), (1234.5, False), (-1800.0, False), (2400.0, False),
+        (350.0 + 40.0j, False), (-2100.0 + 20.0j, False),
+        (432.1, True), (-900.0 - 20.0j, True), (1800.0 - 40.0j, True),
+    ])
+    def test_quadrature_matches_entrywise_reference(self, dye_dec, omega, conjugated):
+        quad = quadrature_fourier(dye_dec, omega, conjugated=conjugated)
+        ref = reference_quadrature_fourier(dye_dec, omega, conjugated=conjugated)
+        assert np.max(np.abs(quad - ref)) / np.max(np.abs(ref)) < 1e-10
+
+    def test_quadrature_matches_entrywise_reference_detuned(self):
+        rng = np.random.default_rng(17)
+        for n in (1, 3):
+            dec = decompose(build_matrix(_random_params(rng, n)))
+            for conjugated in (False, True):
+                omega = complex(rng.uniform(-2400.0, 2400.0), 0.0)
+                quad = quadrature_fourier(dec, omega, conjugated=conjugated)
+                ref = reference_quadrature_fourier(dec, omega, conjugated=conjugated)
+                assert np.max(np.abs(quad - ref)) / np.max(np.abs(ref)) < 1e-10
+
+    @pytest.mark.parametrize("target", ["propagator_fourier", "fourier_conj_entries"])
+    def test_quadrature_check_catches_a_scaled_transform(self, monkeypatch, target):
+        # scale the pole-sum side only; the quadrature is untouched
+        from polariton2dcs import validate
+
+        exact = getattr(validate, target)
+
+        def scaled(dec, omega):
+            out = exact(dec, omega)
+            if isinstance(out, PatternEntries):
+                return PatternEntries(**{name: getattr(out, name) * (1.0 + 1e-5)
+                                         for name in _PATTERN_FIELDS})
+            return out * (1.0 + 1e-5)
+
+        monkeypatch.setattr(validate, target, scaled)
+        result = check_transform_quadrature()
+        assert not result.passed, result.line()
 
     def test_conjugate_transform_is_conjugate_at_conj_argument(self, dye_dec):
         z = 321.0 - 15.0j

@@ -97,6 +97,9 @@ class TestGridTypes:
             Axis(0.0, 1.0, 1)
         with pytest.raises(ValueError):
             Axis(2.0, 1.0, 50)
+        for start, stop in ((0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)):
+            with pytest.raises(ValueError, match="finite"):
+                Axis(start, stop, 50)
 
     def test_axis_rotating_frame(self):
         axis = Axis(13000.0, 19000.0, 4, offset=16113.0)
@@ -190,6 +193,15 @@ class TestTwodSignal:
     def test_direct_loop_agreement_sample(self):
         result = check_twod_direct(points=4)
         assert result.passed, result.line()
+
+    def test_direct_check_catches_a_broken_fast_path(self, monkeypatch):
+        # scale the class-collapsed 2D values only; the literal loop is untouched
+        from polariton2dcs import signals
+
+        values = signals.twod_values
+        monkeypatch.setattr(signals, "twod_values", lambda *args: values(*args) * (1.0 + 1e-6))
+        result = check_twod_direct(points=4)
+        assert not result.passed, result.line()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_direct_loop_random_detuned_sets(self, n):
@@ -285,6 +297,20 @@ class TestPumpProbe:
     def test_direct_loop_agreement_sample(self):
         result = check_pump_probe_direct(points=4)
         assert result.passed, result.line()
+
+    def test_direct_check_catches_a_broken_fast_path(self, monkeypatch):
+        # scale the class-collapsed pump-probe weights only; the literal loop is untouched
+        from polariton2dcs import signals
+
+        weights = signals._pp_class_weights
+
+        def scaled(*args):
+            w13, f2 = weights(*args)
+            return w13, f2 * (1.0 + 1e-6)
+
+        monkeypatch.setattr(signals, "_pp_class_weights", scaled)
+        result = check_pump_probe_direct(points=4)
+        assert not result.passed, result.line()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_direct_loop_random_detuned_sets(self, n):
