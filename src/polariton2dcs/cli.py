@@ -472,6 +472,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_peaks(args) -> int:
+    if not math.isfinite(args.min_height):
+        print(f"config error: --min-height must be a finite number, got {args.min_height}",
+              file=_sys.stderr)
+        return 2
     try:
         grid = load_grid(args.grid_file)
         text = json.dumps(grid_peak_report(grid, min_rel_height=args.min_height), indent=2)
@@ -483,7 +487,13 @@ def _run_peaks(args) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=_sys.stderr)
         return 4
-    print(text)
+    try:
+        print(text)
+        _sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early, as in `peaks <file> | head`: stop quietly, and
+        # send what is left to devnull so the flush at interpreter exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), _sys.stdout.fileno())
     return 0
 
 

@@ -283,10 +283,11 @@ def matrix_exp(a: np.ndarray, taylor_terms: int = 20) -> np.ndarray:
     norm = np.linalg.norm(a, 1)
     squarings = max(0, int(math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0)
     small = a / (2.0 ** squarings)
-    out = np.eye(a.shape[0], dtype=complex)
+    eye = np.eye(a.shape[0], dtype=complex)
+    out = eye
     # Horner evaluation of the truncated series
     for k in range(taylor_terms, 0, -1):
-        out = np.eye(a.shape[0], dtype=complex) + small @ out / k
+        out = eye + small @ out / k
     for _ in range(squarings):
         out = out @ out
     return out
@@ -315,8 +316,10 @@ def quadrature_fourier(dec: ModeDecomposition, omega: complex,
     exp(-mu*u) (LP, UP, dark), so the quadrature runs once per eigenmode on
     the scalar integrand exp((s - mu)*u), with s the kernel exponent, and the
     three sums are combined into pattern entries like the pole terms of the
-    closed form.  Each node value is sampled as exp(r*mid_p) * exp(r*half*x_j),
-    the outer product of one exponential per panel and one per node.
+    closed form.  Each node value is exp(r*mid_p) * exp(r*half*x_j), one
+    exponential per panel times one per node, so the node sum factors: the
+    mode integral is the sum of exp(r*mid_p) over the panels times the
+    weighted node sum of exp(r*half*x_j), both summed from sampled values.
     """
     omega = complex(omega)
     if u_max is None:
@@ -342,8 +345,7 @@ def quadrature_fourier(dec: ModeDecomposition, omega: complex,
 
     def mode_integral(mu: complex) -> complex:
         r = s - mu
-        samples = np.exp(r * mids)[:, None] * (np.exp(r * half * x) * (half * gl_w))[None, :]
-        return complex(np.sum(samples))
+        return complex(np.sum(np.exp(r * mids)) * np.sum(np.exp(r * half * x) * (half * gl_w)))
 
     ent = _assemble_entries(dec, mode_integral, mode_integral)
     if conjugated:

@@ -310,8 +310,9 @@ def twod_signal_direct(sys: SystemParams, dec: ModeDecomposition, kernel: VibKer
     # [shift, row, column]
     trans_a = np.stack([fourier_entries(dec, omega3 + kernel.shift(a)).to_dense(n)
                         for a in range(dim)])
-    trans_b = np.stack([fourier_conj_entries(dec, -omega1 - kernel.shift(k)).to_dense(n)
-                        for k in range(dim)])
+    # [column, row, shift]: the rows p of one column j' sit next to each other
+    trans_b = np.stack([fourier_conj_entries(dec, -omega1 - kernel.shift(k)).to_dense(n).T
+                        for k in range(dim)], axis=-1)
     full = np.arange(mm + 1)
     pinned = np.arange(1)
     tables = {}   # (weight, alpha, kappa) by the Kronecker-delta pattern of the tuple
@@ -325,10 +326,13 @@ def twod_signal_direct(sys: SystemParams, dec: ModeDecomposition, kernel: VibKer
             tables[deltas] = (weight, m2 + m5 + m6, m1 + m4 + m6)
         weight, alpha, kappa = tables[deltas]
         weighted_a = weight * trans_a[:, i, l][alpha]
-        for p in range(n + 1):
-            total += np.conj(g_wait[l, p]) * g_wait[l, j] * np.sum(
-                weighted_a * trans_b[:, p, jp][kappa]
-            )
+        # the phonon sums of every p at once: order="C" keeps each p's terms in
+        # one contiguous row, so each row is summed pairwise like a flat array
+        terms = np.multiply(weighted_a, trans_b[jp][:, kappa], order="C")
+        sums = terms.reshape(n + 1, -1).sum(axis=1)
+        # add the p terms one at a time, in p order
+        for term in (np.conj(g_wait[l]) * g_wait[l, j] * sums).tolist():
+            total += term
     return complex(twod_prefactor(sys) * total)
 
 
@@ -486,7 +490,7 @@ def pump_probe_direct(sys: SystemParams, dec: ModeDecomposition, kernel: VibKern
             weight = (s[m1] * s[m2] * s[m3] * d2 ** m2 * d3 ** m3 * z ** (m2 + m3))
             tables[deltas] = (weight, m1 + m3)
         weight, m13 = tables[deltas]
-        total += np.conj(g_wait[l, jp]) * g_wait[l, j] * np.sum(weight * trans[:, i, l][m13])
+        total += np.conj(g_wait[l, jp]) * g_wait[l, j] * (weight * trans[:, i, l][m13]).sum()
     return float(4.0 * sys.dipole ** 4 * np.real(total))
 
 
@@ -534,7 +538,7 @@ def _slice_sums_direct(s, z, zp, gg, dark_weight, stokes_orders) -> tuple[float,
     accum = 0.0
     for l, jp, j in product(range(n), repeat=3):
         d = float(jp == l) - float(j == l)
-        accum += float(np.real(np.sum(s * d ** np.arange(mm + 1) * zp * gg[l, jp, j])))
+        accum += float((s * d ** np.arange(mm + 1) * zp * gg[l, jp, j]).sum().real)
     stokes = {}
     for order in stokes_orders:
         acc = 0.0
@@ -555,7 +559,7 @@ def _slice_sums_direct(s, z, zp, gg, dark_weight, stokes_orders) -> tuple[float,
                     w13 = s[m1] * s[m3] * (d3 ** m3)
                     if w13 == 0.0:
                         continue
-                    inner = np.sum(s * d2 ** m_idx * zp * gg[l, jp, j]) * (z ** m3)
+                    inner = (s * d2 ** m_idx * zp * gg[l, jp, j]).sum() * (z ** m3)
                     acc += w13 * float(np.real(dw * inner))
         stokes[order] = acc
     return accum, stokes

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -179,6 +179,19 @@ def _lowering(n_max: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, n_max, dtype=float)), 1).astype(complex)
 
 
+@lru_cache(maxsize=32)
+def displacement_matrix(lam: float, n_max: int) -> np.ndarray:
+    """exp(lam*(b - b^+)) in the n_max-level truncation, read-only and memoised.
+
+    b - b^+ is real and antisymmetric, so the matrix is real orthogonal and its
+    transpose is the inverse displacement.
+    """
+    b = _lowering(n_max)
+    out = matrix_exp(lam * (b - b.T))
+    out.setflags(write=False)
+    return out
+
+
 def fock_correlator(q: TimeQuadruple, lam: float, omega_v: float,
                     n_max: int = 40) -> complex:
     """Truncated-Fock-space evaluation of the four-point correlator at zero damping.
@@ -187,11 +200,17 @@ def fock_correlator(q: TimeQuadruple, lam: float, omega_v: float,
     Heisenberg evolution with a finite-dimensional faithful truncation.  Sites
     are independent tensor factors, so the vacuum expectation factorizes into
     per-site operator strings (cross-site operators commute).
+
+    Each operator is the rotated displacement R E R^+ (R E^T R^+ for a daggered
+    slot), with E = exp(lam*(b - b^+)) from :func:`displacement_matrix` and
+    R = diag(exp(i*w*theta(t)*n)).  This is exact in the truncated space,
+    where R b R^+ = exp(-i*w*theta(t)) b holds level by level, so one matrix
+    exponential serves every time and site.
     """
     if n_max < 30:
         raise ValueError("n_max must be >= 30 for a trustworthy truncation")
-    b = _lowering(n_max)
-    bdag = b.conj().T
+    disp = displacement_matrix(lam, n_max)
+    levels = np.arange(n_max)
     daggered = (False, True, True, False)
 
     result = 1.0 + 0.0j
@@ -200,11 +219,8 @@ def fock_correlator(q: TimeQuadruple, lam: float, omega_v: float,
         state = np.zeros(n_max, dtype=complex)
         state[0] = 1.0
         for time, dagger in reversed(ops):  # rightmost operator acts first
-            phase = np.exp(-1j * omega_v * RAD_PER_CM_FS * time)
-            gen = lam * (phase * b - np.conj(phase) * bdag)
-            if dagger:
-                gen = -gen
-            state = matrix_exp(gen) @ state
+            rot = np.exp(1j * omega_v * RAD_PER_CM_FS * time * levels)
+            state = rot * ((disp.T if dagger else disp) @ (np.conj(rot) * state))
             leak = float(np.sum(np.abs(state[-3:]) ** 2))
             if leak > 1e-10:
                 warnings.warn(

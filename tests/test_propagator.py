@@ -69,6 +69,22 @@ def reference_quadrature_fourier(dec: ModeDecomposition, omega: complex,
     return PatternEntries(**vals).to_dense(dec.n_molecules)
 
 
+def reference_matrix_exp(a: np.ndarray, taylor_terms: int = 20) -> np.ndarray:
+    """exp(a) with a fresh identity on every Horner step; the reference for
+    :func:`matrix_exp`, which builds the identity once."""
+    a = np.asarray(a, dtype=complex)
+    norm = np.linalg.norm(a, 1)
+    squarings = max(0, int(math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0)
+    small = a / (2.0 ** squarings)
+    out = np.eye(a.shape[0], dtype=complex)
+    # Horner evaluation of the truncated series
+    for k in range(taylor_terms, 0, -1):
+        out = np.eye(a.shape[0], dtype=complex) + small @ out / k
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
 class TestBuildMatrix:
     def test_two_level_example(self):
         sys = reference_params(n_molecules=1, collective=2.0, gamma_c=1.0)
@@ -178,6 +194,16 @@ class TestPropagator:
     def test_expm_agreement_suite(self):
         result = check_propagator_expm()
         assert result.passed, result.line()
+
+    def test_expm_matches_reference_bit_for_bit(self):
+        # the parameter sets and times of check_propagator_expm
+        rng = np.random.default_rng(101)
+        for n in range(1, 7):
+            for _ in range(20):
+                m = build_matrix(_random_params(rng, n))
+                t = float(rng.uniform(0.0, 300.0))
+                ref = reference_matrix_exp(-m.to_dense() * (RAD_PER_CM_FS * t))
+                assert np.array_equal(expm_propagator(m, t), ref)
 
     @settings(deadline=None, max_examples=25)
     @given(t1=st.floats(0.0, 500.0), t2=st.floats(0.0, 500.0))

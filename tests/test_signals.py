@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from polariton2dcs import (
     TooLarge,
     build_matrix,
     decompose,
+    fourier_conj_entries,
+    fourier_entries,
     index_classes,
     linear_absorption,
     peak_ratios,
@@ -23,13 +26,15 @@ from polariton2dcs import (
     pump_probe_values,
     twod_signal,
     twod_signal_direct,
+    twod_prefactor,
     twod_signal_point,
     twod_values,
     validate_params,
 )
 from polariton2dcs.peaks import find_peaks_1d, find_peaks_2d
-from polariton2dcs.signals import SLICES_MAX_N, falling_factorial
+from polariton2dcs.signals import SLICES_MAX_N, _wait_factor, falling_factorial
 from polariton2dcs.validate import (
+    _random_params,
     check_pump_probe_direct,
     check_slices_grid,
     check_twod_direct,
@@ -67,6 +72,46 @@ def assert_oracle_match(fast, slow):
 
 def full_axis(count=300, offset=16113.0):
     return Axis(13000.0, 19000.0, count, offset)
+
+
+def reference_twod_signal_direct(sys, dec, kernel, omega1: float, omega3: float,
+                                 t_wait: float) -> complex:
+    """Literal quintuple-index sum with one phonon sum per (i, l, j, j', p).
+
+    The reference for :func:`twod_signal_direct`, which forms the phonon sums
+    of all p of one index tuple in one reduction.
+    """
+    n = sys.n_molecules
+    if n > 6:
+        raise TooLarge("direct 2D oracle limited to N <= 6")
+    z = _wait_factor(kernel, t_wait)
+    s = kernel.weights
+    mm = kernel.m_max
+    g_wait = propagator_G(dec, t_wait)
+    dim = 3 * mm + 1
+    # [shift, row, column]
+    trans_a = np.stack([fourier_entries(dec, omega3 + kernel.shift(a)).to_dense(n)
+                        for a in range(dim)])
+    trans_b = np.stack([fourier_conj_entries(dec, -omega1 - kernel.shift(k)).to_dense(n)
+                        for k in range(dim)])
+    full = np.arange(mm + 1)
+    pinned = np.arange(1)
+    tables = {}   # (weight, alpha, kappa) by the Kronecker-delta pattern of the tuple
+    total = 0.0 + 0.0j
+    for i, l, j, jp in product(range(n), repeat=4):
+        deltas = ((jp == j), (i == l), (j == l), (jp == l), (i == j), (i == jp))
+        if deltas not in tables:
+            m1, m2, m3, m4, m5, m6 = np.ix_(*[full if eq else pinned for eq in deltas])
+            weight = (s[m1] * s[m2] * s[m3] * s[m4] * s[m5] * s[m6]
+                      * (-1.0) ** (m3 + m6) * z ** (m3 + m4 + m5 + m6))
+            tables[deltas] = (weight, m2 + m5 + m6, m1 + m4 + m6)
+        weight, alpha, kappa = tables[deltas]
+        weighted_a = weight * trans_a[:, i, l][alpha]
+        for p in range(n + 1):
+            total += np.conj(g_wait[l, p]) * g_wait[l, j] * np.sum(
+                weighted_a * trans_b[:, p, jp][kappa]
+            )
+    return complex(twod_prefactor(sys) * total)
 
 
 class TestIndexClasses:
@@ -211,6 +256,32 @@ class TestTwodSignal:
             t_wait = float(rng.uniform(0.0, 400.0))
             assert_oracle_match(twod_signal_point(sys, dec, kernel, om1, om3, t_wait),
                                 twod_signal_direct(sys, dec, kernel, om1, om3, t_wait))
+
+    def test_direct_loop_matches_reference_on_reference_set(self):
+        rng = np.random.default_rng(205)
+        for n in (2, 3, 4, 5):
+            sys = reference_params(lambda_hr=0.9, n_molecules=n, collective=1800.0)
+            dec = decompose(build_matrix(sys))
+            kernel = kernel_from_params(sys, m_max=4)
+            for _ in range(2):
+                om1, om3 = rng.uniform(-2400.0, 2400.0, size=2)
+                t_wait = float(rng.uniform(0.0, 400.0))
+                ref = reference_twod_signal_direct(sys, dec, kernel, om1, om3, t_wait)
+                new = twod_signal_direct(sys, dec, kernel, om1, om3, t_wait)
+                assert abs(new - ref) <= 1e-11 * abs(ref)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_direct_loop_matches_reference_on_random_sets(self, n):
+        rng = np.random.default_rng(500 + n)
+        sys = _random_params(rng, n)
+        dec = decompose(build_matrix(sys))
+        kernel = kernel_from_params(sys, m_max=3)
+        for _ in range(3):
+            om1, om3 = rng.uniform(-2400.0, 2400.0, size=2)
+            t_wait = float(rng.uniform(0.0, 400.0))
+            ref = reference_twod_signal_direct(sys, dec, kernel, om1, om3, t_wait)
+            new = twod_signal_direct(sys, dec, kernel, om1, om3, t_wait)
+            assert abs(new - ref) <= 1e-11 * abs(ref)
 
     def test_direct_loop_size_guard(self, dye_system, dye_dec, dye_kernel):
         with pytest.raises(TooLarge):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,11 +20,13 @@ from polariton2dcs import (
     franck_condon,
     franck_condon_cutoff,
     franck_condon_weights,
+    index_classes,
+    matrix_exp,
     mode_commutator,
     phonon_shift,
 )
 from polariton2dcs.validate import check_fock_four_point, reference_params
-from polariton2dcs.vibrations import kernel_from_params
+from polariton2dcs.vibrations import _lowering, displacement_matrix, kernel_from_params
 
 OMEGA_V = 1200.0
 GAMMA_V = 20.0
@@ -189,7 +192,78 @@ class TestFourPointCorrelator:
         assert abs(tiny - zero) < 1e-6
 
 
+def reference_fock_correlator(q: TimeQuadruple, lam: float, omega_v: float,
+                              n_max: int = 40) -> complex:
+    """Truncated-Fock-space correlator with one matrix exponential per operator.
+
+    The reference for :func:`fock_correlator`, which exponentiates once per
+    lambda and rotates the result to each operator's time.
+    """
+    if n_max < 30:
+        raise ValueError("n_max must be >= 30 for a trustworthy truncation")
+    b = _lowering(n_max)
+    bdag = b.conj().T
+    daggered = (False, True, True, False)
+
+    result = 1.0 + 0.0j
+    for site in sorted(set(q.sites)):
+        ops = [(q.times[k], daggered[k]) for k in range(4) if q.sites[k] == site]
+        state = np.zeros(n_max, dtype=complex)
+        state[0] = 1.0
+        for time, dagger in reversed(ops):  # rightmost operator acts first
+            phase = np.exp(-1j * omega_v * RAD_PER_CM_FS * time)
+            gen = lam * (phase * b - np.conj(phase) * bdag)
+            if dagger:
+                gen = -gen
+            state = matrix_exp(gen) @ state
+            leak = float(np.sum(np.abs(state[-3:]) ** 2))
+            if leak > 1e-10:
+                warnings.warn(
+                    f"Fock truncation leaked {leak:.2e} into the top levels",
+                    TruncationWarning,
+                    stacklevel=2,
+                )
+        result *= state[0]
+    return complex(result)
+
+
 class TestFockCorrelator:
+    @pytest.mark.parametrize("lam", [0.3, 1.0, 1.2])
+    def test_matches_reference_on_every_site_pattern(self, lam):
+        rng = np.random.default_rng(round(100 * lam))
+        for cls in index_classes():
+            for _ in range(3):
+                q = TimeQuadruple(times=tuple(float(t) for t in rng.uniform(0.0, 120.0, size=4)),
+                                  sites=cls.assignment)
+                with warnings.catch_warnings(record=True) as ref_leaks:
+                    warnings.simplefilter("always")
+                    ref = reference_fock_correlator(q, lam, OMEGA_V)
+                with warnings.catch_warnings(record=True) as leaks:
+                    warnings.simplefilter("always")
+                    value = fock_correlator(q, lam, OMEGA_V)
+                assert abs(value - ref) <= 1e-11 * abs(ref)
+                # the same operators leak into the top levels (some do at lambda = 1.2)
+                assert len(leaks) == len(ref_leaks)
+
+    def test_displacement_matrix_is_memoised_read_only(self):
+        disp = displacement_matrix(1.0, 40)
+        assert displacement_matrix(1.0, 40) is disp
+        assert not disp.flags.writeable
+        with pytest.raises(ValueError):
+            disp[0, 0] = 0.0
+        # real orthogonal: the transpose undoes the displacement
+        assert np.max(np.abs(disp.T @ disp - np.eye(40))) < 1e-13
+
+    def test_fock_check_catches_a_scaled_correlator(self, monkeypatch):
+        # scale the closed-form side only; the Fock-space reference is untouched
+        from polariton2dcs import validate
+
+        exact = validate.four_point_correlator
+        monkeypatch.setattr(validate, "four_point_correlator",
+                            lambda *args: exact(*args) * (1.0 + 1e-6))
+        result = check_fock_four_point(samples=10)
+        assert not result.passed, result.line()
+
     def test_no_displacement(self):
         q = TimeQuadruple(times=(4.0, 8.0, 1.0, 9.0), sites=(0, 1, 2, 3))
         assert fock_correlator(q, 0.0, OMEGA_V) == pytest.approx(1.0)
