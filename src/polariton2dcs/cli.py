@@ -1,7 +1,8 @@
 """Command-line front end: config ingestion, job orchestration, serialization.
 
 Exit codes: 0 success, 1 failed validation check, 2 config error, 3 numeric
-failure, 4 I/O failure.
+failure, 4 I/O failure.  Every mode writes its files, then the manifest, and
+only then prints.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .errors import MalformedGrid, ParameterError, PolaritonError
-from .model import RAD_PER_CM_FS, PulseSchedule, SystemParams, derived_quantities, validate_params
+from .model import RAD_PER_CM_FS, SystemParams, derived_quantities, validate_params
 from .peaks import grid_peak_report
 from .propagator import build_matrix, decompose
 from .signals import Axis, SpectrumGrid, linear_absorption, pump_probe, pump_probe_slices, twod_signal
@@ -32,6 +33,7 @@ class ConfigError(ValueError):
     """Bad job configuration; maps to exit code 2."""
 
 
+_MODES = ("absorption", "twod", "pump-probe", "slices", "eig", "validate")
 _TOP_KEYS = {"system", "kernel", "grids", "t_wait", "stokes_orders", "output"}
 _KERNEL_KEYS = {"tail_eps", "m_max"}
 _GRID_KEYS = {"start", "stop", "count"}
@@ -105,6 +107,8 @@ def _axis(section: dict, name: str, offset: float) -> Axis:
 def build_jobspec(mode: str, config: dict, out_override: str | None = None,
                   formats_override: str | None = None,
                   t_list_override: str | None = None) -> JobSpec:
+    if mode not in _MODES:
+        raise ConfigError(f"unknown mode '{mode}'")
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
     _reject_unknown(config, _TOP_KEYS, "config")
@@ -118,10 +122,14 @@ def build_jobspec(mode: str, config: dict, out_override: str | None = None,
     kernel_cfg = _object(config.get("kernel", {}), "kernel")
     _reject_unknown(kernel_cfg, _KERNEL_KEYS, "kernel")
     if "m_max" in kernel_cfg and kernel_cfg["m_max"] is not None:
-        kernel = kernel_from_params(params, m_max=_integer(kernel_cfg["m_max"], "kernel.m_max"))
+        key, truncation = "kernel.m_max", {"m_max": _integer(kernel_cfg["m_max"], "kernel.m_max")}
     else:
-        tail_eps = _number(kernel_cfg.get("tail_eps", 1e-10), "kernel.tail_eps")
-        kernel = kernel_from_params(params, tail_eps=tail_eps)
+        key, truncation = "kernel.tail_eps", {
+            "tail_eps": _number(kernel_cfg.get("tail_eps", 1e-10), "kernel.tail_eps")}
+    try:
+        kernel = kernel_from_params(params, **truncation)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
     grids_cfg = _object(config.get("grids", {}), "grids")
     _reject_unknown(grids_cfg, _GRID_SECTIONS, "grids")
@@ -133,23 +141,21 @@ def build_jobspec(mode: str, config: dict, out_override: str | None = None,
         if name not in grids:
             raise ConfigError(f"mode '{mode}' needs grids.{name}")
 
+    t_key = "t_wait" if t_list_override is None else "--t-list"
     if t_list_override is not None:
         try:
             tokens = [float(tok) for tok in t_list_override.split(",") if tok.strip()]
         except ValueError as exc:
             raise ConfigError(f"bad --t-list: {exc}") from exc
-        t_list = [_number(t, "--t-list") for t in tokens]
     else:
         raw_t = config.get("t_wait", 0.0)
-        t_list = [_number(t, "t_wait") for t in (raw_t if isinstance(raw_t, (list, tuple)) else [raw_t])]
+        tokens = raw_t if isinstance(raw_t, (list, tuple)) else [raw_t]
+    t_list = [_number(t, t_key) for t in tokens]
     if mode in ("twod", "pump-probe", "slices"):
         if not t_list:
             raise ConfigError(f"mode '{mode}' needs at least one waiting time")
-        for t in t_list:
-            try:
-                PulseSchedule(t1=0.0, t2=0.0, t3=t)  # delays must be ordered and finite
-            except ParameterError as exc:
-                raise ConfigError(f"bad waiting time {t}: {exc}") from exc
+        if any(t < 0.0 for t in t_list):
+            raise ConfigError(f"{t_key} must be >= 0, got {min(t_list)}")
 
     orders = tuple(_integer(m, "stokes_orders")
                    for m in _list(config.get("stokes_orders", (1, 2)), "stokes_orders"))
@@ -162,12 +168,13 @@ def build_jobspec(mode: str, config: dict, out_override: str | None = None,
     if not isinstance(directory, str):
         raise ConfigError(f"output.directory must be a string, got {directory!r}")
     out_dir = Path(directory)
+    formats_key = "output.formats" if formats_override is None else "--format"
     if formats_override is not None:
         formats = tuple(tok.strip() for tok in formats_override.split(",") if tok.strip())
     else:
-        formats = tuple(_list(out_cfg.get("formats", ("csv",)), "output.formats"))
+        formats = tuple(_list(out_cfg.get("formats", ("csv",)), formats_key))
     if not formats or any(not isinstance(f, str) or f not in _FORMATS for f in formats):
-        raise ConfigError(f"formats must be a nonempty subset of {sorted(_FORMATS)}")
+        raise ConfigError(f"{formats_key} must be a nonempty subset of {sorted(_FORMATS)}")
 
     return JobSpec(mode=mode, params=params, kernel=kernel, grids=grids,
                    t_list=t_list, stokes_orders=orders, out_dir=out_dir,
@@ -329,6 +336,11 @@ def _write_grid(spec: JobSpec, grid: SpectrumGrid, stem: str, written: list[str]
         written.append(name)
 
 
+def _write_doc(spec: JobSpec, doc, name: str, written: list[str], sort_keys: bool = True) -> None:
+    (spec.out_dir / name).write_text(json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n")
+    written.append(name)
+
+
 def write_manifest(spec: JobSpec, written: list[str], wall_time: float,
                    extra: dict | None = None) -> Path:
     manifest = {
@@ -359,13 +371,16 @@ def _t_stem(t_wait: float) -> str:
     return f"{t_wait:g}".replace("-", "m").replace(".", "p")
 
 
-def run_job(spec: JobSpec) -> list[str]:
-    """Compute the requested spectra and write data files plus the manifest."""
+def run_job(spec: JobSpec) -> tuple[list[str], str, bool]:
+    """Compute the mode's outputs and write every data file, then the manifest.
+
+    Returns the files written, the stdout text and a pass flag; prints nothing."""
     start = time.perf_counter()
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     dec = decompose(build_matrix(spec.params))
     written: list[str] = []
     extra: dict = {}
+    text, passed = "", True
 
     if spec.mode == "absorption":
         grid = linear_absorption(spec.params, dec, spec.kernel, spec.grids["absorption"])
@@ -387,37 +402,23 @@ def run_job(spec: JobSpec) -> list[str]:
             "upper_polariton": _trace_record(report.upper_polariton),
             "stokes": {str(m): _trace_record(tr) for m, tr in report.stokes.items()},
         }
-        (spec.out_dir / "slices.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        written.append("slices.json")
+        _write_doc(spec, doc, "slices.json", written)
     elif spec.mode == "eig":
-        doc = _eig_record(spec)
-        (spec.out_dir / "eig.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        written.append("eig.json")
-    elif spec.mode == "validate":
+        _write_doc(spec, _eig_record(spec, dec), "eig.json", written)
+    else:   # validate; build_jobspec admits no other mode
         results = run_suite()
-        for res in results:
-            print(res.line())
         extra["oracle_results"] = [
             {"name": r.name, "max_err": r.max_err, "tol": r.tol, "passed": r.passed}
             for r in results
         ]
         # wall times go to the manifest only: validate.json stays deterministic
         extra["oracle_seconds"] = {r.name: r.seconds for r in results}
-        (spec.out_dir / "validate.json").write_text(
-            json.dumps(extra["oracle_results"], indent=2) + "\n")
-        written.append("validate.json")
-        if not all(r.passed for r in results):
-            write_manifest(spec, written, time.perf_counter() - start, extra)
-            raise _ValidationFailed()
-    else:
-        raise ConfigError(f"unknown mode '{spec.mode}'")
+        _write_doc(spec, extra["oracle_results"], "validate.json", written, sort_keys=False)
+        text = "".join(f"{r.line()}\n" for r in results)
+        passed = all(r.passed for r in results)
 
     write_manifest(spec, written, time.perf_counter() - start, extra)
-    return written
-
-
-class _ValidationFailed(Exception):
-    pass
+    return written, text, passed
 
 
 def _trace_record(trace) -> dict:
@@ -430,8 +431,7 @@ def _trace_record(trace) -> dict:
     }
 
 
-def _eig_record(spec: JobSpec) -> dict:
-    dec = decompose(build_matrix(spec.params))
+def _eig_record(spec: JobSpec, dec) -> dict:
     derived = derived_quantities(spec.params)
     offset = spec.params.axis_offset
     return {
@@ -456,7 +456,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Linear, two-dimensional and pump-probe spectra of vibronic cavity polaritons.",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in ("absorption", "twod", "pump-probe", "slices", "eig", "validate"):
+    for mode in _MODES:
         p = sub.add_parser(mode)
         p.add_argument("--config", required=(mode != "validate"),
                        help="JSON job configuration")
@@ -471,66 +471,50 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_peaks(args) -> int:
-    if not math.isfinite(args.min_height):
-        print(f"config error: --min-height must be a finite number, got {args.min_height}",
-              file=_sys.stderr)
-        return 2
+def _read_config(args) -> dict:
+    if args.config is None:     # only validate may omit --config
+        return {"system": {
+            "n_molecules": 10, "g": 1800.0 / 10 ** 0.5, "gamma_x": 1.0, "gamma_c": 0.9,
+            "omega_v": 1200.0, "gamma_v": 20.0, "lambda_hr": 1.0, "omega_ref": 16113.0,
+        }}
     try:
-        grid = load_grid(args.grid_file)
-        text = json.dumps(grid_peak_report(grid, min_rel_height=args.min_height), indent=2)
-        if args.report:
-            Path(args.report).write_text(text + "\n")
-    except MalformedGrid as exc:
-        print(f"config error: {exc}", file=_sys.stderr)
-        return 2
+        return json.loads(Path(args.config).read_text())
     except OSError as exc:
-        print(f"i/o error: {exc}", file=_sys.stderr)
-        return 4
+        raise ConfigError(f"cannot read {args.config}: {exc}") from exc
+    except ValueError as exc:   # invalid JSON or invalid UTF-8
+        raise ConfigError(f"{args.config} is not valid JSON: {exc}") from exc
+
+
+def _peaks_text(args) -> str:
+    """The peak report of ``args.grid_file``; a ``--report`` file is written in full first."""
+    if not math.isfinite(args.min_height):
+        raise ConfigError(f"--min-height must be a finite number, got {args.min_height}")
+    grid = load_grid(args.grid_file)
+    text = json.dumps(grid_peak_report(grid, min_rel_height=args.min_height), indent=2) + "\n"
+    if args.report:
+        Path(args.report).write_text(text)
+    return text
+
+
+def _print_stdout(text: str) -> None:
     try:
-        print(text)
-        _sys.stdout.flush()
+        print(text, end="", flush=True)     # a no-op when stdout is closed (`>&-`)
     except BrokenPipeError:
-        # the reader stopped early, as in `peaks <file> | head`: stop quietly, and
+        # the reader stopped early, as in `validate | head`: stop quietly, and
         # send what is left to devnull so the flush at interpreter exit cannot fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), _sys.stdout.fileno())
-    return 0
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.mode == "peaks":
-        return _run_peaks(args)
-
-    config: dict = {}
-    if args.config is not None:
-        try:
-            config = json.loads(Path(args.config).read_text())
-        except OSError as exc:
-            print(f"config error: cannot read {args.config}: {exc}", file=_sys.stderr)
-            return 2
-        except json.JSONDecodeError as exc:
-            print(f"config error: {args.config} is not valid JSON: {exc}", file=_sys.stderr)
-            return 2
-    elif args.mode == "validate":
-        config = {"system": {
-            "n_molecules": 10, "g": 1800.0 / 10 ** 0.5, "gamma_x": 1.0, "gamma_c": 0.9,
-            "omega_v": 1200.0, "gamma_v": 20.0, "lambda_hr": 1.0, "omega_ref": 16113.0,
-        }}
-
     try:
-        spec = build_jobspec(args.mode, config, out_override=args.out,
-                             formats_override=args.format, t_list_override=args.t_list)
-    except (ConfigError, ParameterError, ValueError) as exc:
-        print(f"config error: {exc}", file=_sys.stderr)
-        return 2
-
-    try:
-        run_job(spec)
-    except _ValidationFailed:
-        print("validation suite failed", file=_sys.stderr)
-        return 1
-    except ConfigError as exc:
+        if args.mode == "peaks":
+            text, passed = _peaks_text(args), True
+        else:
+            spec = build_jobspec(args.mode, _read_config(args), out_override=args.out,
+                                 formats_override=args.format, t_list_override=args.t_list)
+            _, text, passed = run_job(spec)
+    except (ConfigError, MalformedGrid) as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return 2
     except PolaritonError as exc:
@@ -539,6 +523,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=_sys.stderr)
         return 4
+    _print_stdout(text)
+    if not passed:
+        print("validation suite failed", file=_sys.stderr)
+        return 1
     return 0
 
 

@@ -4,7 +4,9 @@ Conventions used throughout the package:
 
 * frequencies, detunings and rates are wavenumbers (cm^-1),
 * times and delays are femtoseconds,
-* dimensionless exponents are always formed through :func:`time_phase`,
+* a phase exponent is a frequency times a time times ``RAD_PER_CM_FS``; the
+  kernels multiply by the constant directly, and :func:`time_phase` is the
+  same product for one scalar pair,
 * internal kernels work in the rotating frame of the probe carrier; output
   axes are shifted onto the absolute axis by ``SystemParams.axis_offset``.
 """
@@ -155,35 +157,3 @@ def derived_quantities(sys: SystemParams) -> DerivedQuantities:
         omega_v=sys.omega_v,
     )
 
-
-@dataclass(frozen=True)
-class PulseSchedule:
-    """Arrival times (fs) of the three impulsive pulses plus field scales."""
-
-    t1: float = 0.0
-    t2: float = 0.0
-    t3: float = 0.0
-    amp1: float = 1.0
-    amp2: float = 1.0
-    amp3: float = 1.0
-    amp_lo: float = 1.0
-
-    def __post_init__(self):
-        bad = []
-        if not (self.t1 <= self.t2 <= self.t3):
-            bad.append(Violation("NegativeDelay", "t1..t3", "pulse times must be ordered t1 <= t2 <= t3"))
-        for name in ("t1", "t2", "t3", "amp1", "amp2", "amp3", "amp_lo"):
-            if not math.isfinite(getattr(self, name)):
-                bad.append(Violation("NonFinite", name, "not finite"))
-        if bad:
-            raise ParameterError(bad)
-
-    @property
-    def tau(self) -> float:
-        """Delay between the first two pulses."""
-        return self.t2 - self.t1
-
-    @property
-    def t_wait(self) -> float:
-        """Waiting time between the second pulse and the probe."""
-        return self.t3 - self.t2

@@ -41,7 +41,10 @@ def franck_condon_weights(lam: float, m_max: int) -> np.ndarray:
 
 
 def franck_condon_cutoff(lam: float, tail_eps: float) -> int:
-    """Smallest m_max whose truncated weight sum leaves a tail below tail_eps."""
+    """Smallest m_max whose truncated weight sum leaves a tail below tail_eps.
+
+    A tail_eps below float resolution raises ``ValueError``: the sum stalls once a
+    term past the Poisson mode lam^2 leaves it unchanged (S_0 underflows at lam 30)."""
     if not (0.0 < tail_eps < 1.0):
         raise ValueError("tail_eps must lie in (0, 1)")
     if lam == 0.0:
@@ -49,9 +52,12 @@ def franck_condon_cutoff(lam: float, tail_eps: float) -> int:
     total = 0.0
     m = 0
     while True:
-        total += franck_condon(lam, m)
+        before, total = total, total + franck_condon(lam, m)
         if 1.0 - total < tail_eps:
             return m
+        if total == before and m > lam * lam:
+            raise ValueError(f"tail_eps {tail_eps:g} is below the float resolution of the "
+                             f"weight sum, whose tail stalls at {1.0 - total:.2g}")
         m += 1
         if m > 10_000:  # tail of a Poisson distribution always terminates
             raise RuntimeError("Franck-Condon cutoff search did not converge")

@@ -93,6 +93,19 @@ class TestJobSpec:
         with pytest.raises(ConfigError):
             build_jobspec("twod", BASE_CONFIG, t_list_override="-5")
 
+    def test_unknown_mode_rejected_before_any_directory(self, tmp_path):
+        out = tmp_path / "never"
+        with pytest.raises(ConfigError, match="bogus"):
+            build_jobspec("bogus", BASE_CONFIG, out_override=str(out))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("override, key", [(None, "output.formats"), ("csv,xml", "--format")])
+    def test_bad_format_names_its_source(self, override, key):
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["output"]["formats"] = ["xml"]
+        with pytest.raises(ConfigError, match=key):
+            build_jobspec("absorption", cfg, formats_override=override)
+
 
 class TestMainExitCodes:
     def test_absorption_run(self, tmp_path, capsys):
@@ -175,6 +188,26 @@ class TestMainExitCodes:
         assert code == 2
         assert "--t-list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tail_eps", [1e-17, 1e-300])
+    def test_tail_eps_below_float_resolution_exits_2(self, tmp_path, capsys, tail_eps):
+        cfg = write_config(tmp_path, **{"kernel.tail_eps": tail_eps})
+        assert main(["eig", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "kernel.tail_eps" in capsys.readouterr().err
+
+    def test_negative_m_max_names_the_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, **{"kernel.m_max": -1})
+        assert main(["eig", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "kernel.m_max" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["twod", "pump-probe", "slices"])
+    def test_negative_t_wait_exits_2(self, tmp_path, capsys, mode):
+        cfg = write_config(tmp_path, **{"t_wait": [0.0, -5.0]})
+        assert main([mode, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "t_wait" in capsys.readouterr().err
+        assert main([mode, "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--t-list", "-1"]) == 2
+        assert "--t-list" in capsys.readouterr().err
+
     def test_empty_grid_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, **{"grids.absorption.count": 1})
         assert main(["absorption", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -245,6 +278,19 @@ class TestMainExitCodes:
             stderr = proc.stderr.read().decode()
         assert proc.wait(timeout=120) == 0
         assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr
+
+    def test_validate_closed_stdout_writes_files_and_exits_quietly(self, tmp_path):
+        out = tmp_path / "v"
+        env = dict(os.environ, PYTHONPATH=str(Path(polariton2dcs.__file__).resolve().parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "polariton2dcs.cli", "validate", "--out", str(out)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()     # as in `validate | head -1`, which stops reading early
+        with proc.stderr:
+            stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 0, stderr
+        assert "Traceback" not in stderr and "Broken pipe" not in stderr, stderr
+        assert (out / "validate.json").exists() and (out / "manifest.json").exists()
 
     def test_peaks_malformed_exits_2(self, tmp_path):
         bad = tmp_path / "bad.csv"

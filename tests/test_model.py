@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from polariton2dcs import (
     ParameterError,
-    PulseSchedule,
     RAD_PER_CM_FS,
     derived_quantities,
     time_phase,
@@ -132,17 +131,3 @@ class TestTimePhase:
     def test_bilinear(self, scale, freq, t):
         assert time_phase(scale * freq, t) == pytest.approx(scale * time_phase(freq, t), rel=1e-12, abs=1e-300)
 
-
-class TestPulseSchedule:
-    def test_delays(self):
-        sched = PulseSchedule(t1=0.0, t2=40.0, t3=290.0)
-        assert sched.tau == 40.0
-        assert sched.t_wait == 250.0
-
-    def test_unordered_rejected(self):
-        with pytest.raises(ParameterError):
-            PulseSchedule(t1=10.0, t2=0.0, t3=50.0)
-
-    def test_default_amplitudes(self):
-        sched = PulseSchedule()
-        assert sched.amp1 == sched.amp2 == sched.amp3 == sched.amp_lo == 1.0

@@ -64,6 +64,17 @@ class TestFranckCondon:
         lo, hi = lam_pair
         assert franck_condon_cutoff(lo, 1e-10) <= franck_condon_cutoff(hi, 1e-10)
 
+    @pytest.mark.parametrize("tail_eps, cutoffs", [(1e-10, [5, 12, 34, 1097]),
+                                                   (1e-15, [7, 17, 41, 1128])])
+    def test_cutoffs_up_to_large_lambda(self, tail_eps, cutoffs):
+        # at lambda = 30 the leading weights underflow to 0 before the search reaches the mode
+        assert [franck_condon_cutoff(lam, tail_eps) for lam in (0.2, 1.0, 3.0, 30.0)] == cutoffs
+
+    @pytest.mark.parametrize("tail_eps", [1e-17, 1e-300])
+    def test_cutoff_below_float_resolution_raises(self, tail_eps):
+        with pytest.raises(ValueError, match="float resolution"):
+            franck_condon_cutoff(1.0, tail_eps)
+
 
 class TestPhononShift:
     def test_zero_order(self):
