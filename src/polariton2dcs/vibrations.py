@@ -29,10 +29,11 @@ def franck_condon(lam: float, m: int) -> float:
     """Poisson weight exp(-lam^2) lam^(2m) / m! of the m-phonon sideband."""
     if m < 0:
         raise ValueError("phonon number must be >= 0")
-    if lam == 0.0:
+    lam2 = lam * lam
+    if lam2 == 0.0:     # also lam ~ 1e-200, whose square underflows
         return 1.0 if m == 0 else 0.0
     # log-space keeps lam up to a few (Huang-Rhys ~ 10) overflow-free
-    return math.exp(-lam * lam + m * math.log(lam * lam) - math.lgamma(m + 1)) if m else math.exp(-lam * lam)
+    return math.exp(-lam2 + m * math.log(lam2) - math.lgamma(m + 1)) if m else math.exp(-lam2)
 
 
 def franck_condon_weights(lam: float, m_max: int) -> np.ndarray:
@@ -40,14 +41,23 @@ def franck_condon_weights(lam: float, m_max: int) -> np.ndarray:
     return np.array([franck_condon(lam, m) for m in range(m_max + 1)])
 
 
+# Cap on the cutoff search; lambda_hr of about 100 (Poisson mode lam^2 = 10^4) passes it.
+FC_MAX_TERMS = 10_000
+
+
+class CutoffTooLarge(ValueError):
+    """The Franck-Condon cutoff of lambda_hr lies beyond FC_MAX_TERMS."""
+
+
 def franck_condon_cutoff(lam: float, tail_eps: float) -> int:
     """Smallest m_max whose truncated weight sum leaves a tail below tail_eps.
 
     A tail_eps below float resolution raises ``ValueError``: the sum stalls once a
-    term past the Poisson mode lam^2 leaves it unchanged (S_0 underflows at lam 30)."""
+    term past the Poisson mode lam^2 leaves it unchanged (S_0 underflows at lam 30).
+    A cutoff past FC_MAX_TERMS raises :class:`CutoffTooLarge`."""
     if not (0.0 < tail_eps < 1.0):
         raise ValueError("tail_eps must lie in (0, 1)")
-    if lam == 0.0:
+    if lam * lam == 0.0:
         return 0
     total = 0.0
     m = 0
@@ -59,8 +69,9 @@ def franck_condon_cutoff(lam: float, tail_eps: float) -> int:
             raise ValueError(f"tail_eps {tail_eps:g} is below the float resolution of the "
                              f"weight sum, whose tail stalls at {1.0 - total:.2g}")
         m += 1
-        if m > 10_000:  # tail of a Poisson distribution always terminates
-            raise RuntimeError("Franck-Condon cutoff search did not converge")
+        if m > FC_MAX_TERMS:
+            raise CutoffTooLarge(f"lambda_hr {lam:g} needs more than {FC_MAX_TERMS} "
+                                 f"Franck-Condon terms for tail_eps {tail_eps:g}")
 
 
 def phonon_shift(m: int, omega_v: float, gamma_v: float) -> complex:

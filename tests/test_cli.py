@@ -1,14 +1,27 @@
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import polariton2dcs
-from polariton2dcs.cli import ConfigError, build_jobspec, main, params_hash
+import polariton2dcs.cli as cli
+from polariton2dcs.cli import (
+    EIG_MAX_N,
+    ConfigError,
+    build_jobspec,
+    main,
+    params_hash,
+    write_csv,
+    write_json_grid,
+)
+from polariton2dcs.propagator import build_matrix, decompose
+from polariton2dcs.signals import twod_signal
 
 BASE_CONFIG = {
     "system": {
@@ -219,6 +232,27 @@ class TestMainExitCodes:
         cfg = write_config(tmp_path, **{"system.g": 0.0, "system.gamma_c": 1.0})
         assert main(["eig", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("mode", ["absorption", "twod", "pump-probe", "slices"])
+    def test_underflowing_lambda_runs(self, tmp_path, capsys, mode):
+        cfg = write_config(tmp_path, **{"system.lambda_hr": 1e-300})
+        assert main([mode, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0, \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["absorption", "eig"])
+    @pytest.mark.parametrize("lam", [150.0, 1e300])
+    def test_lambda_past_the_cutoff_cap_exits_2(self, tmp_path, capsys, mode, lam):
+        cfg = write_config(tmp_path, **{"system.lambda_hr": lam})
+        assert main([mode, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "system.lambda_hr" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("n", [EIG_MAX_N + 1, 1e300])
+    def test_eig_beyond_its_size_limit_exits_3(self, tmp_path, capsys, n):
+        cfg = write_config(tmp_path, **{"system.n_molecules": n})
+        assert main(["eig", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert "system.n_molecules" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "eig.json").exists()
+
     def test_unwritable_output_exits_4(self, tmp_path):
         cfg = write_config(tmp_path)
         blocker = tmp_path / "blocker"
@@ -347,3 +381,142 @@ class TestDeterminism:
         a = (out1 / "twod_T0fs.csv").read_bytes()
         b = (out2 / "twod_T0fs.csv").read_bytes()
         assert a == b
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def serial_twod_files(spec, out: Path) -> dict[str, bytes]:
+    """The twod files of ``spec`` from in-process write_csv/write_json_grid calls, one map at a time."""
+    out.mkdir()
+    dec = decompose(build_matrix(spec.params))
+    for t in spec.t_list:
+        grid = twod_signal(spec.params, dec, spec.kernel, spec.grids["omega1"],
+                           spec.grids["omega3"], t)
+        grid.metadata["params_hash"] = params_hash(spec)
+        grid.metadata["code_version"] = polariton2dcs.__version__
+        for fmt in spec.formats:
+            writer = write_csv if fmt == "csv" else write_json_grid
+            writer(out / f"twod_T{t:g}fs.{fmt}", grid)
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+def set_cpus(monkeypatch, cpus: int) -> None:
+    """Make the job see ``cpus`` CPUs in its affinity set."""
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+T_WAITS = [0.0, 250.0, 500.0, 750.0, 1000.0]
+
+
+class TestParallelWriters:
+    """twod writes one map of each batch itself and the others in forked children."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    @pytest.mark.parametrize("formats", ["csv", "json", "csv,json"])
+    @pytest.mark.parametrize("n_t", [1, 2, 3, 5])
+    def test_files_match_serial_writers(self, tmp_path, monkeypatch, cpus, formats, n_t):
+        set_cpus(monkeypatch, cpus)
+        t_list = ",".join(f"{t:g}" for t in T_WAITS[:n_t])
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["twod", "--config", str(cfg), "--out", str(out), "--format", formats,
+                     "--t-list", t_list]) == 0
+        assert_no_child_left()
+        spec = build_jobspec("twod", json.loads(cfg.read_text()), formats_override=formats,
+                             t_list_override=t_list)
+        expected = serial_twod_files(spec, tmp_path / "serial")
+        written = {path.name: path.read_bytes() for path in out.iterdir()
+                   if path.name != "manifest.json"}
+        assert written == expected
+
+    def test_without_fork_writes_in_process(self, tmp_path, monkeypatch):
+        monkeypatch.delattr(cli.os, "fork")
+        cfg = write_config(tmp_path, t_wait=T_WAITS[:3])
+        out = tmp_path / "out"
+        assert main(["twod", "--config", str(cfg), "--out", str(out)]) == 0
+        assert_no_child_left()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["writer_processes"] == 1
+        spec = build_jobspec("twod", json.loads(cfg.read_text()))
+        expected = serial_twod_files(spec, tmp_path / "serial")
+        assert {name: (out / name).read_bytes() for name in expected} == expected
+
+    @pytest.mark.parametrize("cpus, writers", [(1, 1), (2, 2), (3, 3), (8, 5)])
+    def test_manifest_outputs_order_and_stages(self, tmp_path, monkeypatch, cpus, writers):
+        set_cpus(monkeypatch, cpus)
+        cfg = write_config(tmp_path, t_wait=T_WAITS)
+        out = tmp_path / "out"
+        assert main(["twod", "--config", str(cfg), "--out", str(out)]) == 0
+        assert_no_child_left()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == [f"twod_T{t:g}fs.{fmt}" for t in T_WAITS
+                                       for fmt in ("csv", "json")]
+        assert manifest["writer_processes"] == writers
+        stages = manifest["stage_seconds"]
+        assert set(stages) == {"compute", "write"}
+        assert stages["compute"] > 0.0 and stages["write"] > 0.0
+        assert stages["compute"] + stages["write"] == pytest.approx(manifest["wall_time_s"], abs=1e-3)
+
+    @pytest.mark.parametrize("mode", ["absorption", "pump-probe", "eig", "slices"])
+    def test_other_modes_report_stages(self, tmp_path, monkeypatch, mode):
+        set_cpus(monkeypatch, 4)
+        cfg = write_config(tmp_path, t_wait=[0.0, 250.0, 500.0], stokes_orders=[1])
+        out = tmp_path / "out"
+        assert main([mode, "--config", str(cfg), "--out", str(out)]) == 0
+        assert_no_child_left()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["writer_processes"] == (3 if mode == "pump-probe" else 1)
+        assert set(manifest["stage_seconds"]) == {"compute", "write"}
+        if mode == "pump-probe":
+            assert manifest["outputs"] == [f"pump_probe_T{t:g}fs.{fmt}" for t in (0, 250, 500)
+                                           for fmt in ("csv", "json")]
+
+    @pytest.mark.parametrize("blocked", ["twod_T0fs.json", "twod_T250fs.csv", "twod_T500fs.json"])
+    def test_write_failure_exits_4_without_traceback(self, tmp_path, monkeypatch, capfd, blocked):
+        # with 2 CPUs the job writes T = 0 and 500 itself, and T = 250 in a child
+        set_cpus(monkeypatch, 2)
+        cfg = write_config(tmp_path, t_wait=T_WAITS[:3])
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        assert main(["twod", "--config", str(cfg), "--out", str(out)]) == 4
+        assert_no_child_left()
+        err = capfd.readouterr().err
+        assert err.startswith("i/o error: ") and blocked in err, err
+        assert "Traceback" not in err
+        assert not (out / "manifest.json").exists()
+
+    def test_child_ended_by_a_signal_is_an_io_error(self, tmp_path, monkeypatch, capsys):
+        set_cpus(monkeypatch, 2)
+        parent = os.getpid()
+
+        def write_or_die(spec, grid, stem):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            real_write_grid(spec, grid, stem)
+
+        real_write_grid = cli._write_grid
+        monkeypatch.setattr(cli, "_write_grid", write_or_die)
+        cfg = write_config(tmp_path)
+        assert main(["twod", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+        assert_no_child_left()
+        assert "ended with status -9" in capsys.readouterr().err
+
+    def test_fork_deprecation_warning_is_silenced(self, tmp_path, monkeypatch):
+        # Python >= 3.12 warns like this on fork while OpenBLAS threads live
+        set_cpus(monkeypatch, 2)
+        real_fork = os.fork
+
+        def warning_fork():
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                          "may lead to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+            return real_fork()
+
+        monkeypatch.setattr(cli.os, "fork", warning_fork)
+        cfg = write_config(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["twod", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert_no_child_left()

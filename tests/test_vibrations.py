@@ -75,6 +75,30 @@ class TestFranckCondon:
         with pytest.raises(ValueError, match="float resolution"):
             franck_condon_cutoff(1.0, tail_eps)
 
+    @pytest.mark.parametrize("lam", [1e-300, 1e-200, 1e-163, 5e-324])
+    def test_underflowing_square_is_no_displacement(self, lam):
+        assert lam * lam == 0.0
+        assert franck_condon(lam, 0) == 1.0
+        assert franck_condon(lam, 1) == 0.0
+        assert franck_condon_cutoff(lam, 1e-10) == 0
+
+    @pytest.mark.parametrize("lam", [1e-160, 1e-100, 1e-8, 0.2, 1.0, 3.0, 30.0, 99.0])
+    def test_weights_bit_identical_where_the_square_is_nonzero(self, lam):
+        def reference(lam, m):      # the weight as computed before the underflow guard
+            if lam == 0.0:
+                return 1.0 if m == 0 else 0.0
+            if not m:
+                return math.exp(-lam * lam)
+            return math.exp(-lam * lam + m * math.log(lam * lam) - math.lgamma(m + 1))
+
+        for m in (0, 1, 2, 7, 60, 1000):
+            assert franck_condon(lam, m) == reference(lam, m)
+
+    @pytest.mark.parametrize("lam", [100.0, 150.0, 1e300])
+    def test_cutoff_past_the_term_cap_raises_value_error(self, lam):
+        with pytest.raises(ValueError, match="lambda_hr"):
+            franck_condon_cutoff(lam, 1e-10)
+
 
 class TestPhononShift:
     def test_zero_order(self):
