@@ -3,8 +3,10 @@
 Exit codes: 0 success, 1 failed validation check, 2 config error, 3 numeric
 failure, 4 I/O failure.  Every mode writes its files, then the manifest, and
 only then prints.  ``twod`` and ``pump-probe`` compute one batch of waiting
-times per round, one per CPU of the affinity set, and write the batch in
-parallel: the first grid in this process, each other one in a forked child.
+times per round, one per CPU of the affinity set, and write the batch with
+:func:`parallel.fork_map`: the first grid in this process, each other one in
+a forked child.  ``validate`` shares the CPUs the same way, inside its heavy
+checks (see :mod:`validate`).
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import math
 import os
 import sys as _sys
 import time
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,6 +26,7 @@ import numpy as np
 from . import __version__
 from .errors import MalformedGrid, ParameterError, PolaritonError, TooLarge
 from .model import RAD_PER_CM_FS, SystemParams, derived_quantities, validate_params
+from .parallel import cpu_count, fork_map
 from .peaks import grid_peak_report
 from .propagator import build_matrix, decompose
 from .signals import Axis, SpectrumGrid, linear_absorption, pump_probe, pump_probe_slices, twod_signal
@@ -341,85 +343,19 @@ def _write_grid(spec: JobSpec, grid: SpectrumGrid, stem: str) -> None:
             write_json_grid(path, grid)
 
 
-def _writer_count() -> int:
-    """Grids written at once: one per CPU this process may run on, 1 where it cannot fork."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _fork_writer(spec: JobSpec, grid: SpectrumGrid, stem: str) -> tuple[int, int]:
-    """Fork a child that writes one grid's files and exits.
-
-    Returns the child's pid and the read end of a pipe that carries its error
-    message; the pipe closes empty when the write succeeds."""
-    read_fd, write_fd = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            # Python >= 3.12 warns on fork in a process with live OpenBLAS
-            # threads.  The child is safe: it runs no BLAS, only formats and
-            # writes one grid, and ends in os._exit.
-            warnings.filterwarnings("ignore", r".*use of fork\(\) may lead to deadlocks",
-                                    DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            _write_grid(spec, grid, stem)
-            status = 0
-        except BaseException as exc:    # whatever is raised, the child ends in os._exit
-            os.write(write_fd, (str(exc) if isinstance(exc, OSError) else repr(exc)).encode())
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, read_fd
-
-
-def _reap(pid: int, read_fd: int) -> str | None:
-    """Wait for a writer child; its error message, or None if it succeeded."""
-    with open(read_fd, "rb") as pipe:
-        message = pipe.read().decode(errors="replace")
-    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code == 0:
-        return None
-    return message or f"writer process {pid} ended with status {code}"
-
-
-def _write_batch(spec: JobSpec, grids: list[tuple[str, SpectrumGrid]]) -> None:
-    """Write the (stem, grid) pairs: the first here, each other one in a forked child.
-
-    Every child is reaped before this returns or raises; a child's failure is
-    raised as an ``OSError`` with its message."""
-    children = []
-    try:
-        for stem, grid in grids[1:]:
-            children.append(_fork_writer(spec, grid, stem))
-        _write_grid(spec, grids[0][1], grids[0][0])
-    finally:
-        failures = [_reap(*child) for child in children]
-    for failure in failures:
-        if failure is not None:
-            raise OSError(failure)
-
-
 def _write_grids(spec: JobSpec, jobs: list, written: list[str]) -> tuple[float, int]:
     """Compute and write the grids of ``jobs``, (stem, computation) pairs, k at a time.
 
-    k is :func:`_writer_count`.  The computations run here, since BLAS runs
-    only in this process, so at most k grids are held at once.  ``written``
-    gets the file names in job order.  Returns the seconds spent writing and
-    the number of processes that wrote at once."""
-    k = _writer_count()
+    k is :func:`parallel.cpu_count`.  Each batch is computed here and written
+    by :func:`parallel.fork_map`, one grid per process, so at most k grids are
+    held at once.  ``written`` gets the file names in job order.  Returns the
+    seconds spent writing and the number of processes that wrote at once."""
+    k = cpu_count()
     write_s = 0.0
     for at in range(0, len(jobs), k):
         grids = [(stem, compute()) for stem, compute in jobs[at:at + k]]
         began = time.perf_counter()
-        _write_batch(spec, grids)
+        fork_map(lambda job: _write_grid(spec, job[1], job[0]), grids)
         write_s += time.perf_counter() - began
         written.extend(f"{stem}.{fmt}" for stem, _ in grids for fmt in spec.formats)
         del grids   # the next batch is computed with this one released

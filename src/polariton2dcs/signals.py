@@ -71,6 +71,19 @@ class IndexClass:
         return tuple(self.equal(x, y) for x, y in _M_PAIRS)
 
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
+def _check_index_counts(n: int, power: int) -> None:
+    """Refuse an N whose index counts, up to N**power, pass the float range.
+
+    The kernels multiply these exact integer counts into float arrays, and
+    the conversion of a larger one raises ``OverflowError``."""
+    if n ** power > _FLOAT_MAX:
+        raise TooLarge(f"index counts up to N^{power} overflow a float beyond "
+                       f"N = {_FLOAT_MAX ** (1.0 / power):.3g}, got system.n_molecules = {n:g}")
+
+
 @cache
 def index_classes() -> tuple[IndexClass, ...]:
     """The 15 set partitions of four elements, in a fixed enumeration order."""
@@ -212,6 +225,7 @@ def _twod_core(dec: ModeDecomposition, kernel: VibKernel, t_wait: float) -> dict
     grid evaluation reduces to one matrix product per absorption pattern.
     """
     n = dec.n_molecules
+    _check_index_counts(n, 5)   # a class multiplicity N^4 times N - 2 propagation indices
     z = _wait_factor(kernel, t_wait)
     prop = propagator_entries(dec, t_wait)
     dim = 3 * kernel.m_max + 1
@@ -348,6 +362,7 @@ def linear_absorption(sys: SystemParams, dec: ModeDecomposition, kernel: VibKern
     delta^0 convention); every m >= 1 sideband only keeps the diagonal pairs.
     """
     n = dec.n_molecules
+    _check_index_counts(n, 2)
     s = kernel.weights
     w_rot = axis.rotating()
     ent = fourier_entries(dec, w_rot[:, None] - np.conj(kernel.shift(np.arange(kernel.m_max + 1))))
@@ -434,6 +449,7 @@ def pump_probe_values(dec: ModeDecomposition, kernel: VibKernel,
     """Real pump-probe spectrum on a rotating-frame grid (class-collapsed)."""
     w_rot = np.atleast_1d(np.asarray(w_rot, dtype=float))
     n = dec.n_molecules
+    _check_index_counts(n, 4)
     z = _wait_factor(kernel, t_wait)
     prop = propagator_entries(dec, t_wait)
     dim = 2 * kernel.m_max + 1

@@ -3,6 +3,12 @@
 Each check returns a :class:`CheckResult`; the CLI prints one line per check
 and fails if any tolerance is exceeded.  The acceptance tests reuse the same
 functions, so there is exactly one implementation of every comparison.
+
+A check's error is the worst over its cases, taken by :func:`_worst`, which
+keeps a NaN.  The heavy checks draw all their cases first, in the order of
+the seeded draws, then share them among the CPUs with
+:func:`parallel.fork_map`.  A maximum does not depend on the order of its
+terms, so every result is bit-identical to a one-process run.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import SystemParams, validate_params
+from .parallel import fork_map
 from .propagator import (
     build_matrix,
     decompose,
@@ -83,6 +90,18 @@ def _result(name: str, max_err: float, tol: float, detail: str = "") -> CheckRes
     return CheckResult(name, float(max_err), tol, bool(max_err < tol), detail)
 
 
+def _worst(errors) -> float:
+    """The largest of ``errors`` and 0; NaN if any error is NaN, which ``max`` would drop."""
+    errors = [float(err) for err in errors]
+    if any(math.isnan(err) for err in errors):
+        return math.nan
+    return max([0.0, *errors])
+
+
+def _relative_error(fast, slow) -> float:
+    return abs(fast - slow) / max(abs(fast), abs(slow))
+
+
 def _random_params(rng: np.random.Generator, n: int) -> SystemParams:
     return validate_params({
         "n_molecules": n,
@@ -101,39 +120,38 @@ def _random_params(rng: np.random.Generator, n: int) -> SystemParams:
 def check_propagator_expm(seed: int = 101, sets_per_n: int = 20, tol: float = 1e-10) -> CheckResult:
     """Closed-form arrowhead propagator against dense scaling-and-squaring."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    errors = []
     for n in range(1, 7):
         for _ in range(sets_per_n):
             sys = _random_params(rng, n)
             m = build_matrix(sys)
             dec = decompose(m)
             t = float(rng.uniform(0.0, 300.0))
-            diff = np.max(np.abs(propagator_G(dec, t) - expm_propagator(m, t)))
-            worst = max(worst, float(diff))
-    return _result("propagator_expm", worst, tol, "N=1..6 random parameter sets")
+            errors.append(np.max(np.abs(propagator_G(dec, t) - expm_propagator(m, t))))
+    return _result("propagator_expm", _worst(errors), tol, "N=1..6 random parameter sets")
 
 
 def check_eigenstructure(seed: int = 102, tol: float = 1e-12) -> CheckResult:
     """Dark-space structure and the unitary resonant limit of the transform."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    errors = []
     for n in range(2, 7):
         sys = _random_params(rng, n)
         dec = decompose(build_matrix(sys))
         t = dec.t_dense()
         tinv = dec.tinv_dense()
-        worst = max(worst, float(np.max(np.abs(t @ tinv - np.eye(n + 1)))))
+        errors.append(np.max(np.abs(t @ tinv - np.eye(n + 1))))
         dark_cols = t[:, 2:]
-        worst = max(worst, float(np.max(np.abs(dark_cols[-1, :]))))          # photon weight
-        worst = max(worst, float(np.max(np.abs(dark_cols[:-1, :].sum(0)))))  # zero-sum
-        worst = max(worst, float(np.max(np.abs(np.abs(dark_cols[:-1, :]) ** 2 - 1.0 / n))))
+        errors.append(np.max(np.abs(dark_cols[-1, :])))          # photon weight
+        errors.append(np.max(np.abs(dark_cols[:-1, :].sum(0))))  # zero-sum
+        errors.append(np.max(np.abs(np.abs(dark_cols[:-1, :]) ** 2 - 1.0 / n)))
         if len(dec.eigenvalues) != n + 1 or sum(lbl.startswith("D") for lbl in dec.labels) != n - 1:
-            worst = max(worst, 1.0)
+            errors.append(1.0)
         # resonant equal-rate case: inverse equals conjugate transpose
         res = reference_params(n_molecules=n, gamma_c=1.0)
         dres = decompose(build_matrix(res))
-        worst = max(worst, float(np.max(np.abs(dres.tinv_dense() - dres.t_dense().conj().T))))
-    return _result("eigenstructure", worst, tol, "dark basis + resonant unitarity")
+        errors.append(np.max(np.abs(dres.tinv_dense() - dres.t_dense().conj().T)))
+    return _result("eigenstructure", _worst(errors), tol, "dark basis + resonant unitarity")
 
 
 def check_transform_quadrature(seed: int = 103, n_points: int = 100, tol: float = 1e-6) -> CheckResult:
@@ -145,21 +163,27 @@ def check_transform_quadrature(seed: int = 103, n_points: int = 100, tol: float 
     rng = np.random.default_rng(seed)
     sys = reference_params()
     dec = decompose(build_matrix(sys))
-    worst = 0.0
+    cases = []      # (omega, conjugated)
     for _ in range(n_points):
         omega = complex(rng.uniform(-2400.0, 2400.0), 0.0)
         if rng.uniform() < 0.2:
             omega += 1j * sys.gamma_v * rng.integers(1, 3)
-        exact = propagator_fourier(dec, omega)
-        quad = quadrature_fourier(dec, omega)
-        worst = max(worst, float(np.max(np.abs(exact - quad)) / np.max(np.abs(exact))))
+        cases.append((omega, False))
     # a few conjugate-transform points
-    for _ in range(10):
-        omega = complex(rng.uniform(-2400.0, 2400.0), -sys.gamma_v)
-        exact = fourier_conj_entries(dec, omega).to_dense(sys.n_molecules)
-        quad = quadrature_fourier(dec, omega, conjugated=True)
-        worst = max(worst, float(np.max(np.abs(exact - quad)) / np.max(np.abs(exact))))
-    return _result("transform_quadrature", worst, tol, "relative, reference set")
+    cases += [(complex(rng.uniform(-2400.0, 2400.0), -sys.gamma_v), True) for _ in range(10)]
+
+    def error(case) -> float:
+        omega, conjugated = case
+        if conjugated:
+            exact = fourier_conj_entries(dec, omega).to_dense(sys.n_molecules)
+            quad = quadrature_fourier(dec, omega, conjugated=True)
+        else:
+            exact = propagator_fourier(dec, omega)
+            quad = quadrature_fourier(dec, omega)
+        return float(np.max(np.abs(exact - quad)) / np.max(np.abs(exact)))
+
+    return _result("transform_quadrature", _worst(fork_map(error, cases)), tol,
+                   "relative, reference set")
 
 
 def check_fock_four_point(seed: int = 104, samples: int = 50, n_max: int = 40,
@@ -167,7 +191,7 @@ def check_fock_four_point(seed: int = 104, samples: int = 50, n_max: int = 40,
                           lambdas: tuple[float, ...] = (0.3, 0.7, 1.0, 1.2)) -> CheckResult:
     """Closed-form undamped correlator against truncated Fock-space mechanics."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    errors = []
     for lam in lambdas:
         kernel = VibKernel(lambda_hr=lam, omega_v=1200.0, gamma_v=0.0,
                            m_max=max(1, franck_condon_cutoff(lam, 1e-10)), tail_eps=1e-10)
@@ -178,14 +202,14 @@ def check_fock_four_point(seed: int = 104, samples: int = 50, n_max: int = 40,
             )
             analytic = four_point_correlator(quad, kernel)
             fock = fock_correlator(quad, lam, 1200.0, n_max=n_max)
-            worst = max(worst, abs(analytic - fock))
-    return _result("fock_four_point", worst, tol, f"lambdas={lambdas}, all orderings")
+            errors.append(abs(analytic - fock))
+    return _result("fock_four_point", _worst(errors), tol, f"lambdas={lambdas}, all orderings")
 
 
 def check_twod_direct(seed: int = 105, points: int = 20, tol: float = 1e-10) -> CheckResult:
     """Class-collapsed 2D kernel against the literal quintuple loop."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    cases = []      # the arguments of twod_signal_point and twod_signal_direct
     for n in (2, 3, 4, 5):
         sys = reference_params(lambda_hr=0.9, n_molecules=n, collective=1800.0)
         dec = decompose(build_matrix(sys))
@@ -194,17 +218,18 @@ def check_twod_direct(seed: int = 105, points: int = 20, tol: float = 1e-10) -> 
             om1 = float(rng.uniform(-2400.0, 2400.0))
             om3 = float(rng.uniform(-2400.0, 2400.0))
             t_wait = float(rng.uniform(0.0, 400.0))
-            fast = twod_signal_point(sys, dec, kernel, om1, om3, t_wait)
-            slow = twod_signal_direct(sys, dec, kernel, om1, om3, t_wait)
-            rel = abs(fast - slow) / max(abs(fast), abs(slow))
-            worst = max(worst, rel)
-    return _result("twod_direct", worst, tol, "N=2..5, relative")
+            cases.append((sys, dec, kernel, om1, om3, t_wait))
+
+    def error(case) -> float:
+        return _relative_error(twod_signal_point(*case), twod_signal_direct(*case))
+
+    return _result("twod_direct", _worst(fork_map(error, cases)), tol, "N=2..5, relative")
 
 
 def check_pump_probe_direct(seed: int = 106, points: int = 20, tol: float = 1e-10) -> CheckResult:
     """Class-collapsed pump-probe kernel against the literal quadruple loop."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    cases = []      # the arguments of pump_probe_direct
     for n in (2, 3, 4, 5):
         sys = reference_params(lambda_hr=0.8, n_molecules=n, collective=1800.0)
         dec = decompose(build_matrix(sys))
@@ -212,29 +237,37 @@ def check_pump_probe_direct(seed: int = 106, points: int = 20, tol: float = 1e-1
         for _ in range(points):
             omega = float(rng.uniform(12000.0, 20000.0))
             t_wait = float(rng.uniform(0.0, 500.0))
-            fast = float(pump_probe_values(dec, kernel,
-                                           np.array([omega - sys.axis_offset]), t_wait,
-                                           4.0 * sys.dipole ** 4)[0])
-            slow = pump_probe_direct(sys, dec, kernel, omega, t_wait)
-            rel = abs(fast - slow) / max(abs(fast), abs(slow))
-            worst = max(worst, rel)
-    return _result("pump_probe_direct", worst, tol, "N=2..5, relative")
+            cases.append((sys, dec, kernel, omega, t_wait))
+
+    def error(case) -> float:
+        sys, dec, kernel, omega, t_wait = case
+        fast = float(pump_probe_values(dec, kernel, np.array([omega - sys.axis_offset]), t_wait,
+                                       4.0 * sys.dipole ** 4)[0])
+        return _relative_error(fast, pump_probe_direct(*case))
+
+    return _result("pump_probe_direct", _worst(fork_map(error, cases)), tol, "N=2..5, relative")
 
 
 def check_slices_grid(tol: float = 1e-8) -> CheckResult:
     """Exact slice values against the literal pump-probe loop at the slice lines."""
     t_list = [0.0, 100.0, 250.0, 500.0]
-    worst = 0.0
+    cases = []      # (exact slice value, the arguments of pump_probe_direct)
     for n in (2, 3, 4, 5):
         sys = reference_params(n_molecules=n)
         dec = decompose(build_matrix(sys))
         kernel = kernel_from_params(sys, m_max=5)
         report = pump_probe_slices(sys, dec, kernel, t_list, stokes_orders=(1,))
         for trace in [report.upper_polariton, *report.stokes.values()]:
-            for exact, t_wait in zip(trace.exact, t_list):
-                slow = pump_probe_direct(sys, dec, kernel, trace.omega_abs, t_wait)
-                worst = max(worst, abs(exact - slow) / max(abs(slow), 1e-300))
-    return _result("slices_grid", worst, tol, "N=2..5 vs the literal pump-probe loop, relative")
+            cases += [(exact, (sys, dec, kernel, trace.omega_abs, t_wait))
+                      for exact, t_wait in zip(trace.exact, t_list)]
+
+    def error(case) -> float:
+        exact, args = case
+        slow = pump_probe_direct(*args)
+        return abs(exact - slow) / max(abs(slow), 1e-300)
+
+    return _result("slices_grid", _worst(fork_map(error, cases)), tol,
+                   "N=2..5 vs the literal pump-probe loop, relative")
 
 
 def check_slices_direct(seed: int = 107, tol: float = 1e-10) -> CheckResult:
@@ -243,19 +276,24 @@ def check_slices_direct(seed: int = 107, tol: float = 1e-10) -> CheckResult:
     cases = [(reference_params(n_molecules=n), [0.0, 100.0, 250.0, 500.0]) for n in (2, 3, 4, 5)]
     cases += [(_random_params(rng, n), [0.0] + list(rng.uniform(0.0, 600.0, size=2)))
               for n in (1, 2, 3, 4)]
-    worst = 0.0
-    for sys, t_list in cases:
+
+    def error(case) -> float:
+        sys, t_list = case
         dec = decompose(build_matrix(sys))
         kernel = kernel_from_params(sys)
         fast = pump_probe_slices(sys, dec, kernel, t_list, stokes_orders=(1, 2, 3))
         slow = pump_probe_slices_direct(sys, dec, kernel, t_list, stokes_orders=(1, 2, 3))
         pairs = [(fast.upper_polariton, slow.upper_polariton)]
         pairs += [(fast.stokes[m], slow.stokes[m]) for m in slow.stokes]
+        errors = []
         for a, b in pairs:
             scale = float(np.max(np.abs(b.formula)))
-            if scale > 0.0:
-                worst = max(worst, float(np.max(np.abs(a.formula - b.formula))) / scale)
-    return _result("slices_direct", worst, tol, "N=2..5 reference, N=1..4 random, relative")
+            if scale != 0.0:    # a NaN scale is kept, as a NaN error
+                errors.append(float(np.max(np.abs(a.formula - b.formula))) / scale)
+        return _worst(errors)
+
+    return _result("slices_direct", _worst(fork_map(error, cases)), tol,
+                   "N=2..5 reference, N=1..4 random, relative")
 
 
 def _local_peak_height(sys, dec, kernel, center_abs: float, halfwidth: float = 8.0) -> float:
@@ -298,12 +336,12 @@ def check_truncation_stability(tol: float = 1e-6) -> CheckResult:
 
 def check_franck_condon_sums(tol: float = 1e-10) -> CheckResult:
     """Truncated weight sums stay within the advertised tail bound."""
-    worst = 0.0
+    errors = []
     for lam in (0.0, 0.5, 1.0, 2.0, 3.0):
         m_max = franck_condon_cutoff(lam, 1e-10)
         total = franck_condon_weights(lam, m_max).sum()
-        worst = max(worst, 1.0 - float(total))
-    return _result("franck_condon_sums", worst, tol, "lambda in {0,0.5,1,2,3}")
+        errors.append(1.0 - float(total))
+    return _result("franck_condon_sums", _worst(errors), tol, "lambda in {0,0.5,1,2,3}")
 
 
 ALL_CHECKS = (

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -20,7 +22,10 @@ from polariton2dcs.cli import (
     write_csv,
     write_json_grid,
 )
-from polariton2dcs.propagator import build_matrix, decompose
+from polariton2dcs import signals, validate
+from polariton2dcs.errors import DivergentTransform
+from polariton2dcs.parallel import fork_map
+from polariton2dcs.propagator import build_matrix, decompose, propagator_G
 from polariton2dcs.signals import twod_signal
 
 BASE_CONFIG = {
@@ -252,6 +257,29 @@ class TestMainExitCodes:
         assert main(["eig", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
         assert "system.n_molecules" in capsys.readouterr().err
         assert not (tmp_path / "o" / "eig.json").exists()
+
+    @pytest.mark.parametrize("mode, n", [
+        ("absorption", EIG_MAX_N + 1), ("twod", EIG_MAX_N + 1), ("pump-probe", EIG_MAX_N + 1),
+        ("absorption", 1e8), ("twod", 1e8), ("pump-probe", 1e8),
+        # the largest powers of ten whose index counts are finite floats
+        ("absorption", 1e154), ("twod", 1e61), ("pump-probe", 1e77),
+    ])
+    def test_spectra_at_large_n_run(self, tmp_path, capsys, mode, n):
+        cfg = write_config(tmp_path, **{"system.n_molecules": n})
+        assert main([mode, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0, \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode, n", [
+        ("absorption", 1e155), ("twod", 1e62), ("pump-probe", 1e78),
+        ("absorption", 1e300), ("twod", 1e300), ("pump-probe", 1e300),
+    ])
+    def test_spectra_past_float_index_counts_exit_3(self, tmp_path, capsys, mode, n):
+        cfg = write_config(tmp_path, **{"system.n_molecules": n})
+        out = tmp_path / "o"
+        assert main([mode, "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: TooLarge: ") and "system.n_molecules" in err, err
+        assert list(out.iterdir()) == []
 
     def test_unwritable_output_exits_4(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -519,4 +547,163 @@ class TestParallelWriters:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["twod", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert_no_child_left()
+
+
+class TestForkMap:
+    """Item i runs in process i mod k; process 0 is the caller."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_items", [0, 1, 2, 5])
+    def test_results_in_item_order(self, monkeypatch, cpus, n_items):
+        set_cpus(monkeypatch, cpus)
+        out = fork_map(lambda x: (x * x, os.getpid()), range(n_items))
+        assert_no_child_left()
+        assert [value for value, _ in out] == [x * x for x in range(n_items)]
+        pids = [pid for _, pid in out]
+        k = min(cpus, n_items)
+        assert pids == [pids[i % k] for i in range(n_items)]
+        assert len(set(pids)) == k
+        assert pids[:1] == [os.getpid()] * min(1, n_items)
+
+    def test_without_fork_runs_in_process(self, monkeypatch):
+        set_cpus(monkeypatch, 4)
+        monkeypatch.delattr(cli.os, "fork")
+        assert fork_map(lambda x: os.getpid(), range(5)) == [os.getpid()] * 5
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("failing", [{2, 3}, {3, 4}, {4}, {1, 2, 3, 4}])
+    def test_first_failing_item_is_raised(self, monkeypatch, cpus, failing):
+        set_cpus(monkeypatch, cpus)
+
+        def fn(x):
+            if x in failing:
+                raise ValueError(f"item {x}")
+            return x
+
+        with pytest.raises(ValueError, match=f"item {min(failing)}"):
+            fork_map(fn, range(6))
+        assert_no_child_left()
+
+    def test_failed_fork_reaps_the_children_already_forked(self, monkeypatch):
+        set_cpus(monkeypatch, 3)
+        real_fork = os.fork
+        forked = []
+
+        def fork_once():
+            if forked:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            forked.append(True)
+            return real_fork()
+
+        monkeypatch.setattr(cli.os, "fork", fork_once)
+        with pytest.raises(BlockingIOError):
+            fork_map(lambda x: x, range(3))
+        assert_no_child_left()
+
+
+def run_validate(out: Path) -> tuple[int, bytes, str]:
+    """Exit code, validate.json bytes and stdout of ``validate --out <out>``, run in-process."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["validate", "--out", str(out)])
+    return code, (out / "validate.json").read_bytes(), stdout.getvalue()
+
+
+@pytest.fixture(scope="module")
+def serial_validate(tmp_path_factory):
+    """validate run in one process: ``os.fork`` is missing."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delattr(cli.os, "fork")
+        return run_validate(tmp_path_factory.mktemp("serial"))
+
+
+class TestValidateOnEveryCpu:
+    """The heavy checks share their cases among the CPUs of the affinity set."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_same_bytes_as_one_process(self, tmp_path, monkeypatch, serial_validate, cpus):
+        set_cpus(monkeypatch, cpus)
+        assert run_validate(tmp_path) == serial_validate
+        assert_no_child_left()
+
+    def test_max_err_bit_identical_to_serial_run(self, monkeypatch, serial_validate):
+        set_cpus(monkeypatch, 2)
+        forked = validate.run_suite()
+        assert_no_child_left()
+        serial = json.loads(serial_validate[1])
+        assert [(r.name, float.hex(r.max_err)) for r in forked] == \
+            [(r["name"], float.hex(r["max_err"])) for r in serial]
+
+    def test_divergent_transform_in_a_child_exits_3_like_serial(self, tmp_path, monkeypatch, capsys):
+        # the second quadrature case, case 1, is in a child's share at 2 and 4 CPUs
+        quadrature = validate.quadrature_fourier
+        omegas = []
+
+        def diverge_on_second_call(dec, omega, **kwargs):
+            omegas.append(omega)
+            if len(omegas) == 2:
+                raise DivergentTransform(f"no transform at omega = {omega!r}")
+            return quadrature(dec, omega, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.delattr(cli.os, "fork")
+            patch.setattr(validate, "quadrature_fourier", diverge_on_second_call)
+            assert main(["validate", "--out", str(tmp_path / "serial")]) == 3
+        serial_err = capsys.readouterr().err
+        assert serial_err.startswith("numeric failure: DivergentTransform: no transform at omega")
+
+        def diverge_at_case_1(dec, omega, **kwargs):
+            if omega == omegas[1]:
+                raise DivergentTransform(f"no transform at omega = {omega!r}")
+            return quadrature(dec, omega, **kwargs)
+
+        monkeypatch.setattr(validate, "quadrature_fourier", diverge_at_case_1)
+        for cpus in (2, 4):
+            set_cpus(monkeypatch, cpus)
+            out = tmp_path / f"cpus{cpus}"
+            assert main(["validate", "--out", str(out)]) == 3
+            assert_no_child_left()
+            captured = capsys.readouterr()
+            assert captured.err == serial_err and captured.out == ""
+            assert not (out / "validate.json").exists()
+
+    def test_child_killed_by_a_signal_exits_4(self, tmp_path, monkeypatch, capsys):
+        set_cpus(monkeypatch, 2)
+        parent = os.getpid()
+        direct = validate.twod_signal_direct
+
+        def direct_or_die(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return direct(*args)
+
+        monkeypatch.setattr(validate, "twod_signal_direct", direct_or_die)
+        assert main(["validate", "--out", str(tmp_path / "v")]) == 4
+        assert_no_child_left()
+        err = capsys.readouterr().err
+        assert "ended with status -9" in err and "Traceback" not in err
+
+    def test_broken_fast_path_in_a_child_only_fails(self, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        parent = os.getpid()
+        values = signals.twod_values
+
+        def broken_in_child(*args):
+            return values(*args) * (1.0 if os.getpid() == parent else 1.0 + 1e-6)
+
+        monkeypatch.setattr(signals, "twod_values", broken_in_child)
+        result = validate.check_twod_direct(points=4)
+        assert_no_child_left()
+        assert not result.passed, result.line()
+
+    def test_nan_fast_path_fails_forked_and_serial_checks(self, monkeypatch):
+        # max(0.0, nan) is 0.0: a worst case taken with max would pass these
+        set_cpus(monkeypatch, 2)
+        values = signals.twod_values
+        monkeypatch.setattr(signals, "twod_values", lambda *args: values(*args) * math.nan)
+        monkeypatch.setattr(validate, "propagator_G", lambda dec, t: propagator_G(dec, t) * math.nan)
+        for result in (validate.check_twod_direct(points=4),
+                       validate.check_propagator_expm(sets_per_n=2)):
+            assert math.isnan(result.max_err) and not result.passed, result.line()
         assert_no_child_left()
