@@ -110,6 +110,39 @@ def _axis(section: dict, name: str, offset: float) -> Axis:
         raise ConfigError(f"grids.{name}: {exc}") from exc
 
 
+# The largest array, in elements, that absorption, twod and pump-probe may
+# allocate (see _check_grid_size).  At the bound, one waiting time of the
+# shipped system (2-vCPU x86_64): a 2048 x 2048 twod map takes 9.9 s and
+# 245 MiB as csv (356 MB), 12.4 s and 807 MiB as json (201 MB); twod at
+# m_max = 682 takes 31 s and 588 MiB; absorption and pump-probe at count
+# 113 359 take 0.5 s and 304 MiB, 1.1 s and 553 MiB.
+GRID_MAX_ELEMENTS = 2 ** 22
+
+
+def _check_grid_size(mode: str, grids: dict[str, Axis], m_max: int) -> None:
+    """Refuse a spectrum job whose largest array would hold more than GRID_MAX_ELEMENTS.
+
+    Every kernel evaluates the transform at each point of its axes times each
+    phonon shift, at most 3 m_max + 1 of them; twod also holds the map itself
+    and (3 m_max + 1)^2 weight tables."""
+    width = 3 * m_max + 1
+    if mode == "twod":
+        n1, n3 = grids["omega1"].count, grids["omega3"].count
+        arrays = [(n1 * n3, "grids.omega1.count x grids.omega3.count"),
+                  (n1 * width, "grids.omega1.count x (3 m_max + 1)"),
+                  (n3 * width, "grids.omega3.count x (3 m_max + 1)"),
+                  (width * width, "(3 m_max + 1)^2")]
+    elif mode in _GRID_MODES:
+        name = mode.replace("-", "_")
+        arrays = [(grids[name].count * width, f"grids.{name}.count x (3 m_max + 1)")]
+    else:
+        return
+    size, what = max(arrays)
+    if size > GRID_MAX_ELEMENTS:
+        raise TooLarge(f"{mode} would allocate {what} = {size:.3g} elements (m_max = {m_max}), "
+                       f"more than GRID_MAX_ELEMENTS = {GRID_MAX_ELEMENTS}")
+
+
 def build_jobspec(mode: str, config: dict, out_override: str | None = None,
                   formats_override: str | None = None,
                   t_list_override: str | None = None) -> JobSpec:
@@ -148,6 +181,7 @@ def build_jobspec(mode: str, config: dict, out_override: str | None = None,
     for name in required:
         if name not in grids:
             raise ConfigError(f"mode '{mode}' needs grids.{name}")
+    _check_grid_size(mode, grids, kernel.m_max)
 
     t_key = "t_wait" if t_list_override is None else "--t-list"
     if t_list_override is not None:
@@ -205,22 +239,32 @@ def params_hash(spec: JobSpec) -> str:
 
 
 def write_csv(path: Path, grid: SpectrumGrid) -> None:
-    """``# key=value`` metadata lines, a header, then one ``%.17g`` row per grid point."""
+    """``# key=value`` metadata lines, a header, then one ``%.17g`` row per grid point.
+
+    Each distinct number is formatted once.  A 2D map formats its omega3
+    column once, into ``<w3>,%.17g,%.17g`` cells; each omega1 row joins the
+    cells behind its ``<w1>,`` prefix and fills them with one ``%`` over the
+    row's interleaved re/im values.  A 1D grid is one ``%`` over its
+    interleaved (omega, value) pairs.  The metadata lines never pass through
+    ``%``, so a ``%`` or ``{}`` in a value is written as it is.
+    """
     with open(path, "w") as fh:
         fh.write(f"# signal={grid.signal}\n")
         if grid.t_wait is not None:
             fh.write(f"# t_wait={grid.t_wait:.17g}\n")
         fh.writelines(f"# {key}={grid.metadata[key]}\n" for key in sorted(grid.metadata))
-        om1 = grid.axis1.values().tolist()
+        om1 = grid.axis1.values()
         if grid.axis2 is None:
             fh.write("omega,value\n")
-            fh.writelines(map("{:.17g},{:.17g}\n".format, om1, np.real(grid.values).tolist()))
+            pairs = np.column_stack((om1, np.real(grid.values))).ravel().tolist()
+            fh.write("%.17g,%.17g\n" * om1.size % tuple(pairs))
             return
         fh.write("omega1,omega3,re,im\n")
-        om3 = grid.axis2.values().tolist()
-        for w1, row in zip(om1, grid.values):
-            row_fmt = f"{w1:.17g},{{:.17g}},{{:.17g}},{{:.17g}}\n"
-            fh.writelines(map(row_fmt.format, om3, row.real.tolist(), row.imag.tolist()))
+        cells = ["%.17g,%%.17g,%%.17g\n" % w3 for w3 in grid.axis2.values().tolist()]
+        re_im = np.ascontiguousarray(grid.values, dtype=complex).view(float)   # re, im, re, ...
+        for w1, row in zip(om1.tolist(), re_im):
+            prefix = "%.17g," % w1
+            fh.write((prefix + prefix.join(cells)) % tuple(row.tolist()))
 
 
 def _axis_record(axis: Axis | None) -> dict | None:
@@ -367,9 +411,29 @@ def _write_doc(spec: JobSpec, doc, name: str, written: list[str], sort_keys: boo
     written.append(name)
 
 
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _environment() -> dict:
+    """Python, numpy and BLAS versions, the BLAS thread variables that are set, and the CPUs."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas.get("name"), "version": blas.get("version")}
+    except (TypeError, KeyError):   # numpy < 1.26 has no mode="dicts"
+        blas = None
+    return {
+        "python": "%d.%d.%d" % _sys.version_info[:3],
+        "numpy": np.__version__,
+        "blas": blas,
+        "threads": {var: os.environ[var] for var in _THREAD_VARS if var in os.environ},
+        "cpus": cpu_count(),
+    }
+
+
 def write_manifest(spec: JobSpec, written: list[str], wall_time: float,
                    extra: dict | None = None) -> Path:
     manifest = {
+        "environment": _environment(),
         "mode": spec.mode,
         "config": spec.config_echo,
         "params_hash": params_hash(spec),

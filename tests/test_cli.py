@@ -3,12 +3,14 @@ import io
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import polariton2dcs
@@ -23,10 +25,12 @@ from polariton2dcs.cli import (
     write_json_grid,
 )
 from polariton2dcs import signals, validate
-from polariton2dcs.errors import DivergentTransform
-from polariton2dcs.parallel import fork_map
+from polariton2dcs.errors import DivergentTransform, TooLarge
+from polariton2dcs.parallel import cpu_count, fork_map
 from polariton2dcs.propagator import build_matrix, decompose, propagator_G
 from polariton2dcs.signals import twod_signal
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 BASE_CONFIG = {
     "system": {
@@ -281,6 +285,46 @@ class TestMainExitCodes:
         assert err.startswith("numeric failure: TooLarge: ") and "system.n_molecules" in err, err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("mode, changes, what", [
+        ("absorption", {"grids.absorption.count": 1e9}, "grids.absorption.count x (3 m_max + 1)"),
+        ("pump-probe", {"grids.pump_probe.count": 10 ** 6}, "grids.pump_probe.count x (3 m_max + 1)"),
+        ("twod", {"grids.omega1.count": 10 ** 6}, "grids.omega1.count x grids.omega3.count"),
+        ("twod", {"grids.omega1.count": 2, "grids.omega3.count": 10 ** 6},
+         "grids.omega3.count x (3 m_max + 1)"),
+        ("twod", {"kernel.m_max": 100000}, "(3 m_max + 1)^2"),
+        ("absorption", {"kernel.m_max": 100000}, "grids.absorption.count x (3 m_max + 1)"),
+    ])
+    def test_grid_past_the_size_bound_is_refused(self, tmp_path, mode, changes, what):
+        # refused by build_jobspec, before anything is allocated
+        cfg = json.loads(write_config(tmp_path, **changes).read_text())
+        with pytest.raises(TooLarge, match=re.escape(f"{mode} would allocate {what} = ")):
+            build_jobspec(mode, cfg)
+
+    @pytest.mark.parametrize("mode", ["absorption", "twod", "pump-probe"])
+    def test_grid_past_the_size_bound_exits_3(self, tmp_path, capsys, monkeypatch, mode):
+        # a small bound, so that without the guard the job stays small
+        monkeypatch.setattr(cli, "GRID_MAX_ELEMENTS", 1000)
+        out = tmp_path / "o"
+        assert main([mode, "--config", str(write_config(tmp_path)), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"numeric failure: TooLarge: {mode} would allocate grids."), err
+        assert "more than GRID_MAX_ELEMENTS = 1000" in err and not out.exists()
+
+    def test_grid_size_bound_is_inclusive(self):
+        width = 3 * 12 + 1   # m_max = 12 at the base config's tail_eps
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["grids"]["absorption"]["count"] = cli.GRID_MAX_ELEMENTS // width
+        assert build_jobspec("absorption", cfg).kernel.m_max == 12
+        cfg["grids"]["absorption"]["count"] += 1
+        with pytest.raises(TooLarge, match="grids.absorption.count"):
+            build_jobspec("absorption", cfg)
+
+    @pytest.mark.parametrize("config", ["cyanine_n10.json", "cyanine_n1.json"])
+    @pytest.mark.parametrize("mode", ["absorption", "twod", "pump-probe"])
+    def test_shipped_grids_far_below_the_size_bound(self, monkeypatch, config, mode):
+        monkeypatch.setattr(cli, "GRID_MAX_ELEMENTS", cli.GRID_MAX_ELEMENTS // 40)
+        build_jobspec(mode, json.loads((CONFIGS / config).read_text()))
+
     def test_unwritable_output_exits_4(self, tmp_path):
         cfg = write_config(tmp_path)
         blocker = tmp_path / "blocker"
@@ -382,6 +426,38 @@ class TestMainExitCodes:
         assert manifest["oracle_seconds"] == {"stub": 1.25}
         assert json.loads((out / "validate.json").read_text()) == [
             {"name": "stub", "max_err": 0.1, "tol": 0.5, "passed": True}]
+
+
+class TestManifestEnvironment:
+    @pytest.mark.parametrize("mode", ["absorption", "twod", "pump-probe", "slices", "eig", "validate"])
+    def test_every_mode_records_the_environment(self, tmp_path, monkeypatch, mode):
+        monkeypatch.setattr(cli, "run_suite", lambda: [validate.CheckResult("stub", 0.1, 0.5, True)])
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        cfg = write_config(tmp_path, t_wait=[0.0], stokes_orders=[1])
+        out = tmp_path / "out"
+        assert main([mode, "--config", str(cfg), "--out", str(out)]) == 0
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert json.loads((out / "manifest.json").read_text())["environment"] == {
+            "python": "%d.%d.%d" % sys.version_info[:3],
+            "numpy": np.__version__,
+            "blas": {"name": blas["name"], "version": blas["version"]},
+            "threads": {"OMP_NUM_THREADS": "2", "OPENBLAS_NUM_THREADS": "1"},
+            "cpus": cpu_count(),
+        }
+
+    def test_numpy_without_config_dicts_records_no_blas(self, tmp_path, monkeypatch):
+        def show_config(mode="stdout"):
+            raise TypeError("show_config() got an unexpected keyword argument 'mode'")
+
+        monkeypatch.setattr(np, "show_config", show_config)
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        out = tmp_path / "out"
+        assert main(["eig", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+        env = json.loads((out / "manifest.json").read_text())["environment"]
+        assert env["blas"] is None and env["threads"] == {}
 
 
 class TestValidateSuite:
@@ -634,6 +710,20 @@ class TestValidateOnEveryCpu:
         serial = json.loads(serial_validate[1])
         assert [(r.name, float.hex(r.max_err)) for r in forked] == \
             [(r["name"], float.hex(r["max_err"])) for r in serial]
+
+    def test_slices_direct_shares_cost_about_the_same(self, monkeypatch):
+        handed = []
+        monkeypatch.setattr(validate, "fork_map", lambda fn, items: handed.extend(items) or [0.0])
+        validate.check_slices_direct()
+        # reference N = 5, 4, 2, 3, then random N = 2, 4, 1, 3: shares of 0.148 and 0.155 s at 2 CPUs
+        assert [params.n_molecules for params, _ in handed] == [5, 4, 2, 3, 2, 4, 1, 3]
+        # drawn as before: the random cases in N order 1, 2, 3, 4 from seed 107
+        rng = np.random.default_rng(107)
+        drawn = {n: (validate._random_params(rng, n), list(rng.uniform(0.0, 600.0, size=2)))
+                 for n in (1, 2, 3, 4)}
+        for params, t_list in handed[4:]:
+            random_params, t_drawn = drawn[params.n_molecules]
+            assert (params, t_list) == (random_params, [0.0] + t_drawn)
 
     def test_divergent_transform_in_a_child_exits_3_like_serial(self, tmp_path, monkeypatch, capsys):
         # the second quadrature case, case 1, is in a child's share at 2 and 4 CPUs

@@ -150,9 +150,35 @@ class TestGridIO:
         else:
             assert np.array_equal(loaded.values.real, grid.values.real)
 
+    def make_writer_grids(self, two_dimensional):
+        """Grids for the byte comparison with :func:`reference_csv`.
+
+        Besides the small and special grids, with metadata holding ``%`` and
+        ``{}``: in 1D, 2000 points; in 2D, a grid with more rows than columns
+        and a 300 x 300 grid.  The values are seeded random numbers of every
+        magnitude, with the special values mixed in."""
+        meta = {"note": "100% {} {0} %s %% {:.17g}", "omega_v": 1200.0}
+        rng = np.random.default_rng(2024)
+        big = rng.standard_normal(90000) * 10.0 ** rng.uniform(-300.0, 300.0, 90000)
+        big[rng.choice(big.size, 4 * len(SPECIAL), replace=False)] = SPECIAL * 4
+        big[:len(SPECIAL)] = SPECIAL
+        grids = [self.make_grid(two_dimensional), self.make_special_grid(two_dimensional)]
+        if not two_dimensional:
+            return grids + [SpectrumGrid("absorption", Axis(13000.0, 19000.0, 2000, 16113.0),
+                                         None, None, big[:2000].astype(complex), meta)]
+        tall = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
+        square = np.empty((300, 300), dtype=complex)   # 1j * inf would put a nan in the real part
+        square.real = big.reshape(300, 300)
+        square.imag = big[::-1].reshape(300, 300)
+        return grids + [
+            SpectrumGrid("twod", Axis(-7.5, 1e4 / 3.0, 7, 16113.0, "omega1"),
+                         Axis(0.25, 1.0 / 7.0 + 1.0, 3, 16113.0, "omega3"), 0.0, tall, meta),
+            SpectrumGrid("twod", Axis(13000.0, 19000.0, 300, 16113.0, "omega1"),
+                         Axis(12000.0, 19000.0, 300, 16113.0, "omega3"), 250.0, square, meta)]
+
     @pytest.mark.parametrize("two_dimensional", [False, True])
     def test_csv_bytes_match_per_value_writer(self, tmp_path, two_dimensional):
-        for grid in (self.make_grid(two_dimensional), self.make_special_grid(two_dimensional)):
+        for grid in self.make_writer_grids(two_dimensional):
             path = tmp_path / "grid.csv"
             write_csv(path, grid)
             assert path.read_text() == reference_csv(grid)
