@@ -18,7 +18,7 @@ import math
 import os
 import sys as _sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ from .parallel import cpu_count, fork_map
 from .peaks import grid_peak_report
 from .propagator import build_matrix, decompose
 from .signals import Axis, SpectrumGrid, linear_absorption, pump_probe, pump_probe_slices, twod_signal
-from .validate import run_suite
+from .validate import reference_params, run_suite
 from .vibrations import CutoffTooLarge, VibKernel, kernel_from_params
 
 
@@ -113,19 +113,32 @@ def _axis(section: dict, name: str, offset: float) -> Axis:
 # The largest array, in elements, that absorption, twod and pump-probe may
 # allocate (see _check_grid_size).  At the bound, one waiting time of the
 # shipped system (2-vCPU x86_64): a 2048 x 2048 twod map takes 9.9 s and
-# 245 MiB as csv (356 MB), 12.4 s and 807 MiB as json (201 MB); twod at
-# m_max = 682 takes 31 s and 588 MiB; absorption and pump-probe at count
-# 113 359 take 0.5 s and 304 MiB, 1.1 s and 553 MiB.
+# 245 MiB as csv (356 MB), about 11 s and 456 MiB as json (201 MB); absorption
+# and pump-probe at count 113 359 take 0.5 s and 304 MiB, 1.1 s and 553 MiB.
 GRID_MAX_ELEMENTS = 2 ** 22
+
+# The most phonon-table operations one spectrum may take (see
+# _check_grid_size): 15 index classes times m_max^3 for a twod map, times
+# m_max^2 for a pump-probe spectrum, which slices evaluates at each point.
+# At the bound, on the shipped system (2-vCPU x86_64): one 300 x 300 twod
+# map at m_max = 415 takes 7.2 s and 282 MiB; slices at m_max = 8460 takes
+# 2.4 s and 40 MiB; one pump-probe spectrum at m_max = 8460 and count 165
+# takes 1.3 s and 547 MiB.
+WORK_MAX_OPS = 2 ** 30
 
 
 def _check_grid_size(mode: str, grids: dict[str, Axis], m_max: int) -> None:
-    """Refuse a spectrum job whose largest array would hold more than GRID_MAX_ELEMENTS.
+    """Refuse a job whose largest array would hold more than GRID_MAX_ELEMENTS,
+    or whose phonon tables would take more than WORK_MAX_OPS per spectrum.
 
-    Every kernel evaluates the transform at each point of its axes times each
-    phonon shift, at most 3 m_max + 1 of them; twod also holds the map itself
-    and (3 m_max + 1)^2 weight tables."""
+    Every spectrum kernel evaluates the transform at each point of its axes
+    times each phonon shift, at most 3 m_max + 1 of them; twod also holds the
+    map itself and (3 m_max + 1)^2 weight tables.  twod builds each of its 15
+    class tables from m_max outer products of (2 m_max + 1)^2 elements; a
+    pump-probe spectrum, which slices evaluates at every trace point,
+    convolves m_max-long weight vectors for each class."""
     width = 3 * m_max + 1
+    arrays = []
     if mode == "twod":
         n1, n3 = grids["omega1"].count, grids["omega3"].count
         arrays = [(n1 * n3, "grids.omega1.count x grids.omega3.count"),
@@ -135,12 +148,20 @@ def _check_grid_size(mode: str, grids: dict[str, Axis], m_max: int) -> None:
     elif mode in _GRID_MODES:
         name = mode.replace("-", "_")
         arrays = [(grids[name].count * width, f"grids.{name}.count x (3 m_max + 1)")]
-    else:
-        return
-    size, what = max(arrays)
+    size, what = max(arrays, default=(0, ""))
     if size > GRID_MAX_ELEMENTS:
-        raise TooLarge(f"{mode} would allocate {what} = {size:.3g} elements (m_max = {m_max}), "
-                       f"more than GRID_MAX_ELEMENTS = {GRID_MAX_ELEMENTS}")
+        raise TooLarge(f"{mode} would allocate {what} = {_estimate(size)} elements "
+                       f"(m_max = {m_max}), more than GRID_MAX_ELEMENTS = {GRID_MAX_ELEMENTS}")
+    power = {"twod": 3, "pump-probe": 2, "slices": 2}.get(mode)
+    if power and 15 * m_max ** power > WORK_MAX_OPS:
+        raise TooLarge(f"{mode} would take 15 x m_max^{power} = {_estimate(15 * m_max ** power)} "
+                       f"operations per spectrum (kernel.m_max = {m_max}), "
+                       f"more than WORK_MAX_OPS = {WORK_MAX_OPS}")
+
+
+def _estimate(n: int) -> str:
+    """``n`` to three digits; an integer past the float range is not converted."""
+    return f"{n:.3g}" if n < 1e300 else "more than 1e300"
 
 
 def build_jobspec(mode: str, config: dict, out_override: str | None = None,
@@ -158,20 +179,6 @@ def build_jobspec(mode: str, config: dict, out_override: str | None = None,
     except ParameterError as exc:
         raise ConfigError(f"system section invalid: {exc}") from exc
 
-    kernel_cfg = _object(config.get("kernel", {}), "kernel")
-    _reject_unknown(kernel_cfg, _KERNEL_KEYS, "kernel")
-    if "m_max" in kernel_cfg and kernel_cfg["m_max"] is not None:
-        key, truncation = "kernel.m_max", {"m_max": _integer(kernel_cfg["m_max"], "kernel.m_max")}
-    else:
-        key, truncation = "kernel.tail_eps", {
-            "tail_eps": _number(kernel_cfg.get("tail_eps", 1e-10), "kernel.tail_eps")}
-    try:
-        kernel = kernel_from_params(params, **truncation)
-    except CutoffTooLarge as exc:
-        raise ConfigError(f"system.lambda_hr: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
-
     grids_cfg = _object(config.get("grids", {}), "grids")
     _reject_unknown(grids_cfg, _GRID_SECTIONS, "grids")
     grids = {name: _axis(sec, name, params.axis_offset) for name, sec in grids_cfg.items()}
@@ -181,6 +188,22 @@ def build_jobspec(mode: str, config: dict, out_override: str | None = None,
     for name in required:
         if name not in grids:
             raise ConfigError(f"mode '{mode}' needs grids.{name}")
+
+    kernel_cfg = _object(config.get("kernel", {}), "kernel")
+    _reject_unknown(kernel_cfg, _KERNEL_KEYS, "kernel")
+    if "m_max" in kernel_cfg and kernel_cfg["m_max"] is not None:
+        key, truncation = "kernel.m_max", {"m_max": _integer(kernel_cfg["m_max"], "kernel.m_max")}
+        # refuse before kernel_from_params sums the m_max + 1 Franck-Condon weights
+        _check_grid_size(mode, grids, truncation["m_max"])
+    else:
+        key, truncation = "kernel.tail_eps", {
+            "tail_eps": _number(kernel_cfg.get("tail_eps", 1e-10), "kernel.tail_eps")}
+    try:
+        kernel = kernel_from_params(params, **truncation)
+    except CutoffTooLarge as exc:
+        raise ConfigError(f"system.lambda_hr: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
     _check_grid_size(mode, grids, kernel.m_max)
 
     t_key = "t_wait" if t_list_override is None else "--t-list"
@@ -228,10 +251,9 @@ def build_jobspec(mode: str, config: dict, out_override: str | None = None,
 
 
 def params_hash(spec: JobSpec) -> str:
+    """The first 16 hex digits of the sha256 of every SystemParams field and the truncation."""
     payload = {
-        "system": {k: getattr(spec.params, k) for k in (
-            "n_molecules", "g", "delta_x", "delta_c", "gamma_x", "gamma_c",
-            "omega_v", "gamma_v", "lambda_hr", "omega_ref", "dipole", "phase")},
+        "system": asdict(spec.params),
         "kernel": {"m_max": spec.kernel.m_max, "tail_eps": spec.kernel.tail_eps},
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -267,24 +289,23 @@ def write_csv(path: Path, grid: SpectrumGrid) -> None:
             fh.write((prefix + prefix.join(cells)) % tuple(row.tolist()))
 
 
-def _axis_record(axis: Axis | None) -> dict | None:
-    if axis is None:
-        return None
-    return {"start": axis.start, "stop": axis.stop, "count": axis.count,
-            "offset": axis.offset, "label": axis.label}
-
-
 def write_json_grid(path: Path, grid: SpectrumGrid) -> None:
-    doc = {
-        "signal": grid.signal,
-        "axis1": _axis_record(grid.axis1),
-        "axis2": _axis_record(grid.axis2),
-        "t_wait": grid.t_wait,
-        "values_re": np.real(grid.values).tolist(),
-        "values_im": np.imag(grid.values).tolist(),
-        "metadata": grid.metadata,
-    }
-    path.write_text(json.dumps(doc, sort_keys=True) + "\n")
+    """The bytes of ``json.dumps(record, sort_keys=True)`` and a newline, one key at a time.
+
+    Each top-level key of the grid record goes through its own ``json.dumps``,
+    so only one of the two value lists and its text are held at once."""
+    record = {"signal": grid.signal, "axis1": asdict(grid.axis1),
+              "axis2": None if grid.axis2 is None else asdict(grid.axis2),
+              "t_wait": grid.t_wait, "metadata": grid.metadata,
+              "values_re": np.real(grid.values), "values_im": np.imag(grid.values)}
+    with open(path, "w") as fh:
+        for at, key in enumerate(sorted(record)):
+            value = record[key]
+            if isinstance(value, np.ndarray):
+                value = value.tolist()
+            fh.write(("{" if at == 0 else ", ") + json.dumps(key) + ": "
+                     + json.dumps(value, sort_keys=True))
+        fh.write("}\n")
 
 
 def _meta_cast(raw: str):
@@ -581,10 +602,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read_config(args) -> dict:
     if args.config is None:     # only validate may omit --config
-        return {"system": {
-            "n_molecules": 10, "g": 1800.0 / 10 ** 0.5, "gamma_x": 1.0, "gamma_c": 0.9,
-            "omega_v": 1200.0, "gamma_v": 20.0, "lambda_hr": 1.0, "omega_ref": 16113.0,
-        }}
+        return {"system": asdict(reference_params())}
     try:
         return json.loads(Path(args.config).read_text())
     except OSError as exc:

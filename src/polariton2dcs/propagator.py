@@ -33,10 +33,6 @@ class DynamicsMatrix:
     photon_diag: complex  # i*delta_c + gamma_c
     coupling: float       # g
 
-    @property
-    def dimension(self) -> int:
-        return self.n_molecules + 1
-
     def to_dense(self) -> np.ndarray:
         n = self.n_molecules
         out = np.zeros((n + 1, n + 1), dtype=complex)
@@ -76,10 +72,6 @@ class ModeDecomposition:
     mu_dark: complex
     bright_t: np.ndarray
     bright_tinv: np.ndarray
-
-    @property
-    def dimension(self) -> int:
-        return self.n_molecules + 1
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -201,20 +193,19 @@ class PatternEntries:
         return PatternEntries(**{name: np.conj(getattr(self, name)) for name in _PATTERN_FIELDS})
 
 
-def _assemble_entries(dec: ModeDecomposition, bright_fn, dark_fn) -> PatternEntries:
-    """Combine dark scalar and bright 2x2 filter into pattern entries.
+def _assemble_entries(dec: ModeDecomposition, fn) -> PatternEntries:
+    """Combine the dark scalar and the bright 2x2 filter into pattern entries.
 
-    ``bright_fn``/``dark_fn`` map an eigenvalue to its scalar filter value
-    (e.g. exp(-mu*theta) or 1/(mu - i*omega)); both may return arrays for
-    vectorized frequency grids.
+    ``fn`` maps an eigenvalue to its scalar filter value (e.g. exp(-mu*theta)
+    or 1/(mu - i*omega)); it may return arrays for vectorized frequency grids.
     """
     n = dec.n_molecules
     t, tinv = dec.bright_t, dec.bright_tinv
-    f_lp = bright_fn(dec.mu_lp)
-    f_up = bright_fn(dec.mu_up)
+    f_lp = fn(dec.mu_lp)
+    f_up = fn(dec.mu_up)
     eb = [[t[i, 0] * tinv[0, j] * f_lp + t[i, 1] * tinv[1, j] * f_up
            for j in range(2)] for i in range(2)]
-    dark = dark_fn(dec.mu_dark)
+    dark = fn(dec.mu_dark)
     root_n = math.sqrt(n)
     return PatternEntries(
         mm_diag=(1.0 - 1.0 / n) * dark + eb[0][0] / n,
@@ -225,16 +216,12 @@ def _assemble_entries(dec: ModeDecomposition, bright_fn, dark_fn) -> PatternEntr
     )
 
 
-def _entries_at_theta(dec: ModeDecomposition, theta) -> PatternEntries:
-    fn = lambda mu: np.exp(-mu * theta)
-    return _assemble_entries(dec, fn, fn)
-
-
 def propagator_entries(dec: ModeDecomposition, t: float) -> PatternEntries:
     """Index-pattern entries of the free propagator G(t), t in fs."""
     if t < 0:
         raise NegativeTime(f"propagator needs t >= 0, got {t}")
-    return _entries_at_theta(dec, RAD_PER_CM_FS * t)
+    theta = RAD_PER_CM_FS * t
+    return _assemble_entries(dec, lambda mu: np.exp(-mu * theta))
 
 
 def propagator_G(dec: ModeDecomposition, t: float) -> np.ndarray:
@@ -253,8 +240,7 @@ def fourier_entries(dec: ModeDecomposition, omega) -> PatternEntries:
         raise DivergentTransform(
             f"need Im(omega) > {-dec.gamma_min:g} for convergence"
         )
-    fn = lambda mu: 1.0 / (mu - 1j * omega)
-    return _assemble_entries(dec, fn, fn)
+    return _assemble_entries(dec, lambda mu: 1.0 / (mu - 1j * omega))
 
 
 def propagator_fourier(dec: ModeDecomposition, omega: complex) -> np.ndarray:
@@ -277,8 +263,8 @@ def fourier_conj_entries(dec: ModeDecomposition, omega) -> PatternEntries:
     return fourier_entries(dec, np.conj(omega)).conj()
 
 
-def matrix_exp(a: np.ndarray, taylor_terms: int = 20) -> np.ndarray:
-    """exp(a) by scaling-and-squaring with a truncated Taylor series."""
+def matrix_exp(a: np.ndarray) -> np.ndarray:
+    """exp(a) by scaling-and-squaring with a Taylor series truncated after 20 terms."""
     a = np.asarray(a, dtype=complex)
     norm = np.linalg.norm(a, 1)
     squarings = max(0, int(math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0)
@@ -286,7 +272,7 @@ def matrix_exp(a: np.ndarray, taylor_terms: int = 20) -> np.ndarray:
     eye = np.eye(a.shape[0], dtype=complex)
     out = eye
     # Horner evaluation of the truncated series
-    for k in range(taylor_terms, 0, -1):
+    for k in range(20, 0, -1):
         out = eye + small @ out / k
     for _ in range(squarings):
         out = out @ out
@@ -303,14 +289,13 @@ def expm_propagator(m: DynamicsMatrix, t: float) -> np.ndarray:
 
 
 def quadrature_fourier(dec: ModeDecomposition, omega: complex,
-                       u_max: float | None = None, conjugated: bool = False,
-                       panel_points: int = 10) -> np.ndarray:
+                       conjugated: bool = False) -> np.ndarray:
     """Numerical-quadrature transform of G (or conj G), as a dense matrix.
 
     Independent cross-check of :func:`propagator_fourier` /
     :func:`fourier_conj_entries`: integrates the time-domain propagator over
-    [0, u_max] in theta units (default 40/gamma_min, where the integrand has
-    decayed to ~1e-17) with composite Gauss-Legendre panels, equal in width
+    [0, 40/gamma_min] in theta units (where the integrand has decayed to
+    ~1e-17) with composite ten-node Gauss-Legendre panels, equal in width
     and sized to hold at most half an oscillation period of integrand times
     kernel.  G(u) is a fixed combination of the three modal exponentials
     exp(-mu*u) (LP, UP, dark), so the quadrature runs once per eigenmode on
@@ -322,8 +307,7 @@ def quadrature_fourier(dec: ModeDecomposition, omega: complex,
     weighted node sum of exp(r*half*x_j), both summed from sampled values.
     """
     omega = complex(omega)
-    if u_max is None:
-        u_max = 40.0 / dec.gamma_min
+    u_max = 40.0 / dec.gamma_min
     if conjugated:
         # conj(G(u)) * exp(-i z u):  oscillation -Re z, envelope exp(+Im(z) u)
         w_osc, q = -omega.real, -omega.imag
@@ -334,7 +318,7 @@ def quadrature_fourier(dec: ModeDecomposition, omega: complex,
     freq_scale = abs(w_osc) + max(abs(dec.mu_lp.imag), abs(dec.mu_up.imag),
                                   abs(dec.mu_dark.imag)) + 1.0
     n_panels = max(64, int(math.ceil(u_max * freq_scale / math.pi)))
-    x, gl_w = np.polynomial.legendre.leggauss(panel_points)
+    x, gl_w = np.polynomial.legendre.leggauss(10)
     edges = np.linspace(0.0, u_max, n_panels + 1)
     half = 0.5 * (edges[1] - edges[0])
     mids = 0.5 * (edges[:-1] + edges[1:])
@@ -347,7 +331,7 @@ def quadrature_fourier(dec: ModeDecomposition, omega: complex,
         r = s - mu
         return complex(np.sum(np.exp(r * mids)) * np.sum(np.exp(r * half * x) * (half * gl_w)))
 
-    ent = _assemble_entries(dec, mode_integral, mode_integral)
+    ent = _assemble_entries(dec, mode_integral)
     if conjugated:
         ent = ent.conj()
     return ent.to_dense(dec.n_molecules)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cache, cached_property
 from itertools import product
 
@@ -41,13 +41,6 @@ I_, L_, J_, JP_ = 0, 1, 2, 3
 _M_PAIRS = ((JP_, J_), (I_, L_), (J_, L_), (JP_, L_), (I_, J_), (I_, JP_))
 
 
-def falling_factorial(n: int, k: int) -> int:
-    out = 1
-    for step in range(k):
-        out *= n - step
-    return out
-
-
 @dataclass(frozen=True)
 class IndexClass:
     """One equality pattern of the molecule indices (i, l, j, j')."""
@@ -63,7 +56,7 @@ class IndexClass:
 
     def multiplicity(self, n: int) -> int:
         """Number of index tuples in {1..N}^4 realizing this pattern."""
-        return falling_factorial(n, self.blocks)
+        return math.perm(n, self.blocks)
 
     @cached_property
     def free_mask(self) -> tuple[bool, ...]:
@@ -252,6 +245,11 @@ def _twod_core(dec: ModeDecomposition, kernel: VibKernel, t_wait: float) -> dict
 def twod_prefactor(sys: SystemParams) -> complex:
     """Overall constant i * exp(i*phase) * dipole^4 of the 2D signal."""
     return 1j * cmath.exp(1j * sys.phase) * sys.dipole ** 4
+
+
+def pump_probe_prefactor(sys: SystemParams) -> float:
+    """Overall constant 4 * dipole^4 of the pump-probe signal."""
+    return 4.0 * sys.dipole ** 4
 
 
 def twod_values(dec: ModeDecomposition, kernel: VibKernel,
@@ -473,7 +471,7 @@ def pump_probe(sys: SystemParams, dec: ModeDecomposition, kernel: VibKernel,
                axis: Axis, t_wait: float) -> SpectrumGrid:
     """Pump-probe spectrum on the absolute axis (real values)."""
     values = pump_probe_values(dec, kernel, axis.rotating(), t_wait,
-                               4.0 * sys.dipole ** 4) + 0.0j
+                               pump_probe_prefactor(sys)) + 0.0j
     meta = _base_metadata(sys, kernel)
     meta.update(display="real", axis1_role="detection")
     return SpectrumGrid("pump_probe", axis, None, t_wait, values, meta)
@@ -507,7 +505,7 @@ def pump_probe_direct(sys: SystemParams, dec: ModeDecomposition, kernel: VibKern
             tables[deltas] = (weight, m1 + m3)
         weight, m13 = tables[deltas]
         total += np.conj(g_wait[l, jp]) * g_wait[l, j] * (weight * trans[:, i, l][m13]).sum()
-    return float(4.0 * sys.dipole ** 4 * np.real(total))
+    return float(pump_probe_prefactor(sys) * np.real(total))
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +658,7 @@ def _slice_report(sys: SystemParams, dec: ModeDecomposition, kernel: VibKernel,
     lam2 = kernel.lambda_hr ** 2
     s = kernel.weights
     mm = kernel.m_max
-    scale = 4.0 * sys.dipole ** 4
+    scale = pump_probe_prefactor(sys)
 
     omega_up_abs = sys.axis_offset + dec.mu_up.imag
     up_formula = np.empty(t_list.size)
@@ -672,6 +670,7 @@ def _slice_report(sys: SystemParams, dec: ModeDecomposition, kernel: VibKernel,
     phi = np.exp(-2j * np.pi * np.outer(sites, q) / n)
     dark_weight = (phi @ phi.conj().T).real     # sum over dark modes of phi_sk conj(phi_lk)
 
+    omega_stokes = {m: sys.axis_offset + sys.delta_x - m * kernel.omega_v for m in stokes_orders}
     eds_formula = {m: np.empty(t_list.size) for m in stokes_orders}
     eds_exact = {m: np.empty(t_list.size) for m in stokes_orders}
 
@@ -691,17 +690,15 @@ def _slice_report(sys: SystemParams, dec: ModeDecomposition, kernel: VibKernel,
         for order in stokes_orders:
             gamma_res = dec.mu_dark.real + order * kernel.gamma_v
             eds_formula[order][it] = math.exp(lam2) / n * stokes_acc[order] / gamma_res
-            omega_abs = sys.axis_offset + sys.delta_x - order * kernel.omega_v
-            eds_exact[order][it] = pump_probe_values(dec, kernel,
-                                                     np.array([omega_abs - sys.axis_offset]),
-                                                     t_wait, scale)[0]
+            eds_exact[order][it] = pump_probe_values(
+                dec, kernel, np.array([omega_stokes[order] - sys.axis_offset]), t_wait, scale)[0]
 
     up_scale, up_res = _fit_scale(up_formula, up_exact)
     stokes = {}
     for order in stokes_orders:
         sc, res = _fit_scale(eds_formula[order], eds_exact[order])
-        omega_abs = sys.axis_offset + sys.delta_x - order * kernel.omega_v
-        stokes[order] = SliceTrace(omega_abs, eds_formula[order], eds_exact[order], sc, res)
+        stokes[order] = SliceTrace(omega_stokes[order], eds_formula[order], eds_exact[order],
+                                   sc, res)
     return SliceReport(
         t_list=t_list,
         upper_polariton=SliceTrace(omega_up_abs, up_formula, up_exact, up_scale, up_res),
@@ -738,21 +735,6 @@ def pump_probe_slices_direct(sys: SystemParams, dec: ModeDecomposition, kernel: 
 
 
 def _base_metadata(sys: SystemParams, kernel: VibKernel) -> dict:
-    return {
-        "n_molecules": sys.n_molecules,
-        "g": sys.g,
-        "delta_x": sys.delta_x,
-        "delta_c": sys.delta_c,
-        "gamma_x": sys.gamma_x,
-        "gamma_c": sys.gamma_c,
-        "omega_v": sys.omega_v,
-        "gamma_v": sys.gamma_v,
-        "lambda_hr": sys.lambda_hr,
-        "omega_ref": sys.omega_ref,
-        "dipole": sys.dipole,
-        "phase": sys.phase,
-        "axis_offset": sys.axis_offset,
-        "m_max": kernel.m_max,
-        "tail_eps": kernel.tail_eps,
-        "rad_per_cm_fs": RAD_PER_CM_FS,
-    }
+    """Every :class:`SystemParams` field, the axis offset, the truncation and the unit bridge."""
+    return {**asdict(sys), "axis_offset": sys.axis_offset, "m_max": kernel.m_max,
+            "tail_eps": kernel.tail_eps, "rad_per_cm_fs": RAD_PER_CM_FS}

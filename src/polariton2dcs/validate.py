@@ -35,6 +35,7 @@ from .signals import (
     linear_absorption,
     peak_ratios,
     pump_probe_direct,
+    pump_probe_prefactor,
     pump_probe_slices,
     pump_probe_slices_direct,
     pump_probe_values,
@@ -242,7 +243,7 @@ def check_pump_probe_direct(seed: int = 106, points: int = 20, tol: float = 1e-1
     def error(case) -> float:
         sys, dec, kernel, omega, t_wait = case
         fast = float(pump_probe_values(dec, kernel, np.array([omega - sys.axis_offset]), t_wait,
-                                       4.0 * sys.dipole ** 4)[0])
+                                       pump_probe_prefactor(sys))[0])
         return _relative_error(fast, pump_probe_direct(*case))
 
     return _result("pump_probe_direct", _worst(fork_map(error, cases)), tol, "N=2..5, relative")
@@ -301,8 +302,9 @@ def check_slices_direct(seed: int = 107, tol: float = 1e-10) -> CheckResult:
                    "N=2..5 reference, N=1..4 random, relative")
 
 
-def _local_peak_height(sys, dec, kernel, center_abs: float, halfwidth: float = 8.0) -> float:
-    axis = Axis(center_abs - halfwidth, center_abs + halfwidth, 801, sys.axis_offset)
+def _local_peak_height(sys, dec, kernel, center_abs: float) -> float:
+    """Largest absorption value on 801 points within 8 cm^-1 of ``center_abs``."""
+    axis = Axis(center_abs - 8.0, center_abs + 8.0, 801, sys.axis_offset)
     grid = linear_absorption(sys, dec, kernel, axis)
     return float(grid.display().max())
 

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -26,6 +27,7 @@ from polariton2dcs.cli import (
 )
 from polariton2dcs import signals, validate
 from polariton2dcs.errors import DivergentTransform, TooLarge
+from polariton2dcs.model import SystemParams
 from polariton2dcs.parallel import cpu_count, fork_map
 from polariton2dcs.propagator import build_matrix, decompose, propagator_G
 from polariton2dcs.signals import twod_signal
@@ -325,6 +327,57 @@ class TestMainExitCodes:
         monkeypatch.setattr(cli, "GRID_MAX_ELEMENTS", cli.GRID_MAX_ELEMENTS // 40)
         build_jobspec(mode, json.loads((CONFIGS / config).read_text()))
 
+    @pytest.mark.parametrize("mode, changes", [
+        ("twod", {"kernel.m_max": 416}),
+        ("slices", {"kernel.m_max": 8461}),
+        ("slices", {"kernel.m_max": 100000}),
+        ("pump-probe", {"kernel.m_max": 8461, "grids.pump_probe.count": 2}),
+    ])
+    def test_work_past_the_bound_is_refused(self, tmp_path, mode, changes):
+        cfg = json.loads(write_config(tmp_path, **changes).read_text())
+        power = 3 if mode == "twod" else 2
+        with pytest.raises(TooLarge, match=re.escape(
+                f"{mode} would take 15 x m_max^{power} = ")) as info:
+            build_jobspec(mode, cfg)
+        assert f"(kernel.m_max = {changes['kernel.m_max']})" in str(info.value)
+
+    @pytest.mark.parametrize("mode, changes", [
+        ("twod", {"kernel.m_max": 415}),
+        ("slices", {"kernel.m_max": 8460}),
+        ("pump-probe", {"kernel.m_max": 8460, "grids.pump_probe.count": 2}),
+    ])
+    def test_work_bound_is_inclusive(self, tmp_path, mode, changes):
+        cfg = json.loads(write_config(tmp_path, **changes).read_text())
+        assert build_jobspec(mode, cfg).kernel.m_max == changes["kernel.m_max"]
+
+    @pytest.mark.parametrize("mode", ["twod", "pump-probe", "slices"])
+    def test_work_past_the_bound_exits_3(self, tmp_path, capsys, monkeypatch, mode):
+        # a small bound, so that without the guard the job stays small
+        monkeypatch.setattr(cli, "WORK_MAX_OPS", 1000)
+        out = tmp_path / "o"
+        assert main([mode, "--config", str(write_config(tmp_path)), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"numeric failure: TooLarge: {mode} would take 15 x m_max^"), err
+        assert "(kernel.m_max = 12)" in err and "more than WORK_MAX_OPS = 1000" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["absorption", "twod", "pump-probe", "slices"])
+    def test_large_m_max_refused_before_the_weights_are_summed(self, tmp_path, monkeypatch, mode):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("kernel_from_params called")
+
+        monkeypatch.setattr(cli, "kernel_from_params", unreachable)
+        for m_max in (10 ** 8, 1e300):
+            cfg = json.loads(write_config(tmp_path, **{"kernel.m_max": m_max}).read_text())
+            with pytest.raises(TooLarge, match=f"m_max = {int(m_max)}"):
+                build_jobspec(mode, cfg)
+
+    @pytest.mark.parametrize("config", ["cyanine_n10.json", "cyanine_n1.json"])
+    @pytest.mark.parametrize("mode", ["twod", "pump-probe", "slices"])
+    def test_shipped_configs_far_below_the_work_bound(self, monkeypatch, config, mode):
+        monkeypatch.setattr(cli, "WORK_MAX_OPS", cli.WORK_MAX_OPS // 1000)
+        build_jobspec(mode, json.loads((CONFIGS / config).read_text()))
+
     def test_unwritable_output_exits_4(self, tmp_path):
         cfg = write_config(tmp_path)
         blocker = tmp_path / "blocker"
@@ -426,6 +479,31 @@ class TestMainExitCodes:
         assert manifest["oracle_seconds"] == {"stub": 1.25}
         assert json.loads((out / "validate.json").read_text()) == [
             {"name": "stub", "max_err": 0.1, "tol": 0.5, "passed": True}]
+
+
+class TestParamsRecord:
+    """params_hash and the grid metadata take every SystemParams field."""
+
+    def test_shipped_config_hash_is_pinned(self):
+        # every data file carries this hash: a change to the hashed record shows here
+        spec = build_jobspec("absorption", json.loads((CONFIGS / "cyanine_n10.json").read_text()))
+        assert params_hash(spec) == "88c90c084bfea4ab"
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SystemParams)])
+    def test_every_field_changes_the_hash(self, name):
+        spec = build_jobspec("absorption", BASE_CONFIG)
+        value = getattr(spec.params, name)
+        changed = dataclasses.replace(spec.params, **{name: value + 1})
+        assert params_hash(dataclasses.replace(spec, params=changed)) != params_hash(spec)
+
+    @pytest.mark.parametrize("mode", ["absorption", "twod", "pump-probe"])
+    def test_every_field_in_the_grid_metadata(self, mode):
+        raw = dict(BASE_CONFIG["system"], dipole=1.5, phase=0.25)
+        spec = build_jobspec(mode, dict(BASE_CONFIG, system=raw))
+        dec = decompose(build_matrix(spec.params))
+        grid = cli._grid_jobs(spec, dec)[0][1]()
+        for f in dataclasses.fields(SystemParams):
+            assert grid.metadata[f.name] == getattr(spec.params, f.name), f.name
 
 
 class TestManifestEnvironment:

@@ -38,6 +38,18 @@ def reference_csv(grid: SpectrumGrid) -> str:
     return "\n".join(lines) + "\n"
 
 
+def reference_json(grid: SpectrumGrid) -> str:
+    """Reference for the per-key writer: the whole grid record through one ``json.dumps``."""
+    def axis(ax):
+        return None if ax is None else {"start": ax.start, "stop": ax.stop, "count": ax.count,
+                                        "offset": ax.offset, "label": ax.label}
+
+    doc = {"signal": grid.signal, "axis1": axis(grid.axis1), "axis2": axis(grid.axis2),
+           "t_wait": grid.t_wait, "values_re": np.real(grid.values).tolist(),
+           "values_im": np.imag(grid.values).tolist(), "metadata": grid.metadata}
+    return json.dumps(doc, sort_keys=True) + "\n"
+
+
 def bits(values: np.ndarray) -> np.ndarray:
     """Bit patterns of the real and imaginary parts, so -0.0 and nan compare exactly."""
     return np.ascontiguousarray(values).view(np.int64)
@@ -182,6 +194,13 @@ class TestGridIO:
             path = tmp_path / "grid.csv"
             write_csv(path, grid)
             assert path.read_text() == reference_csv(grid)
+
+    @pytest.mark.parametrize("two_dimensional", [False, True])
+    def test_json_bytes_match_whole_document_writer(self, tmp_path, two_dimensional):
+        for grid in self.make_writer_grids(two_dimensional):
+            path = tmp_path / "grid.json"
+            write_json_grid(path, grid)
+            assert path.read_text() == reference_json(grid)
 
     @pytest.mark.parametrize("two_dimensional", [False, True])
     def test_csv_roundtrip_is_exact_for_special_values(self, tmp_path, two_dimensional):

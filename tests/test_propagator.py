@@ -23,7 +23,7 @@ from polariton2dcs.propagator import (
     _PATTERN_FIELDS,
     ModeDecomposition,
     PatternEntries,
-    _entries_at_theta,
+    _assemble_entries,
 )
 from polariton2dcs.validate import (
     _random_params,
@@ -35,16 +35,15 @@ from polariton2dcs.validate import (
 
 
 def reference_quadrature_fourier(dec: ModeDecomposition, omega: complex,
-                                 u_max: float | None = None, conjugated: bool = False,
-                                 panel_points: int = 10) -> np.ndarray:
+                                 conjugated: bool = False) -> np.ndarray:
     """Entry-wise panel quadrature: every pattern entry of G(u) sampled at every node.
 
     The reference for :func:`quadrature_fourier`, which integrates per eigenmode
     on the same panels.
     """
     omega = complex(omega)
-    if u_max is None:
-        u_max = 40.0 / dec.gamma_min
+    u_max = 40.0 / dec.gamma_min
+    panel_points = 10
     if conjugated:
         # conj(G(u)) * exp(-i z u):  oscillation -Re z, envelope exp(+Im(z) u)
         w_osc, q = -omega.real, -omega.imag
@@ -62,14 +61,14 @@ def reference_quadrature_fourier(dec: ModeDecomposition, omega: complex,
     u = (mids[:, None] + half * x[None, :]).ravel()
     du = np.broadcast_to(half * gl_w[None, :], (n_panels, panel_points)).ravel()
     kernel = np.exp((1j * w_osc - q) * u) * du
-    ent = _entries_at_theta(dec, u)
+    ent = _assemble_entries(dec, lambda mu: np.exp(-mu * u))
     if conjugated:
         ent = ent.conj()
     vals = {name: complex(np.sum(getattr(ent, name) * kernel)) for name in _PATTERN_FIELDS}
     return PatternEntries(**vals).to_dense(dec.n_molecules)
 
 
-def reference_matrix_exp(a: np.ndarray, taylor_terms: int = 20) -> np.ndarray:
+def reference_matrix_exp(a: np.ndarray) -> np.ndarray:
     """exp(a) with a fresh identity on every Horner step; the reference for
     :func:`matrix_exp`, which builds the identity once."""
     a = np.asarray(a, dtype=complex)
@@ -78,7 +77,7 @@ def reference_matrix_exp(a: np.ndarray, taylor_terms: int = 20) -> np.ndarray:
     small = a / (2.0 ** squarings)
     out = np.eye(a.shape[0], dtype=complex)
     # Horner evaluation of the truncated series
-    for k in range(taylor_terms, 0, -1):
+    for k in range(20, 0, -1):
         out = np.eye(a.shape[0], dtype=complex) + small @ out / k
     for _ in range(squarings):
         out = out @ out

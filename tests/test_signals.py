@@ -32,7 +32,17 @@ from polariton2dcs import (
     validate_params,
 )
 from polariton2dcs.peaks import find_peaks_1d, find_peaks_2d
-from polariton2dcs.signals import SLICES_MAX_N, _wait_factor, falling_factorial
+from polariton2dcs.signals import (
+    I_,
+    J_,
+    JP_,
+    L_,
+    SLICES_MAX_N,
+    IndexClass,
+    _pp_class_weights,
+    _wait_factor,
+    _weight_table,
+)
 from polariton2dcs.validate import (
     _random_params,
     check_pump_probe_direct,
@@ -40,7 +50,13 @@ from polariton2dcs.validate import (
     check_twod_direct,
     reference_params,
 )
-from polariton2dcs.vibrations import VibKernel, kernel_from_params
+from polariton2dcs.vibrations import (
+    TimeQuadruple,
+    VibKernel,
+    four_point_correlator,
+    franck_condon_cutoff,
+    kernel_from_params,
+)
 
 POLARITON_LINES = (14313.0, 17913.0)
 ORACLE_RTOL = 1e-10
@@ -132,8 +148,10 @@ class TestIndexClasses:
         assert merged.free_mask == (True,) * 6
 
     def test_falling_factorial(self):
-        assert falling_factorial(10, 4) == 5040
-        assert falling_factorial(3, 4) == 0
+        # the all-distinct class is realized by N (N-1) (N-2) (N-3) tuples
+        all_distinct = IndexClass((0, 1, 2, 3))
+        assert all_distinct.multiplicity(10) == 5040
+        assert all_distinct.multiplicity(3) == 0
 
 
 class TestGridTypes:
@@ -508,3 +526,52 @@ class TestSlices:
         dec = decompose(build_matrix(sys))
         with pytest.raises(TooLarge, match=str(SLICES_MAX_N)):
             pump_probe_slices(sys, dec, kernel_from_params(sys), [0.0])
+
+
+def slot_sites(cls: IndexClass) -> tuple[int, ...]:
+    """Sites of the correlator's operator slots (j', j, l, i) for one index class."""
+    return tuple(cls.assignment[slot] for slot in (JP_, J_, L_, I_))
+
+
+class TestPhononTablesAgainstCorrelator:
+    """The class-collapsed phonon tables against the vacuum four-point correlator.
+
+    With c(t) = exp(i shift(1) theta(t)) and z = c(T), the generating function
+    of a class's 2D table is sum over (a, k) of W[a, k] c(t3)^a c(t1)^k; the
+    correlator is taken at times (0, t1, t1 + T, t1 + T + t3) on the sites of
+    the slots (j', j, l, i).  tail_eps 1e-14 keeps truncation below the tolerance.
+    """
+
+    @pytest.mark.parametrize("lam", [0.3, 1.0, 2.0])
+    def test_twod_table_is_the_correlator_times_a_global_constant(self, lam):
+        kernel = VibKernel(lam, 1200.0, 20.0, franck_condon_cutoff(lam, 1e-14), 1e-14)
+        rng = np.random.default_rng(1101)
+        for t1, t_wait, t3 in rng.uniform(0.0, 300.0, size=(5, 3)):
+            c1, c3 = kernel.wait_factor(t1), kernel.wait_factor(t3)
+            powers = np.arange(3 * kernel.m_max + 1)
+            for cls in index_classes():
+                table = _weight_table(kernel, cls.free_mask, kernel.wait_factor(t_wait))
+                gen = c3 ** powers @ table @ c1 ** powers
+                # the terms cancel heavily at large lambda: compare with their magnitudes
+                scale = np.abs(c3 ** powers) @ np.abs(table) @ np.abs(c1 ** powers)
+                quad = TimeQuadruple((0.0, t1, t1 + t_wait, t1 + t_wait + t3), slot_sites(cls))
+                expected = math.exp(-4.0 * lam * lam) * four_point_correlator(quad, kernel)
+                assert abs(gen - expected) <= 1e-10 * scale, (cls.assignment, t1, t_wait, t3)
+
+    @pytest.mark.parametrize("lam", [0.3, 1.0, 2.0])
+    def test_pump_probe_factor_depends_on_the_class(self, lam):
+        # Records the current pump-probe kernel, not the physics it should have:
+        # against the correlator at t1 = 0 its factor is exp(-2 lambda^2) when
+        # j = j' and exp(-lambda^2) when j != j', where the 2D table carries
+        # exp(-4 lambda^2) for every class.
+        kernel = VibKernel(lam, 1200.0, 20.0, franck_condon_cutoff(lam, 1e-14), 1e-14)
+        rng = np.random.default_rng(1102)
+        for t_wait, t3 in rng.uniform(0.0, 300.0, size=(5, 2)):
+            c3 = kernel.wait_factor(t3)
+            for cls in index_classes():
+                w13, f2 = _pp_class_weights(cls, kernel, kernel.wait_factor(t_wait))
+                gen = f2 * np.sum(w13 * c3 ** np.arange(w13.size))
+                quad = TimeQuadruple((0.0, 0.0, t_wait, t_wait + t3), slot_sites(cls))
+                factor = math.exp(-2.0 * lam * lam if cls.equal(J_, JP_) else -lam * lam)
+                expected = factor * four_point_correlator(quad, kernel)
+                assert abs(gen / expected - 1.0) <= 1e-10, (cls.assignment, t_wait, t3)
