@@ -192,9 +192,15 @@ def build_jobspec(mode: str, config: dict, out_override: str | None = None,
     kernel_cfg = _object(config.get("kernel", {}), "kernel")
     _reject_unknown(kernel_cfg, _KERNEL_KEYS, "kernel")
     if "m_max" in kernel_cfg and kernel_cfg["m_max"] is not None:
-        key, truncation = "kernel.m_max", {"m_max": _integer(kernel_cfg["m_max"], "kernel.m_max")}
-        # refuse before kernel_from_params sums the m_max + 1 Franck-Condon weights
-        _check_grid_size(mode, grids, truncation["m_max"])
+        m_max = _integer(kernel_cfg["m_max"], "kernel.m_max")
+        key, truncation = "kernel.m_max", {"m_max": m_max}
+        # refuse before kernel_from_params sums the m_max + 1 Franck-Condon weights; eig and
+        # validate never use the kernel, and take the largest cutoff a spectrum mode accepts
+        _check_grid_size(mode, grids, m_max)
+        if mode in ("eig", "validate") and 15 * m_max ** 2 > WORK_MAX_OPS:
+            raise TooLarge(f"{mode} uses no phonon kernel, and kernel.m_max = {m_max} is past "
+                           f"the largest cutoff any spectrum mode accepts "
+                           f"(15 x m_max^2 <= WORK_MAX_OPS = {WORK_MAX_OPS})")
     else:
         key, truncation = "kernel.tail_eps", {
             "tail_eps": _number(kernel_cfg.get("tail_eps", 1e-10), "kernel.tail_eps")}
@@ -336,8 +342,17 @@ def load_grid(path) -> SpectrumGrid:
         raise MalformedGrid(f"cannot parse {path}: {exc}") from exc
 
 
-def _axis_from_values(vals: np.ndarray, offset: float, label: str) -> Axis:
-    return Axis(float(vals[0]), float(vals[-1]), int(vals.size), offset, label)
+def _axis_of(path: Path, column: np.ndarray, offset: float, label: str) -> Axis:
+    """The uniform axis from the first to the last value of ``column``, which must be that axis.
+
+    :func:`write_csv` prints each axis value with ``%.17g``, so its files read
+    back to the axis exactly; a millionth of a step is allowed for files
+    written by other tools.
+    """
+    axis = Axis(float(column[0]), float(column[-1]), int(column.size), offset, label)
+    if not np.all(np.abs(column - axis.values()) <= 1e-6 * axis.step):
+        raise MalformedGrid(f"{path}: the {label} column is not a uniform axis in ascending order")
+    return axis
 
 
 def _load_csv(path: Path) -> SpectrumGrid:
@@ -362,20 +377,22 @@ def _load_csv(path: Path) -> SpectrumGrid:
     signal = str(meta.get("signal", "unknown"))
     t_wait = meta.get("t_wait")
     if header[:2] == ["omega1", "omega3"]:
-        om1 = np.unique(data[:, 0])
-        om3 = np.unique(data[:, 1])
-        if om1.size * om3.size != data.shape[0]:
+        # the writer's order: one block of omega3 rows per omega1
+        n3 = int(np.argmax(data[:, 0] != data[0, 0])) or data.shape[0]
+        if data.shape[0] % n3:
             raise MalformedGrid(f"{path}: 2D grid is not a full product grid")
+        om = data[:, :2].reshape(-1, n3, 2)
+        if not (np.all(om[:, :, 0] == om[:, :1, 0]) and np.all(om[:, :, 1] == om[:1, :, 1])):
+            raise MalformedGrid(f"{path}: 2D rows are not omega1-major over one omega3 axis")
         values = data[:, 2].astype(complex)   # not re + 1j*im: 1j*inf has a nan real part
         values.imag = data[:, 3]
-        values = values.reshape(om1.size, om3.size)
-        return SpectrumGrid(signal, _axis_from_values(om1, offset, "omega1"),
-                            _axis_from_values(om3, offset, "omega3"),
-                            t_wait, values, meta)
+        return SpectrumGrid(signal, _axis_of(path, om[:, 0, 0], offset, "omega1"),
+                            _axis_of(path, om[0, :, 1], offset, "omega3"),
+                            t_wait, values.reshape(om.shape[:2]), meta)
     if header[0] != "omega":
         raise MalformedGrid(f"{path}: unrecognized column layout {header}")
     values = data[:, 1].astype(complex)
-    return SpectrumGrid(signal, _axis_from_values(data[:, 0], offset, "omega"),
+    return SpectrumGrid(signal, _axis_of(path, data[:, 0], offset, "omega"),
                         None, t_wait, values, meta)
 
 

@@ -540,8 +540,9 @@ def _fit_scale(formula: np.ndarray, exact: np.ndarray) -> tuple[float, float]:
     return scale, float(np.sqrt(np.mean(resid ** 2)) / norm)
 
 
-# The Stokes sums run over (site, l, j', j): their cost grows as N^4.  With
-# four waiting times and two orders they take 1.5 s at N = 40, 50 s at N = 100.
+# The Stokes sums keep O(N^2) of their N^3 terms per site, so their cost
+# grows as N^3.  With four waiting times and two orders the traces take
+# 0.02 s at N = 20, 0.09 s at N = 40 and 1.0 s at N = 100 (2-vCPU x86_64).
 SLICES_MAX_N = 100
 
 
@@ -579,71 +580,61 @@ def _slice_sums_direct(s, z, zp, gg, dark_weight, stokes_orders) -> tuple[float,
     return accum, stokes
 
 
-def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First index of each bitwise-distinct row of a float array, and the class of every row."""
-    bits = np.ascontiguousarray(rows, dtype=float).view(np.int64)
-    _, first, cls = np.unique(bits, axis=0, return_index=True, return_inverse=True)
-    return first, cls.ravel()
-
-
 def _sequential_sum(start: float, terms: np.ndarray) -> float:
     """start + terms[0] + terms[1] + ..., added one at a time in C order."""
     return np.add.accumulate(np.concatenate(([start], terms.ravel())))[-1]
 
 
 def _slice_sums(s, z, zp, gg, dark_weight, stokes_orders) -> tuple[float, dict]:
-    """The sums of :func:`_slice_sums_direct`, bit for bit, on arrays.
+    """The sums of :func:`_slice_sums_direct`, bit for bit, in O(N^3).
 
-    The loops' expression for the phonon sum is evaluated once per distinct
-    (d, gg) value; its products with z^m3 and the dark weight stay scalar
-    products, since array products may round differently.  The terms are added
-    in the loops' order, (l, j', j) and (site, l, j', j, m1), with an exact zero
-    wherever the loops skip, one site at a time to bound the memory at O(N^3).
+    The propagator holds one diagonal and one off-diagonal value, so d and gg
+    depend only on the pattern 2 (j' == l) + (j == l) of (l, j', j), and the
+    loops' phonon sum is evaluated once per pattern.  Each term is the loops'
+    scalar product, and the terms the loops keep are added one at a time in
+    the loops' order; the ones they skip would add an exact zero and are left
+    out.  Off the site's own row l only m1 = 0 is kept, and only the 2(N - 1)
+    pairs (j', j) with one index on the site have d3 != 0, so each site adds
+    about 2 N^2 + N^2 (order + 1) terms instead of N^3 (order + 1).
     """
     n = gg.shape[0]
     mm = s.size - 1
     m_idx = np.arange(mm + 1)
-    eye = np.eye(n)
-    d = eye[:, :, None] - eye[:, None, :]           # [l, jp, j] = (jp == l) - (j == l)
-    first, cls = _distinct_rows(np.stack([d.ravel(), gg.real.ravel(), gg.imag.ravel()], axis=1))
-    phonon = [np.sum(s * float(d.flat[i]) ** m_idx * zp * gg.flat[i]) for i in first]
-    cls = cls.reshape(n, n, n)
-    accum = _sequential_sum(0.0, np.array([p.real for p in phonon])[cls])
+    eye = np.eye(n, dtype=int)
+    pattern = 2 * eye[:, :, None] + eye[:, None, :]     # [l, jp, j]
+    phonon = np.zeros(4, dtype=complex)
+    for p in (range(4) if n > 1 else (3,)):              # (l, j', j) = (0, j', j) of pattern p
+        jp, j = 1 - p // 2, 1 - p % 2
+        d = float(jp == 0) - float(j == 0)
+        phonon[p] = (s * d ** m_idx * zp * gg[0, jp, j]).sum()
+    accum = _sequential_sum(0.0, phonon.real[pattern])
 
-    dw_first, dw_cls = _distinct_rows(dark_weight.reshape(-1, 1))
-    dw_cls = dw_cls.reshape(n, n)
-    diagonal = np.unique(dw_cls.diagonal())
-    on_site = np.eye(n, dtype=bool)
     stokes = {}
     for order in stokes_orders:
-        m1_list = range(order + 1)
         # w13[d3 + 1, m1] = s[m1] s[m3] d3^m3, zero for orders beyond the cutoff
         w13 = np.zeros((3, order + 1))
-        for m1 in m1_list:
+        for m1 in range(order + 1):
             m3 = order - m1
             if m1 <= mm and m3 <= mm:
                 for d3 in (-1.0, 0.0, 1.0):
                     w13[int(d3) + 1, m1] = s[m1] * s[m3] * (d3 ** m3)
-        # re_dw[k, u, m1] = Re(dw_k * phonon_u * z^m3); m1 > 0 only needs the diagonal
-        re_dw = np.zeros((dw_first.size, first.size, order + 1))
-        for m1 in m1_list:
-            if not w13[:, m1].any():
-                continue
-            zm3 = z ** (order - m1)
-            for u, p in enumerate(phonon):
-                inner = p * zm3
-                for k in (range(dw_first.size) if m1 == 0 else diagonal):
-                    re_dw[k, u, m1] = float(np.real(dark_weight.flat[dw_first[k]] * inner))
-        open_m1 = np.arange(order + 1) == 0
+        live = np.flatnonzero(w13.any(axis=0))          # the m1 with a nonzero weight
+        inner = np.array([[phonon[p] * z ** (order - m1) for m1 in live.tolist()] for p in range(4)])
+        # Re(dw phonon z^m3): off the site's row at m1 = 0, [site, l, p]; on it, [site, p, m1]
+        re_off = np.real(dark_weight[:, :, None]
+                         * np.array([phonon[p] * z ** order for p in range(4)]))
+        re_on = np.real(np.diagonal(dark_weight)[:, None, None] * inner)
+        w_live = w13[:, live]
         acc = 0.0
         for site in range(n):
-            d3 = (eye[site][None, :] - eye[site][:, None]).astype(int) + 1   # [jp, j]
-            w = w13[d3]                                                       # [jp, j, m1]
-            terms = w * re_dw[dw_cls[site][:, None, None], cls]              # [l, jp, j, m1]
-            keep = ((w != 0.0)
-                    & (dark_weight[site] != 0.0)[:, None, None, None]
-                    & (open_m1 | on_site[site][:, None])[:, None, None, :])
-            acc = _sequential_sum(acc, np.where(keep, terms, 0.0))
+            d3 = eye[site][None, :] - eye[site][:, None] + 1     # [jp, j] = (site == j) - (site == jp) + 1
+            jp, j = np.nonzero(w13[d3, 0])
+            rows = np.flatnonzero((dark_weight[site] != 0.0) & (eye[site] == 0))[:, None]
+            off = w13[d3[jp, j], 0] * re_off[site, rows, 2 * (jp == rows) + (j == rows)]
+            w = w_live[d3]                                        # [jp, j, m1]
+            on = (w * re_on[site][pattern[site]])[(w != 0.0) & (dark_weight[site, site] != 0.0)]
+            split = np.count_nonzero(rows < site)
+            acc = _sequential_sum(acc, np.concatenate((off[:split].ravel(), on, off[split:].ravel())))
         stokes[order] = acc
     return accum, stokes
 
@@ -714,10 +705,10 @@ def pump_probe_slices(sys: SystemParams, dec: ModeDecomposition, kernel: VibKern
     bright weight for the polariton line; explicit discrete-Fourier dark
     phases for the Stokes lines) and are cross-validated against the full
     kernel up to a fitted constant, which is reported alongside.  The Stokes
-    sums cost O(N^4); refuse N > SLICES_MAX_N.
+    sums cost O(N^3) per waiting time; refuse N > SLICES_MAX_N.
     """
     if sys.n_molecules > SLICES_MAX_N:
-        raise TooLarge(f"slices limited to N <= {SLICES_MAX_N} (cost grows as N^4), "
+        raise TooLarge(f"slices limited to N <= {SLICES_MAX_N} (cost grows as N^3), "
                        f"got N = {sys.n_molecules}")
     return _slice_report(sys, dec, kernel, t_list, stokes_orders, _slice_sums)
 

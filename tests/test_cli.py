@@ -361,7 +361,8 @@ class TestMainExitCodes:
         assert "(kernel.m_max = 12)" in err and "more than WORK_MAX_OPS = 1000" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("mode", ["absorption", "twod", "pump-probe", "slices"])
+    @pytest.mark.parametrize("mode", ["absorption", "twod", "pump-probe", "slices", "eig",
+                                      "validate"])
     def test_large_m_max_refused_before_the_weights_are_summed(self, tmp_path, monkeypatch, mode):
         def unreachable(*args, **kwargs):
             raise AssertionError("kernel_from_params called")
@@ -371,6 +372,18 @@ class TestMainExitCodes:
             cfg = json.loads(write_config(tmp_path, **{"kernel.m_max": m_max}).read_text())
             with pytest.raises(TooLarge, match=f"m_max = {int(m_max)}"):
                 build_jobspec(mode, cfg)
+
+    @pytest.mark.parametrize("mode", ["eig", "validate"])
+    def test_modes_without_a_kernel_take_the_largest_spectrum_cutoff(self, tmp_path, capsys, mode):
+        cfg = write_config(tmp_path, **{"kernel.m_max": 8460})
+        assert build_jobspec(mode, json.loads(cfg.read_text())).kernel.m_max == 8460
+        cfg = write_config(tmp_path, **{"kernel.m_max": 8461})
+        out = tmp_path / "o"
+        assert main([mode, "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"numeric failure: TooLarge: {mode} uses no phonon kernel, "
+                              f"and kernel.m_max = 8461 "), err
+        assert not out.exists()
 
     @pytest.mark.parametrize("config", ["cyanine_n10.json", "cyanine_n1.json"])
     @pytest.mark.parametrize("mode", ["twod", "pump-probe", "slices"])

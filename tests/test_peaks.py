@@ -243,6 +243,81 @@ class TestGridIO:
         with pytest.raises(MalformedGrid):
             load_grid(bad)
 
+    @pytest.mark.parametrize("two_dimensional", [False, True])
+    def test_every_writer_grid_reads_back_to_the_same_floats(self, tmp_path, two_dimensional):
+        for grid in self.make_writer_grids(two_dimensional):
+            path = tmp_path / "grid.csv"
+            write_csv(path, grid)
+            loaded = load_grid(path)
+            assert np.array_equal(loaded.axis1.values(), grid.axis1.values())
+            if two_dimensional:
+                assert np.array_equal(loaded.axis2.values(), grid.axis2.values())
+            values = loaded.values if two_dimensional else loaded.values.real
+            assert np.array_equal(bits(values), bits(grid.values if two_dimensional
+                                                     else grid.values.real))
+
+    def rewrite_rows(self, path, change):
+        """Rewrite the data rows of a csv grid file through ``change`` (a list to a list)."""
+        lines = path.read_text().splitlines()
+        at = next(k for k, line in enumerate(lines) if not line.startswith("#")) + 1
+        path.write_text("\n".join(lines[:at] + change(lines[at:])) + "\n")
+
+    def assert_refused(self, path, capsys, match):
+        with pytest.raises(MalformedGrid, match=match):
+            load_grid(path)
+        assert main(["peaks", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("config error: "), captured
+
+    @pytest.mark.parametrize("two_dimensional", [False, True])
+    def test_shuffled_rows_are_refused(self, tmp_path, capsys, two_dimensional):
+        path = tmp_path / "grid.csv"
+        write_csv(path, self.make_grid(two_dimensional))
+        # the first and the last row stay, so the axis ends are those of the written grid
+        size = 30 if two_dimensional else 6
+        order = [0, *(1 + np.random.default_rng(7).permutation(size - 2)), size - 1]
+        self.rewrite_rows(path, lambda rows: [rows[k] for k in order])
+        self.assert_refused(path, capsys, "grid.csv")
+
+    @pytest.mark.parametrize("change", [
+        lambda rows: rows[::-1],                                             # omega1 descending
+        lambda rows: [rows[5 * (k % 6) + k // 6] for k in range(30)],        # omega3-major
+        lambda rows: [rows[5 * (k // 5) + 4 - k % 5] for k in range(30)],    # omega3 descending
+        lambda rows: rows[:5] + [rows[5 + (k + 1) % 5] for k in range(5)] + rows[10:],
+    ])
+    def test_2d_rows_out_of_the_writers_order_are_refused(self, tmp_path, capsys, change):
+        path = tmp_path / "grid.csv"
+        write_csv(path, self.make_grid(True))
+        self.rewrite_rows(path, change)
+        self.assert_refused(path, capsys, "grid.csv")
+
+    @pytest.mark.parametrize("two_dimensional, column", [(False, 0), (True, 0), (True, 1)])
+    @pytest.mark.parametrize("shift, refused", [(0.01, True), (1e-9, False)])
+    def test_axis_column_must_be_uniform(self, tmp_path, capsys, two_dimensional, column,
+                                         shift, refused):
+        # move every value of the column's second axis point by a fraction of its step
+        path = tmp_path / "grid.csv"
+        write_csv(path, self.make_grid(two_dimensional))
+        second = {0: "120", 1: "325"}[column]
+        moved = repr(float(second) + shift * (20.0 if column == 0 else 25.0))
+
+        def change(rows):
+            cells = [row.split(",") for row in rows]
+            for row in cells:
+                if row[column] == second:
+                    row[column] = moved
+            return [",".join(row) for row in cells]
+
+        self.rewrite_rows(path, change)
+        if refused:
+            label = "omega" if not two_dimensional else ("omega1", "omega3")[column]
+            self.assert_refused(path, capsys, f"the {label} column is not a uniform axis")
+        else:
+            loaded, grid = load_grid(path), self.make_grid(two_dimensional)
+            assert np.array_equal(loaded.axis1.values(), grid.axis1.values())
+            if two_dimensional:
+                assert np.array_equal(loaded.axis2.values(), grid.axis2.values())
+
     def test_peak_report_dicts(self, tmp_path):
         ax = Axis(0.0, 100.0, 201)
         x = ax.values()

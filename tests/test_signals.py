@@ -40,6 +40,9 @@ from polariton2dcs.signals import (
     SLICES_MAX_N,
     IndexClass,
     _pp_class_weights,
+    _slice_report,
+    _slice_sums,
+    _slice_sums_direct,
     _wait_factor,
     _weight_table,
 )
@@ -510,12 +513,66 @@ class TestSlices:
         t_list = [0.0] + list(rng.uniform(0.0, 600.0, size=3))
         fast = pump_probe_slices(sys, dec, kernel, t_list, stokes_orders=(1, 2, 3))
         slow = pump_probe_slices_direct(sys, dec, kernel, t_list, stokes_orders=(1, 2, 3))
+        self.assert_same_report(fast, slow)
+
+    @staticmethod
+    def assert_same_report(fast, slow):
         pairs = [(fast.upper_polariton, slow.upper_polariton)]
-        pairs += [(fast.stokes[m], slow.stokes[m]) for m in (1, 2, 3)]
+        pairs += [(fast.stokes[m], slow.stokes[m]) for m in slow.stokes]
         for a, b in pairs:
             assert np.array_equal(a.formula, b.formula)
             assert np.array_equal(a.exact, b.exact)
             assert (a.omega_abs, a.fitted_scale, a.residual) == (b.omega_abs, b.fitted_scale, b.residual)
+
+    def assert_sums_match_the_loops(self, sys, dec, kernel, t_list, orders):
+        """The array sums and the literal site loops give the same report, bit for bit."""
+        self.assert_same_report(_slice_report(sys, dec, kernel, t_list, orders, _slice_sums),
+                                _slice_report(sys, dec, kernel, t_list, orders, _slice_sums_direct))
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_sums_bitwise_past_the_oracle_bound(self, n):
+        # pump_probe_slices_direct refuses N > 6, so the report is built from both sums directly
+        sys, dec, kernel, rng = random_detuned_case(500 + n, n)
+        t_list = [0.0] + list(rng.uniform(0.0, 600.0, size=2))
+        self.assert_sums_match_the_loops(sys, dec, kernel, t_list, (1, 2, 3))
+
+    @pytest.mark.parametrize("n", [2, 5, 7])
+    @pytest.mark.parametrize("m_max", [None, 2])
+    def test_sums_bitwise_without_displacement(self, n, m_max):
+        # lambda = 0: only the zero-phonon weight is nonzero
+        sys = reference_params(n_molecules=n, lambda_hr=0.0, g=1800.0 / math.sqrt(n))
+        kernel = kernel_from_params(sys, m_max=m_max)
+        assert np.count_nonzero(kernel.weights) == 1
+        self.assert_sums_match_the_loops(sys, decompose(build_matrix(sys)), kernel,
+                                         [0.0, 250.0], (1, 2))
+
+    @pytest.mark.parametrize("n", [2, 4, 7])
+    def test_sums_bitwise_at_zero_delay(self, n):
+        # at T = 0 the off-diagonal propagator entries vanish (exactly at N = 4 and 7, to
+        # 1e-21 at N = 2), and patterns whose gg holds one of them share the value zero
+        sys = reference_params(n_molecules=n, g=1800.0 / math.sqrt(n))
+        dec = decompose(build_matrix(sys))
+        g = propagator_G(dec, 0.0)[:n, :n]
+        assert np.abs(g - np.eye(n)).max() < 1e-20
+        assert n == 2 or np.array_equal(g, np.eye(n))
+        self.assert_sums_match_the_loops(sys, dec, kernel_from_params(sys), [0.0], (1, 2))
+
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_sums_bitwise_with_orders_past_the_cutoff(self, n):
+        # at m_max = 1, order 2 keeps only m1 = m3 = 1 and order 3 keeps no term
+        sys = reference_params(n_molecules=n, g=1800.0 / math.sqrt(n))
+        kernel = kernel_from_params(sys, m_max=1)
+        self.assert_sums_match_the_loops(sys, decompose(build_matrix(sys)), kernel,
+                                         [0.0, 130.0], (1, 2, 3))
+
+    def test_vectorized_dark_weight_product_is_the_scalar_product(self):
+        # _slice_sums takes Re(dw * inner) over arrays, where the loops take it per scalar
+        rng = np.random.default_rng(11)
+        dw = rng.standard_normal(4000) * 10.0 ** rng.integers(-3, 3, 4000)
+        inner = (rng.standard_normal(7) + 1j * rng.standard_normal(7)) * 10.0 ** rng.integers(-9, 3, 7)
+        vectorized = np.real(dw[:, None] * inner)
+        scalar = np.array([[float(np.real(d * c)) for c in inner] for d in dw])
+        assert np.array_equal(vectorized.view(np.int64), scalar.view(np.int64))
 
     def test_direct_loop_size_guard(self, dye_system, dye_dec, dye_kernel):
         with pytest.raises(TooLarge):
