@@ -9,8 +9,8 @@ measured peak-height ratio against the closed-form law.
 import sys
 from pathlib import Path
 
-from polariton2dcs import Axis, build_matrix, decompose, linear_absorption, peak_ratios
-from polariton2dcs.cli import write_csv
+from polariton2dcs import build_matrix, decompose, linear_absorption, peak_ratios
+from polariton2dcs.grids import Axis, write_csv
 from polariton2dcs.peaks import find_peaks_1d
 from polariton2dcs.validate import reference_params
 from polariton2dcs.vibrations import kernel_from_params
@@ -32,7 +32,7 @@ def main():
         peaks = find_peaks_1d(axis.values(), grid.display(), min_rel_height=0.01)
         print(f"displacement lambda = {lam:g}  ->  {path}")
         for p in peaks[:5]:
-            print(f"  peak {p.refined_position:9.1f} cm^-1   height {p.height:.4f}")
+            print(f"  peak {p.refined:9.1f} cm^-1   height {p.height:.4f}")
         ratios = peak_ratios(sys_params, dec, m_max=2)
         print(f"  closed-form one-phonon/LP ratio: {ratios.eds_over_lp[0]:.5f}"
               f"{'  (equal-rate approximation)' if ratios.approximate else ''}")

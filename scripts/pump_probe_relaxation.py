@@ -11,8 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from polariton2dcs import Axis, build_matrix, decompose, pump_probe, pump_probe_slices
-from polariton2dcs.cli import write_csv
+from polariton2dcs import build_matrix, decompose, pump_probe, pump_probe_slices
+from polariton2dcs.grids import Axis, write_csv
 from polariton2dcs.peaks import find_peaks_1d
 from polariton2dcs.validate import reference_params
 from polariton2dcs.vibrations import kernel_from_params
@@ -34,8 +34,8 @@ def main():
         write_csv(path, grid)
         peaks = find_peaks_1d(axis.values(), grid.display(), min_rel_height=0.01)
         print(f"T={t_wait:4.0f} fs -> {path.name}   peaks: " +
-              ", ".join(f"{p.refined_position:.0f}" for p in sorted(
-                  peaks, key=lambda q: q.refined_position)))
+              ", ".join(f"{p.refined:.0f}" for p in sorted(
+                  peaks, key=lambda q: q.refined)))
 
     report = pump_probe_slices(sys_params, dec, kernel, T_LIST, stokes_orders=(1, 2))
     rows = ["t_wait,up_exact,up_formula,stokes1_exact,stokes1_formula,stokes2_exact,stokes2_formula"]

@@ -11,8 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from polariton2dcs import Axis, build_matrix, decompose, twod_signal
-from polariton2dcs.cli import write_csv
+from polariton2dcs import build_matrix, decompose, twod_signal
+from polariton2dcs.grids import Axis, write_csv
 from polariton2dcs.peaks import find_peaks_2d
 from polariton2dcs.signals import twod_prefactor, twod_values
 from polariton2dcs.validate import reference_params
@@ -45,7 +45,7 @@ def main():
             peaks = find_peaks_2d(axis.values(), axis.values(), grid.display(),
                                   omega_v=sys_params.omega_v, min_rel_height=0.05)
             tags = ", ".join(
-                f"({p.position[0]:.0f},{p.position[1]:.0f}){p.classification[0]}"
+                f"({p.omega1:.0f},{p.omega3:.0f}){p.classification[0]}"
                 for p in peaks[:6])
             print(f"  T={t_wait:4.0f} fs  ->  {path.name}   top peaks: {tags}")
         trace = {t: cross_peak_height(sys_params, dec, kernel, t) for t in T_LIST}

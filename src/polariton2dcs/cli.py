@@ -24,12 +24,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import MalformedGrid, ParameterError, PolaritonError, TooLarge
+from .errors import MalformedGrid, NonFiniteResult, ParameterError, PolaritonError, TooLarge
+from .grids import Axis, SpectrumGrid, load_grid, write_csv, write_json_grid
 from .model import RAD_PER_CM_FS, SystemParams, derived_quantities, validate_params
 from .parallel import cpu_count, fork_map
 from .peaks import grid_peak_report
 from .propagator import build_matrix, decompose
-from .signals import Axis, SpectrumGrid, linear_absorption, pump_probe, pump_probe_slices, twod_signal
+from .signals import linear_absorption, pump_probe, pump_probe_slices, twod_signal
 from .validate import reference_params, run_suite
 from .vibrations import CutoffTooLarge, VibKernel, kernel_from_params
 
@@ -232,6 +233,14 @@ def build_jobspec(mode: str, config: dict, out_override: str | None = None,
                    for m in _list(config.get("stokes_orders", (1, 2)), "stokes_orders"))
     if any(m < 1 for m in orders):
         raise ConfigError("stokes_orders must be >= 1")
+    for m in orders if mode == "slices" else ():
+        try:
+            line = params.axis_offset + params.delta_x - m * params.omega_v
+        except OverflowError:   # an integer past the float range
+            line = math.inf
+        if not math.isfinite(line):
+            raise ConfigError(f"stokes_orders: the Stokes line of order {_estimate(m)}, "
+                              f"axis_offset + delta_x - order x omega_v, is past the float range")
 
     out_cfg = _object(config.get("output", {}), "output")
     _reject_unknown(out_cfg, _OUTPUT_KEYS, "output")
@@ -266,153 +275,6 @@ def params_hash(spec: JobSpec) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def write_csv(path: Path, grid: SpectrumGrid) -> None:
-    """``# key=value`` metadata lines, a header, then one ``%.17g`` row per grid point.
-
-    Each distinct number is formatted once.  A 2D map formats its omega3
-    column once, into ``<w3>,%.17g,%.17g`` cells; each omega1 row joins the
-    cells behind its ``<w1>,`` prefix and fills them with one ``%`` over the
-    row's interleaved re/im values.  A 1D grid is one ``%`` over its
-    interleaved (omega, value) pairs.  The metadata lines never pass through
-    ``%``, so a ``%`` or ``{}`` in a value is written as it is.
-    """
-    with open(path, "w") as fh:
-        fh.write(f"# signal={grid.signal}\n")
-        if grid.t_wait is not None:
-            fh.write(f"# t_wait={grid.t_wait:.17g}\n")
-        fh.writelines(f"# {key}={grid.metadata[key]}\n" for key in sorted(grid.metadata))
-        om1 = grid.axis1.values()
-        if grid.axis2 is None:
-            fh.write("omega,value\n")
-            pairs = np.column_stack((om1, np.real(grid.values))).ravel().tolist()
-            fh.write("%.17g,%.17g\n" * om1.size % tuple(pairs))
-            return
-        fh.write("omega1,omega3,re,im\n")
-        cells = ["%.17g,%%.17g,%%.17g\n" % w3 for w3 in grid.axis2.values().tolist()]
-        re_im = np.ascontiguousarray(grid.values, dtype=complex).view(float)   # re, im, re, ...
-        for w1, row in zip(om1.tolist(), re_im):
-            prefix = "%.17g," % w1
-            fh.write((prefix + prefix.join(cells)) % tuple(row.tolist()))
-
-
-def write_json_grid(path: Path, grid: SpectrumGrid) -> None:
-    """The bytes of ``json.dumps(record, sort_keys=True)`` and a newline, one key at a time.
-
-    Each top-level key of the grid record goes through its own ``json.dumps``,
-    so only one of the two value lists and its text are held at once."""
-    record = {"signal": grid.signal, "axis1": asdict(grid.axis1),
-              "axis2": None if grid.axis2 is None else asdict(grid.axis2),
-              "t_wait": grid.t_wait, "metadata": grid.metadata,
-              "values_re": np.real(grid.values), "values_im": np.imag(grid.values)}
-    with open(path, "w") as fh:
-        for at, key in enumerate(sorted(record)):
-            value = record[key]
-            if isinstance(value, np.ndarray):
-                value = value.tolist()
-            fh.write(("{" if at == 0 else ", ") + json.dumps(key) + ": "
-                     + json.dumps(value, sort_keys=True))
-        fh.write("}\n")
-
-
-def _meta_cast(raw: str):
-    for cast in (int, float):
-        try:
-            return cast(raw)
-        except ValueError:
-            continue
-    return raw
-
-
-def load_grid(path) -> SpectrumGrid:
-    """Read a spectrum grid written by :func:`write_csv` or :func:`write_json_grid`.
-
-    Malformed content raises :class:`MalformedGrid`; a file that cannot be
-    read raises the ``OSError``.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise MalformedGrid(f"no such file: {path}")
-    try:
-        if path.suffix.lower() == ".json":
-            return _load_json(path)
-        return _load_csv(path)
-    except MalformedGrid:
-        raise
-    except (ValueError, KeyError, TypeError, IndexError, AttributeError) as exc:
-        raise MalformedGrid(f"cannot parse {path}: {exc}") from exc
-
-
-def _axis_of(path: Path, column: np.ndarray, offset: float, label: str) -> Axis:
-    """The uniform axis from the first to the last value of ``column``, which must be that axis.
-
-    :func:`write_csv` prints each axis value with ``%.17g``, so its files read
-    back to the axis exactly; a millionth of a step is allowed for files
-    written by other tools.
-    """
-    axis = Axis(float(column[0]), float(column[-1]), int(column.size), offset, label)
-    if not np.all(np.abs(column - axis.values()) <= 1e-6 * axis.step):
-        raise MalformedGrid(f"{path}: the {label} column is not a uniform axis in ascending order")
-    return axis
-
-
-def _load_csv(path: Path) -> SpectrumGrid:
-    meta: dict = {}
-    lines = path.read_text().splitlines()
-    for at, line in enumerate(lines):
-        line = line.strip()
-        if line.startswith("#"):
-            key, eq, val = line[1:].partition("=")
-            if eq:
-                meta[key.strip()] = _meta_cast(val.strip())
-        elif line:
-            break
-    else:
-        raise MalformedGrid(f"{path}: no data rows")
-    header = [h.strip() for h in line.split(",")]
-    body = lines[at + 1:]
-    if not any(body):
-        raise MalformedGrid(f"{path}: no data rows")
-    data = np.loadtxt(body, delimiter=",", ndmin=2)
-    offset = float(meta.get("axis_offset", 0.0))
-    signal = str(meta.get("signal", "unknown"))
-    t_wait = meta.get("t_wait")
-    if header[:2] == ["omega1", "omega3"]:
-        # the writer's order: one block of omega3 rows per omega1
-        n3 = int(np.argmax(data[:, 0] != data[0, 0])) or data.shape[0]
-        if data.shape[0] % n3:
-            raise MalformedGrid(f"{path}: 2D grid is not a full product grid")
-        om = data[:, :2].reshape(-1, n3, 2)
-        if not (np.all(om[:, :, 0] == om[:, :1, 0]) and np.all(om[:, :, 1] == om[:1, :, 1])):
-            raise MalformedGrid(f"{path}: 2D rows are not omega1-major over one omega3 axis")
-        values = data[:, 2].astype(complex)   # not re + 1j*im: 1j*inf has a nan real part
-        values.imag = data[:, 3]
-        return SpectrumGrid(signal, _axis_of(path, om[:, 0, 0], offset, "omega1"),
-                            _axis_of(path, om[0, :, 1], offset, "omega3"),
-                            t_wait, values.reshape(om.shape[:2]), meta)
-    if header[0] != "omega":
-        raise MalformedGrid(f"{path}: unrecognized column layout {header}")
-    values = data[:, 1].astype(complex)
-    return SpectrumGrid(signal, _axis_of(path, data[:, 0], offset, "omega"),
-                        None, t_wait, values, meta)
-
-
-def _load_json(path: Path) -> SpectrumGrid:
-    doc = json.loads(path.read_text())
-    meta = doc.get("metadata", {})
-
-    def axis(rec, label):
-        if rec is None:
-            return None
-        return Axis(rec["start"], rec["stop"], rec["count"], rec.get("offset", 0.0), label)
-
-    ax1 = axis(doc["axis1"], doc["axis1"].get("label", "omega"))
-    ax2 = axis(doc.get("axis2"), "omega3") if doc.get("axis2") else None
-    values = np.array(doc["values_re"], dtype=complex)
-    values.imag = doc["values_im"]
-    return SpectrumGrid(doc.get("signal", "unknown"), ax1, ax2,
-                        doc.get("t_wait"), values, meta)
-
-
 def _write_grid(spec: JobSpec, grid: SpectrumGrid, stem: str) -> None:
     """Write ``<stem>.<fmt>`` for each format of the job."""
     grid.metadata["params_hash"] = params_hash(spec)
@@ -436,6 +298,10 @@ def _write_grids(spec: JobSpec, jobs: list, written: list[str]) -> tuple[float, 
     write_s = 0.0
     for at in range(0, len(jobs), k):
         grids = [(stem, compute()) for stem, compute in jobs[at:at + k]]
+        for stem, grid in grids:
+            if not np.isfinite(grid.values).all():
+                raise NonFiniteResult(f"{', '.join(f'{stem}.{fmt}' for fmt in spec.formats)} "
+                                      f"not written: the {grid.signal} values hold a NaN or an infinity")
         began = time.perf_counter()
         fork_map(lambda job: _write_grid(spec, job[1], job[0]), grids)
         write_s += time.perf_counter() - began
@@ -444,8 +310,16 @@ def _write_grids(spec: JobSpec, jobs: list, written: list[str]) -> tuple[float, 
     return write_s, min(k, len(jobs))
 
 
-def _write_doc(spec: JobSpec, doc, name: str, written: list[str], sort_keys: bool = True) -> None:
-    (spec.out_dir / name).write_text(json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n")
+def _write_doc(spec: JobSpec, doc, name: str, written: list[str]) -> None:
+    """Write ``doc`` as indented json, arrays as lists.  A validate report keeps its check
+    order and may hold a NaN error (a failed check); any other document must be finite."""
+    validate = spec.mode == "validate"
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=not validate, allow_nan=validate,
+                          default=np.ndarray.tolist)
+    except ValueError:   # a NaN or an infinity
+        raise NonFiniteResult(f"{name} not written: it would hold a NaN or an infinity") from None
+    (spec.out_dir / name).write_text(text + "\n")
     written.append(name)
 
 
@@ -513,6 +387,7 @@ def _grid_jobs(spec: JobSpec, dec) -> list:
             for t in spec.t_list]
 
 
+@np.errstate(all="ignore")   # a NaN or an infinity is refused by name before it is written
 def run_job(spec: JobSpec) -> tuple[list[str], str, bool]:
     """Compute the mode's outputs and write every data file, then the manifest.
 
@@ -528,13 +403,9 @@ def run_job(spec: JobSpec) -> tuple[list[str], str, bool]:
         write_s, writers = _write_grids(spec, _grid_jobs(spec, dec), written)
     else:
         if spec.mode == "slices":
-            report = pump_probe_slices(spec.params, dec, spec.kernel,
-                                       spec.t_list, spec.stokes_orders)
-            name, doc = "slices.json", {
-                "t_list": report.t_list.tolist(),
-                "upper_polariton": _trace_record(report.upper_polariton),
-                "stokes": {str(m): _trace_record(tr) for m, tr in report.stokes.items()},
-            }
+            name, doc = "slices.json", asdict(pump_probe_slices(spec.params, dec, spec.kernel,
+                                                                spec.t_list, spec.stokes_orders))
+            doc["stokes"] = {str(m): trace for m, trace in doc["stokes"].items()}
         elif spec.mode == "eig":
             name, doc = "eig.json", _eig_record(spec, dec)
         else:   # validate; build_jobspec admits no other mode
@@ -549,7 +420,7 @@ def run_job(spec: JobSpec) -> tuple[list[str], str, bool]:
             text = "".join(f"{r.line()}\n" for r in results)
             passed = all(r.passed for r in results)
         began = time.perf_counter()
-        _write_doc(spec, doc, name, written, sort_keys=spec.mode != "validate")
+        _write_doc(spec, doc, name, written)
         write_s, writers = time.perf_counter() - began, 1
 
     elapsed = time.perf_counter() - start
@@ -557,16 +428,6 @@ def run_job(spec: JobSpec) -> tuple[list[str], str, bool]:
     extra["writer_processes"] = writers
     write_manifest(spec, written, elapsed, extra)
     return written, text, passed
-
-
-def _trace_record(trace) -> dict:
-    return {
-        "omega_abs": trace.omega_abs,
-        "formula": trace.formula.tolist(),
-        "exact": trace.exact.tolist(),
-        "fitted_scale": trace.fitted_scale,
-        "residual": trace.residual,
-    }
 
 
 # eig.json lists every mode: at N = 10^5 it holds 4.5 MB and the job takes 0.9 s,

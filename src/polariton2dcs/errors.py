@@ -55,6 +55,10 @@ class TooLarge(PolaritonError, ValueError):
     """Brute-force oracle requested beyond its intended size limit."""
 
 
+class NonFiniteResult(PolaritonError, ArithmeticError):
+    """A computed spectrum or report holds a NaN or an infinity; it is not written."""
+
+
 class MalformedGrid(PolaritonError, ValueError):
     """Spectrum grid file cannot be parsed."""
 

@@ -2,34 +2,34 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .signals import SpectrumGrid
+from .grids import SpectrumGrid
 
 
 @dataclass(frozen=True)
 class Peak:
-    """One detected local maximum (1D)."""
+    """One local maximum of a 1D spectrum; its fields are its ``peaks`` report entry."""
 
-    index: int
-    position: float          # grid coordinate
-    refined_position: float  # parabolic sub-grid estimate
+    omega: float             # grid coordinate
+    refined: float           # parabolic sub-grid estimate
     height: float            # refined magnitude
     classification: str = ""
 
 
 @dataclass(frozen=True)
 class Peak2D:
-    """One detected local maximum of a 2D magnitude map."""
+    """One local maximum of a 2D magnitude map; its fields are its ``peaks`` report entry."""
 
-    index: tuple[int, int]
-    position: tuple[float, float]          # (axis1, axis2) grid coordinates
-    refined_position: tuple[float, float]
+    omega1: float            # grid coordinates on axis1 and axis2
+    omega3: float
+    refined1: float          # parabolic sub-grid estimates
+    refined3: float
     height: float
     classification: str = ""
-    k_tag: int | None = None               # integer phonon offset, if matched
+    k: int | None = None     # integer phonon offset, if matched
 
 
 def _parabolic(y_m: float, y_0: float, y_p: float) -> tuple[float, float]:
@@ -58,12 +58,7 @@ def find_peaks_1d(x: np.ndarray, values: np.ndarray, min_rel_height: float = 0.0
         delta, height = _parabolic(mag[idx - 1], mag[idx], mag[idx + 1])
         if height < floor:
             continue
-        out.append(Peak(
-            index=int(idx),
-            position=float(x[idx]),
-            refined_position=float(x[idx] + delta * step),
-            height=float(height),
-        ))
+        out.append(Peak(float(x[idx]), float(x[idx] + delta * step), float(height)))
     out.sort(key=lambda p: -p.height)
     return out
 
@@ -117,38 +112,20 @@ def find_peaks_2d(ax1: np.ndarray, ax2: np.ndarray, values: np.ndarray,
         height = max(h1, h2)
         if height < floor:
             continue
-        pos1, pos2 = float(ax1[i]), float(ax2[j])
         ref1, ref2 = float(ax1[i] + d1 * step1), float(ax2[j] + d2 * step2)
         cls, k = ("", None)
         if omega_v is not None:
             cls, k = classify_2d(ref1, ref2, omega_v, tol)
-        out.append(Peak2D(
-            index=(int(i), int(j)),
-            position=(pos1, pos2),
-            refined_position=(ref1, ref2),
-            height=float(height),
-            classification=cls,
-            k_tag=k,
-        ))
+        out.append(Peak2D(float(ax1[i]), float(ax2[j]), ref1, ref2, float(height), cls, k))
     out.sort(key=lambda p: -p.height)
     return out
 
 
 def grid_peak_report(grid: SpectrumGrid, min_rel_height: float = 0.01) -> list[dict]:
     """Peak list of a loaded grid, sorted by height, as plain dicts."""
-    omega_v = grid.metadata.get("omega_v")
     if grid.axis2 is None:
         found = find_peaks_1d(grid.axis1.values(), grid.display(), min_rel_height)
-        return [
-            {"omega": p.position, "refined": p.refined_position,
-             "height": p.height, "classification": p.classification}
-            for p in found
-        ]
-    found = find_peaks_2d(grid.axis1.values(), grid.axis2.values(), grid.display(),
-                          omega_v=omega_v, min_rel_height=min_rel_height)
-    return [
-        {"omega1": p.position[0], "omega3": p.position[1],
-         "refined1": p.refined_position[0], "refined3": p.refined_position[1],
-         "height": p.height, "classification": p.classification, "k": p.k_tag}
-        for p in found
-    ]
+    else:
+        found = find_peaks_2d(grid.axis1.values(), grid.axis2.values(), grid.display(),
+                              omega_v=grid.metadata.get("omega_v"), min_rel_height=min_rel_height)
+    return [asdict(p) for p in found]

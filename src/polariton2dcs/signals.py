@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cache, cached_property
 from itertools import product
 
 import numpy as np
 
 from .errors import DivergentTransform, NegativeWaitingTime, TooLarge
+from .grids import Axis, SpectrumGrid
 from .model import RAD_PER_CM_FS, SystemParams
 from .propagator import (
     ModeDecomposition,
@@ -91,64 +92,6 @@ def index_classes() -> tuple[IndexClass, ...]:
 
     grow(())
     return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# grids
-
-
-@dataclass(frozen=True)
-class Axis:
-    """Uniform frequency axis on the absolute scale (cm^-1)."""
-
-    start: float
-    stop: float
-    count: int
-    offset: float = 0.0   # absolute = rotating + offset
-    label: str = "omega"
-
-    def __post_init__(self):
-        if self.count < 2:
-            raise ValueError(f"axis '{self.label}' needs count >= 2, got {self.count}")
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise ValueError(f"axis '{self.label}' needs finite start and stop")
-        if not (self.start < self.stop):
-            raise ValueError(f"axis '{self.label}' needs start < stop")
-
-    def values(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.count)
-
-    def rotating(self) -> np.ndarray:
-        return self.values() - self.offset
-
-    @property
-    def step(self) -> float:
-        return (self.stop - self.start) / (self.count - 1)
-
-
-@dataclass
-class SpectrumGrid:
-    """Computed spectrum with its axes and run metadata.
-
-    1D grids store values of shape (axis1.count,); 2D grids are row-major with
-    shape (axis1.count, axis2.count), axis1 being the absorption axis.
-    """
-
-    signal: str
-    axis1: Axis
-    axis2: Axis | None
-    t_wait: float | None
-    values: np.ndarray
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        expected = (self.axis1.count,) if self.axis2 is None else (self.axis1.count, self.axis2.count)
-        if self.values.shape != expected:
-            raise ValueError(f"values shape {self.values.shape} != axes shape {expected}")
-
-    def display(self) -> np.ndarray:
-        """The measured quantity: Im part for the 2D signal, Re otherwise."""
-        return self.values.imag if self.signal == "twod" else self.values.real
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +468,8 @@ class SliceTrace:
 
 @dataclass(frozen=True)
 class SliceReport:
+    """The record of ``slices.json``, there with each Stokes order as a string key."""
+
     t_list: np.ndarray
     upper_polariton: SliceTrace
     stokes: dict[int, SliceTrace]
@@ -611,15 +556,17 @@ def _slice_sums(s, z, zp, gg, dark_weight, stokes_orders) -> tuple[float, dict]:
 
     stokes = {}
     for order in stokes_orders:
-        # w13[d3 + 1, m1] = s[m1] s[m3] d3^m3, zero for orders beyond the cutoff
-        w13 = np.zeros((3, order + 1))
-        for m1 in range(order + 1):
-            m3 = order - m1
-            if m1 <= mm and m3 <= mm:
-                for d3 in (-1.0, 0.0, 1.0):
-                    w13[int(d3) + 1, m1] = s[m1] * s[m3] * (d3 ** m3)
+        # w13[d3 + 1, m1 - lo] = s[m1] s[m3] d3^m3 over the m1 that keep m1 and
+        # m3 = order - m1 within the cutoff; past order 2 m_max no term is kept
+        lo, hi = max(0, order - mm), min(order, mm)
+        if lo > hi:
+            stokes[order] = 0.0
+            continue
+        m1 = np.arange(lo, hi + 1)
+        w13 = s[m1] * s[order - m1] * np.array([[-1.0], [0.0], [1.0]]) ** (order - m1)
+        w_off = w13[:, 0] if lo == 0 else np.zeros(3)   # m1 = 0, the only m1 off the site's row
         live = np.flatnonzero(w13.any(axis=0))          # the m1 with a nonzero weight
-        inner = np.array([[phonon[p] * z ** (order - m1) for m1 in live.tolist()] for p in range(4)])
+        inner = np.array([[phonon[p] * z ** (order - m) for m in m1[live].tolist()] for p in range(4)])
         # Re(dw phonon z^m3): off the site's row at m1 = 0, [site, l, p]; on it, [site, p, m1]
         re_off = np.real(dark_weight[:, :, None]
                          * np.array([phonon[p] * z ** order for p in range(4)]))
@@ -628,9 +575,9 @@ def _slice_sums(s, z, zp, gg, dark_weight, stokes_orders) -> tuple[float, dict]:
         acc = 0.0
         for site in range(n):
             d3 = eye[site][None, :] - eye[site][:, None] + 1     # [jp, j] = (site == j) - (site == jp) + 1
-            jp, j = np.nonzero(w13[d3, 0])
+            jp, j = np.nonzero(w_off[d3])
             rows = np.flatnonzero((dark_weight[site] != 0.0) & (eye[site] == 0))[:, None]
-            off = w13[d3[jp, j], 0] * re_off[site, rows, 2 * (jp == rows) + (j == rows)]
+            off = w_off[d3[jp, j]] * re_off[site, rows, 2 * (jp == rows) + (j == rows)]
             w = w_live[d3]                                        # [jp, j, m1]
             on = (w * re_on[site][pattern[site]])[(w != 0.0) & (dark_weight[site, site] != 0.0)]
             split = np.count_nonzero(rows < site)

@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .grids import Axis
 from .model import SystemParams, validate_params
 from .parallel import fork_map
 from .propagator import (
@@ -31,7 +32,6 @@ from .propagator import (
     quadrature_fourier,
 )
 from .signals import (
-    Axis,
     linear_absorption,
     peak_ratios,
     pump_probe_direct,

@@ -59,7 +59,7 @@ def test_criterion_1_absorption_three_peaks(reference):
     elapsed = time.perf_counter() - start
 
     dominant = find_peaks_1d(axis.values(), grid.display(), min_rel_height=0.05)
-    positions = sorted(p.refined_position for p in dominant)
+    positions = sorted(p.refined for p in dominant)
     placed = (len(positions) == 3
               and all(abs(p - t) <= 5.0 for p, t in zip(positions, ABSORPTION_TARGETS)))
 
@@ -67,8 +67,8 @@ def test_criterion_1_absorption_three_peaks(reference):
     grid_weak = linear_absorption(sys_weak, decompose(build_matrix(sys_weak)),
                                   kernel_from_params(sys_weak), axis)
     peaks_weak = find_peaks_1d(axis.values(), grid_weak.display())
-    lp_height = max(p.height for p in peaks_weak if abs(p.refined_position - 14313.0) < 60.0)
-    eds = [p.height for p in peaks_weak if abs(p.refined_position - 17313.0) < 60.0]
+    lp_height = max(p.height for p in peaks_weak if abs(p.refined - 14313.0) < 60.0)
+    eds = [p.height for p in peaks_weak if abs(p.refined - 17313.0) < 60.0]
     suppressed = (not eds) or eds[0] < 0.05 * lp_height
 
     report(
@@ -146,8 +146,8 @@ def test_criterion_6_twod_structure(reference):
     structure_ok = bool(peaks)
     for p in peaks:
         on_ladder = p.classification in ("diagonal", "cross")
-        at_known_pair = (min(abs(p.refined_position[0] - x) for x in KNOWN_LINES) <= tol
-                         and min(abs(p.refined_position[1] - x) for x in KNOWN_LINES) <= tol)
+        at_known_pair = (min(abs(p.refined1 - x) for x in KNOWN_LINES) <= tol
+                         and min(abs(p.refined3 - x) for x in KNOWN_LINES) <= tol)
         structure_ok &= on_ladder or at_known_pair
 
     # waiting-time behavior of the polariton-to-phonon-sideband cross peak,

@@ -8,6 +8,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from polariton2dcs.cli import (
     write_csv,
     write_json_grid,
 )
-from polariton2dcs import signals, validate
+from polariton2dcs import grids, signals, validate
 from polariton2dcs.errors import DivergentTransform, TooLarge
 from polariton2dcs.model import SystemParams
 from polariton2dcs.parallel import cpu_count, fork_map
@@ -414,6 +415,51 @@ class TestMainExitCodes:
         doc = json.loads((out / "slices.json").read_text())
         assert doc["t_list"] == [0.0, 100.0]
         assert "1" in doc["stokes"]
+
+    def test_huge_stokes_order_runs_in_the_time_of_order_one(self, tmp_path, capsys):
+        # past 2 m_max an order keeps no term, and its weight table is sized by the cutoff
+        seconds = {}
+        for order in (1, 10 ** 12):
+            cfg = write_config(tmp_path, stokes_orders=[order])
+            start = time.perf_counter()
+            code = main(["slices", "--config", str(cfg), "--out", str(tmp_path / str(order))])
+            seconds[order] = time.perf_counter() - start
+            assert code == 0, capsys.readouterr().err
+        doc = json.loads((tmp_path / str(10 ** 12) / "slices.json").read_text())
+        assert doc["stokes"][str(10 ** 12)]["formula"] == [0.0, 0.0]
+        assert seconds[10 ** 12] < 2.0 * seconds[1] + 0.5, seconds
+
+    @pytest.mark.parametrize("order", [1e306, 10 ** 400], ids=["1e306", "10^400"])
+    def test_stokes_line_past_the_float_range_exits_2(self, tmp_path, capsys, order):
+        cfg = write_config(tmp_path, stokes_orders=[1, order])
+        assert main(["slices", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: stokes_orders: the Stokes line of order more than 1e300")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("mode, key, outputs", [
+        ("absorption", "omega_v", "absorption.csv, absorption.json"),
+        ("absorption", "gamma_v", "absorption.csv, absorption.json"),
+        ("slices", "delta_x", "slices.json"),
+        ("eig", "delta_x", "eig.json"),
+    ])
+    def test_non_finite_output_is_not_written(self, tmp_path, mode, key, outputs):
+        # the shipped config with one rate or frequency at 1e308, under -W error: the
+        # kernels overflow without a warning, and the output is refused before it is opened
+        cfg = json.loads((CONFIGS / "cyanine_n10.json").read_text())
+        cfg["system"][key] = 1e308
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        env = dict(os.environ, PYTHONPATH=str(Path(polariton2dcs.__file__).resolve().parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "polariton2dcs.cli", mode, "--config", str(path),
+             "--out", str(out), "--format", "csv,json"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert result.returncode == 3, result.stderr
+        assert result.stderr.startswith(f"numeric failure: NonFiniteResult: {outputs} not written: ")
+        assert result.stderr.count("\n") == 1, result.stderr
+        assert list(out.iterdir()) == []
 
     def test_peaks_subcommand(self, tmp_path, capsys):
         # narrow polariton lines need the fine grid for stable peak heights
@@ -888,3 +934,31 @@ class TestValidateOnEveryCpu:
                        validate.check_propagator_expm(sets_per_n=2)):
             assert math.isnan(result.max_err) and not result.passed, result.line()
         assert_no_child_left()
+
+
+class TestBenchmarkTracingContract:
+    """``perfbench/child.py`` wraps these names on ``cli`` and builds ``signals.Axis``;
+    a missing one would end every traced benchmark run with ``correct: false``."""
+
+    TRACED = ("build_jobspec", "write_csv", "write_json_grid", "write_manifest", "load_grid",
+              "grid_peak_report", "decompose", "kernel_from_params", "twod_signal",
+              "linear_absorption", "pump_probe", "pump_probe_slices")
+
+    def test_traced_names_are_callables_on_cli(self):
+        for name in self.TRACED:
+            assert callable(getattr(cli, name, None)), name
+        assert signals.Axis is grids.Axis
+        for name in ("write_csv", "write_json_grid", "load_grid"):
+            assert getattr(cli, name) is getattr(grids, name), name
+
+    def test_cli_calls_the_grid_files_through_its_own_names(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        for name in ("write_csv", "write_json_grid", "load_grid"):
+            def traced(*args, _fn=getattr(cli, name), _name=name):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(cli, name, traced)
+        out = tmp_path / "o"
+        assert main(["absorption", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+        assert main(["peaks", str(out / "absorption.json")]) == 0
+        assert calls == ["write_csv", "write_json_grid", "load_grid"]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -65,7 +66,7 @@ class TestFindPeaks1D:
         v = lorentzian(x, 3.7, 4.0)
         peaks = find_peaks_1d(x, v)
         assert len(peaks) == 1
-        assert abs(peaks[0].refined_position - 3.7) < 0.1
+        assert abs(peaks[0].refined - 3.7) < 0.1
         assert peaks[0].height == pytest.approx(0.25, rel=0.02)
 
     def test_relative_height_floor(self):
@@ -101,9 +102,9 @@ class TestFindPeaks2D:
         peaks = find_peaks_2d(ax1, ax2, v, omega_v=1200.0, min_rel_height=0.02)
         assert len(peaks) == 2
         top = peaks[0]
-        assert abs(top.refined_position[0] - 17000.0) < 15.0
-        assert abs(top.refined_position[1] - 15800.0) < 15.0
-        assert top.classification == "cross" and top.k_tag == 1
+        assert abs(top.refined1 - 17000.0) < 15.0
+        assert abs(top.refined3 - 15800.0) < 15.0
+        assert top.classification == "cross" and top.k == 1
         assert peaks[1].classification == "diagonal"
 
 
@@ -317,6 +318,31 @@ class TestGridIO:
             assert np.array_equal(loaded.axis1.values(), grid.axis1.values())
             if two_dimensional:
                 assert np.array_equal(loaded.axis2.values(), grid.axis2.values())
+
+    @pytest.mark.parametrize("two_dimensional, keys", [
+        (False, ["omega", "refined", "height", "classification"]),
+        (True, ["omega1", "omega3", "refined1", "refined3", "height", "classification", "k"]),
+    ])
+    def test_report_entries_are_the_peak_records(self, tmp_path, two_dimensional, keys):
+        # the key order is part of the bytes that `peaks` prints
+        ax1 = Axis(14000.0, 18000.0, 161, label="omega1")
+        x = ax1.values()
+        if two_dimensional:
+            g1, g3 = np.meshgrid(x, x, indexing="ij")
+            mag = (lorentzian(g1, 17000.0, 60.0) * lorentzian(g3, 15800.0, 60.0)
+                   + 0.5 * lorentzian(g1, 15000.0, 60.0) * lorentzian(g3, 15000.0, 60.0))
+            grid = SpectrumGrid("twod", ax1, Axis(14000.0, 18000.0, 161, label="omega3"),
+                                0.0, 1j * mag, {"omega_v": 1200.0})
+            found = find_peaks_2d(x, x, mag, omega_v=1200.0, min_rel_height=0.01)
+        else:
+            mag = lorentzian(x, 15000.0, 60.0) + 0.5 * lorentzian(x, 17000.0, 60.0)
+            grid = SpectrumGrid("absorption", ax1, None, None, mag.astype(complex), {})
+            found = find_peaks_1d(x, mag, 0.01)
+        path = tmp_path / "grid.csv"
+        write_csv(path, grid)
+        report = grid_peak_report(load_grid(path))
+        assert [list(entry) for entry in report] == [keys, keys]
+        assert report == [dataclasses.asdict(p) for p in found]
 
     def test_peak_report_dicts(self, tmp_path):
         ax = Axis(0.0, 100.0, 201)

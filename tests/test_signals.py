@@ -186,7 +186,7 @@ class TestLinearAbsorption:
         grid = linear_absorption(sys, dec, kernel, axis)
         peaks = find_peaks_1d(axis.values(), grid.display(), min_rel_height=0.001)
         assert len(peaks) == 2
-        for peak, target in zip(sorted(p.refined_position for p in peaks), POLARITON_LINES):
+        for peak, target in zip(sorted(p.refined for p in peaks), POLARITON_LINES):
             assert abs(peak - target) < 5.0
         # dark contributions cancel exactly: the spectrum equals the all-pairs
         # sum of the dense transform, which has no dark pole left
@@ -198,7 +198,7 @@ class TestLinearAbsorption:
         axis = full_axis(2000)
         grid = linear_absorption(dye_system, dye_dec, dye_kernel, axis)
         peaks = find_peaks_1d(axis.values(), grid.display(), min_rel_height=0.05)
-        positions = sorted(p.refined_position for p in peaks)
+        positions = sorted(p.refined for p in peaks)
         assert len(positions) == 3
         for pos, target in zip(positions, (14313.0, 17313.0, 17913.0)):
             assert abs(pos - target) < 5.0
@@ -323,8 +323,8 @@ class TestTwodSignal:
                               omega_v=sys.omega_v, min_rel_height=0.02)
         assert peaks
         for p in peaks:
-            assert min(abs(p.refined_position[0] - x) for x in POLARITON_LINES) < 60.0
-            assert min(abs(p.refined_position[1] - x) for x in POLARITON_LINES) < 60.0
+            assert min(abs(p.refined1 - x) for x in POLARITON_LINES) < 60.0
+            assert min(abs(p.refined3 - x) for x in POLARITON_LINES) < 60.0
 
     def test_zero_phonon_term_reproduces_zero_displacement_signal(self):
         lam = 1.0
@@ -348,7 +348,7 @@ class TestTwodSignal:
                               omega_v=dye_system.omega_v, min_rel_height=0.02)
 
         def present(w1, w3, tol=80.0):
-            return any(abs(p.position[0] - w1) < tol and abs(p.position[1] - w3) < tol
+            return any(abs(p.omega1 - w1) < tol and abs(p.omega3 - w3) < tol
                        for p in peaks)
 
         assert present(17313.0, 14913.0)   # one-phonon emission below the pump line
@@ -361,9 +361,9 @@ class TestTwodSignal:
         axis = full_axis(400)
         grid = twod_signal(sys, dec, kernel, axis, axis, 0.0)
         marginal = np.abs(grid.display()).max(axis=0)
-        twod_peaks = sorted(p.position for p in find_peaks_1d(axis.values(), marginal, 0.05))
+        twod_peaks = sorted(p.omega for p in find_peaks_1d(axis.values(), marginal, 0.05))
         absorption = linear_absorption(sys, dec, kernel, axis)
-        abs_peaks = sorted(p.position for p in
+        abs_peaks = sorted(p.omega for p in
                            find_peaks_1d(axis.values(), absorption.display(), 0.05))
         assert len(twod_peaks) == len(abs_peaks)
         for a, b in zip(twod_peaks, abs_peaks):
@@ -421,7 +421,7 @@ class TestPumpProbe:
         axis = Axis(12000.0, 19000.0, 2500, dye_system.axis_offset)
         grid = pump_probe(dye_system, dye_dec, dye_kernel, axis, 0.0)
         peaks = find_peaks_1d(axis.values(), grid.display(), min_rel_height=0.01)
-        positions = sorted(p.refined_position for p in peaks)
+        positions = sorted(p.refined for p in peaks)
         targets = (13713.0, 14313.0, 14913.0, 17913.0)  # two Stokes lines, LP, UP
         assert len(positions) == len(targets)
         for pos, ref in zip(positions, targets):
@@ -564,6 +564,22 @@ class TestSlices:
         kernel = kernel_from_params(sys, m_max=1)
         self.assert_sums_match_the_loops(sys, decompose(build_matrix(sys)), kernel,
                                          [0.0, 130.0], (1, 2, 3))
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_sums_bitwise_with_orders_that_keep_the_top_of_the_cutoff(self, n):
+        # at m_max = 3, orders 4 to 6 keep only m1 >= order - 3, and order 7 keeps no term
+        sys = reference_params(n_molecules=n, g=1800.0 / math.sqrt(n))
+        kernel = kernel_from_params(sys, m_max=3)
+        self.assert_sums_match_the_loops(sys, decompose(build_matrix(sys)), kernel,
+                                         [0.0, 130.0], tuple(range(1, 8)))
+
+    def test_huge_order_keeps_no_term(self, dye_system, dye_dec, dye_kernel):
+        # the literal loops would visit 10^12 values of m1; the sums size their table by m_max
+        t_list = [0.0, 250.0]
+        report = pump_probe_slices(dye_system, dye_dec, dye_kernel, t_list, (1, 10 ** 12))
+        assert np.array_equal(report.stokes[10 ** 12].formula, np.zeros(2))
+        alone = pump_probe_slices(dye_system, dye_dec, dye_kernel, t_list, (1,))
+        assert np.array_equal(report.stokes[1].formula, alone.stokes[1].formula)
 
     def test_vectorized_dark_weight_product_is_the_scalar_product(self):
         # _slice_sums takes Re(dw * inner) over arrays, where the loops take it per scalar
