@@ -228,6 +228,14 @@ def build_jobspec(mode: str, config: dict, out_override: str | None = None,
             raise ConfigError(f"mode '{mode}' needs at least one waiting time")
         if any(t < 0.0 for t in t_list):
             raise ConfigError(f"{t_key} must be >= 0, got {min(t_list)}")
+    if mode in ("twod", "pump-probe"):     # one file per waiting time, named by its stem
+        stems: dict[str, float] = {}
+        for t in t_list:
+            stem = f"{mode.replace('-', '_')}_T{_t_stem(t)}fs"
+            if stem in stems:
+                raise ConfigError(f"{t_key}: the waiting times {stems[stem]!r} and {t!r} "
+                                  f"share the file stem {stem}")
+            stems[stem] = t
 
     orders = tuple(_integer(m, "stokes_orders")
                    for m in _list(config.get("stokes_orders", (1, 2)), "stokes_orders"))
@@ -494,6 +502,8 @@ def _peaks_text(args) -> str:
     if not math.isfinite(args.min_height):
         raise ConfigError(f"--min-height must be a finite number, got {args.min_height}")
     grid = load_grid(args.grid_file)
+    if not np.all(np.isfinite(grid.values)):
+        raise MalformedGrid(f"{args.grid_file}: the values hold a NaN or an infinity")
     text = json.dumps(grid_peak_report(grid, min_rel_height=args.min_height), indent=2) + "\n"
     if args.report:
         Path(args.report).write_text(text)

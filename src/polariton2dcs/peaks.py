@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -42,32 +43,52 @@ def _parabolic(y_m: float, y_0: float, y_p: float) -> tuple[float, float]:
     return delta, y_0 - 0.25 * (y_m - y_p) * delta
 
 
-def find_peaks_1d(x: np.ndarray, values: np.ndarray, min_rel_height: float = 0.0) -> list[Peak]:
-    """Strict local maxima of |values| after 3-point magnitude smoothing."""
-    x = np.asarray(x, dtype=float)
-    mag = np.abs(np.asarray(values))
-    if mag.size < 3 or np.all(mag == mag.flat[0]):
-        return []
-    smooth = np.convolve(mag, np.ones(3) / 3.0, mode="same")
-    interior = np.arange(1, mag.size - 1)
-    is_max = (smooth[interior] > smooth[interior - 1]) & (smooth[interior] > smooth[interior + 1])
-    floor = min_rel_height * float(mag.max())
-    out = []
-    step = x[1] - x[0]
-    for idx in interior[is_max]:
-        delta, height = _parabolic(mag[idx - 1], mag[idx], mag[idx + 1])
-        if height < floor:
-            continue
-        out.append(Peak(float(x[idx]), float(x[idx] + delta * step), float(height)))
-    out.sort(key=lambda p: -p.height)
-    return out
-
-
 def _mean_3x3(mag: np.ndarray) -> np.ndarray:
     """3x3 moving average, the edge rows and columns repeated outward."""
     padded = np.pad(mag, 1, mode="edge")
     rows = padded[:-2] + padded[1:-1] + padded[2:]
     return (rows[:, :-2] + rows[:, 1:-1] + rows[:, 2:]) / 9.0
+
+
+def _local_maxima(axes, values, min_rel_height: float) -> list[tuple[tuple, tuple, float]]:
+    """Strict local maxima of |values| on a 1D or 2D grid, by height.
+
+    |values| is smoothed by a 3-point mean with zeros past the ends (1D) or by
+    :func:`_mean_3x3` (2D); a maximum exceeds its 2 or 8 smoothed neighbours.
+    Each is (its grid coordinates, their parabolic refinement along each
+    axis, the larger of the refined heights); those below ``min_rel_height``
+    times the largest magnitude are dropped, and the sort by height is stable.
+    """
+    mag = np.abs(np.asarray(values))
+    if min(mag.shape) < 3 or np.all(mag == mag.flat[0]):
+        return []
+    smooth = np.convolve(mag, np.ones(3) / 3.0, mode="same") if mag.ndim == 1 else _mean_3x3(mag)
+    core = smooth[tuple(slice(1, n - 1) for n in mag.shape)]
+    is_max = np.ones_like(core, dtype=bool)
+    for shift in itertools.product((-1, 0, 1), repeat=mag.ndim):
+        if any(shift):
+            is_max &= core > smooth[tuple(slice(1 + s, n - 1 + s) for s, n in zip(shift, mag.shape))]
+    floor = min_rel_height * float(mag.max())
+    axes = [np.asarray(ax, dtype=float) for ax in axes]
+    found = []
+    for idx in zip(*(k + 1 for k in np.nonzero(is_max))):
+        fits = [_parabolic(mag[idx[:a] + (i - 1,) + idx[a + 1:]], mag[idx],
+                           mag[idx[:a] + (i + 1,) + idx[a + 1:]]) for a, i in enumerate(idx)]
+        height = max(h for _, h in fits)
+        if height < floor:
+            continue
+        found.append((tuple(float(ax[i]) for ax, i in zip(axes, idx)),
+                      tuple(float(ax[i] + d * (ax[1] - ax[0]))
+                            for ax, i, (d, _) in zip(axes, idx, fits)),
+                      float(height)))
+    found.sort(key=lambda peak: -peak[2])
+    return found
+
+
+def find_peaks_1d(x: np.ndarray, values: np.ndarray, min_rel_height: float = 0.0) -> list[Peak]:
+    """Strict local maxima of |values| after 3-point magnitude smoothing."""
+    return [Peak(omega, refined, height)
+            for (omega,), (refined,), height in _local_maxima((x,), values, min_rel_height)]
 
 
 def classify_2d(omega1: float, omega3: float, omega_v: float, tol: float) -> tuple[str, int | None]:
@@ -85,39 +106,15 @@ def find_peaks_2d(ax1: np.ndarray, ax2: np.ndarray, values: np.ndarray,
 
     ``values`` is indexed [axis1, axis2].  With ``omega_v`` given, each peak
     is classified by whether its axis offset matches an integer number of
-    vibrational quanta.
+    vibrational quanta, within ``tol`` (two steps of the coarser axis if None).
     """
-    ax1 = np.asarray(ax1, dtype=float)
-    ax2 = np.asarray(ax2, dtype=float)
-    mag = np.abs(np.asarray(values))
-    if mag.shape[0] < 3 or mag.shape[1] < 3 or np.all(mag == mag.flat[0]):
-        return []
-    smooth = _mean_3x3(mag)
-    step1 = ax1[1] - ax1[0]
-    step2 = ax2[1] - ax2[0]
-    if tol is None:
-        tol = 2.0 * max(abs(step1), abs(step2))
-    floor = min_rel_height * float(mag.max())
-    core = smooth[1:-1, 1:-1]
-    neighbors = [smooth[1 + di:mag.shape[0] - 1 + di, 1 + dj:mag.shape[1] - 1 + dj]
-                 for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0)]
-    is_max = np.ones_like(core, dtype=bool)
-    for nb in neighbors:
-        is_max &= core > nb
+    found = _local_maxima((ax1, ax2), values, min_rel_height)
+    if found and tol is None:
+        tol = 2.0 * max(abs(ax1[1] - ax1[0]), abs(ax2[1] - ax2[0]))
     out = []
-    for r, c in zip(*np.nonzero(is_max)):
-        i, j = r + 1, c + 1
-        d1, h1 = _parabolic(mag[i - 1, j], mag[i, j], mag[i + 1, j])
-        d2, h2 = _parabolic(mag[i, j - 1], mag[i, j], mag[i, j + 1])
-        height = max(h1, h2)
-        if height < floor:
-            continue
-        ref1, ref2 = float(ax1[i] + d1 * step1), float(ax2[j] + d2 * step2)
-        cls, k = ("", None)
-        if omega_v is not None:
-            cls, k = classify_2d(ref1, ref2, omega_v, tol)
-        out.append(Peak2D(float(ax1[i]), float(ax2[j]), ref1, ref2, float(height), cls, k))
-    out.sort(key=lambda p: -p.height)
+    for (omega1, omega3), (refined1, refined3), height in found:
+        cls, k = ("", None) if omega_v is None else classify_2d(refined1, refined3, omega_v, tol)
+        out.append(Peak2D(omega1, omega3, refined1, refined3, height, cls, k))
     return out
 
 

@@ -34,13 +34,8 @@ class DynamicsMatrix:
     coupling: float       # g
 
     def to_dense(self) -> np.ndarray:
-        n = self.n_molecules
-        out = np.zeros((n + 1, n + 1), dtype=complex)
-        out[np.arange(n), np.arange(n)] = self.mol_diag
-        out[n, n] = self.photon_diag
-        out[:n, n] = 1j * self.coupling
-        out[n, :n] = 1j * self.coupling
-        return out
+        g = 1j * self.coupling
+        return PatternEntries(self.mol_diag, 0.0, g, g, self.photon_diag).to_dense(self.n_molecules)
 
     def trace(self) -> complex:
         return self.n_molecules * self.mol_diag + self.photon_diag
@@ -90,30 +85,24 @@ class ModeDecomposition:
             rates.append(self.mu_dark.real)
         return min(rates)
 
-    def t_dense(self) -> np.ndarray:
-        """Materialize the full (N+1)x(N+1) eigenvector matrix."""
+    def _dense(self, bright: np.ndarray, sign: int) -> np.ndarray:
+        """Columns LP, UP from the 2x2 ``bright``, then the dark exp(sign*2j*pi*s*q/N)/sqrt(N)."""
         n = self.n_molecules
         out = np.zeros((n + 1, n + 1), dtype=complex)
         root_n = math.sqrt(n)
-        for k in range(2):
-            out[:n, k] = self.bright_t[0, k] / root_n
-            out[n, k] = self.bright_t[1, k]
-        s = np.arange(1, n + 1)[:, None]
-        q = np.arange(1, n)[None, :]
-        out[:n, 2:] = np.exp(-2j * np.pi * s * q / n) / root_n
+        out[:n, :2] = bright[0] / root_n
+        out[n, :2] = bright[1]
+        s, q = np.ogrid[1:n + 1, 1:n]
+        out[:n, 2:] = np.exp(sign * 2j * np.pi * s * q / n) / root_n
         return out
 
+    def t_dense(self) -> np.ndarray:
+        """Materialize the full (N+1)x(N+1) eigenvector matrix."""
+        return self._dense(self.bright_t, -1)
+
     def tinv_dense(self) -> np.ndarray:
-        n = self.n_molecules
-        out = np.zeros((n + 1, n + 1), dtype=complex)
-        root_n = math.sqrt(n)
-        for k in range(2):
-            out[k, :n] = self.bright_tinv[k, 0] / root_n
-            out[k, n] = self.bright_tinv[k, 1]
-        s = np.arange(1, n + 1)[None, :]
-        q = np.arange(1, n)[:, None]
-        out[2:, :n] = np.exp(2j * np.pi * s * q / n) / root_n
-        return out
+        """Materialize its inverse, the transpose of the same construction."""
+        return np.ascontiguousarray(self._dense(self.bright_tinv.T, 1).T)
 
 
 def decompose(m: DynamicsMatrix) -> ModeDecomposition:

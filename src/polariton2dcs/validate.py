@@ -118,9 +118,9 @@ def _random_params(rng: np.random.Generator, n: int) -> SystemParams:
     })
 
 
-def check_propagator_expm(seed: int = 101, sets_per_n: int = 20, tol: float = 1e-10) -> CheckResult:
+def check_propagator_expm(sets_per_n: int = 20) -> CheckResult:
     """Closed-form arrowhead propagator against dense scaling-and-squaring."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(101)
     errors = []
     for n in range(1, 7):
         for _ in range(sets_per_n):
@@ -129,12 +129,12 @@ def check_propagator_expm(seed: int = 101, sets_per_n: int = 20, tol: float = 1e
             dec = decompose(m)
             t = float(rng.uniform(0.0, 300.0))
             errors.append(np.max(np.abs(propagator_G(dec, t) - expm_propagator(m, t))))
-    return _result("propagator_expm", _worst(errors), tol, "N=1..6 random parameter sets")
+    return _result("propagator_expm", _worst(errors), 1e-10, "N=1..6 random parameter sets")
 
 
-def check_eigenstructure(seed: int = 102, tol: float = 1e-12) -> CheckResult:
+def check_eigenstructure() -> CheckResult:
     """Dark-space structure and the unitary resonant limit of the transform."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(102)
     errors = []
     for n in range(2, 7):
         sys = _random_params(rng, n)
@@ -152,20 +152,20 @@ def check_eigenstructure(seed: int = 102, tol: float = 1e-12) -> CheckResult:
         res = reference_params(n_molecules=n, gamma_c=1.0)
         dres = decompose(build_matrix(res))
         errors.append(np.max(np.abs(dres.tinv_dense() - dres.t_dense().conj().T)))
-    return _result("eigenstructure", _worst(errors), tol, "dark basis + resonant unitarity")
+    return _result("eigenstructure", _worst(errors), 1e-12, "dark basis + resonant unitarity")
 
 
-def check_transform_quadrature(seed: int = 103, n_points: int = 100, tol: float = 1e-6) -> CheckResult:
+def check_transform_quadrature() -> CheckResult:
     """Pole-sum transform against composite Gauss-Legendre panel quadrature.
 
     The panels are equal in width and sized to the oscillation frequency of
     each target; :func:`quadrature_fourier` integrates them per eigenmode.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(103)
     sys = reference_params()
     dec = decompose(build_matrix(sys))
     cases = []      # (omega, conjugated)
-    for _ in range(n_points):
+    for _ in range(100):
         omega = complex(rng.uniform(-2400.0, 2400.0), 0.0)
         if rng.uniform() < 0.2:
             omega += 1j * sys.gamma_v * rng.integers(1, 3)
@@ -183,15 +183,14 @@ def check_transform_quadrature(seed: int = 103, n_points: int = 100, tol: float 
             quad = quadrature_fourier(dec, omega)
         return float(np.max(np.abs(exact - quad)) / np.max(np.abs(exact)))
 
-    return _result("transform_quadrature", _worst(fork_map(error, cases)), tol,
+    return _result("transform_quadrature", _worst(fork_map(error, cases)), 1e-6,
                    "relative, reference set")
 
 
-def check_fock_four_point(seed: int = 104, samples: int = 50, n_max: int = 40,
-                          tol: float = 1e-8,
-                          lambdas: tuple[float, ...] = (0.3, 0.7, 1.0, 1.2)) -> CheckResult:
+def check_fock_four_point(samples: int = 50) -> CheckResult:
     """Closed-form undamped correlator against truncated Fock-space mechanics."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(104)
+    lambdas = (0.3, 0.7, 1.0, 1.2)
     errors = []
     for lam in lambdas:
         kernel = VibKernel(lambda_hr=lam, omega_v=1200.0, gamma_v=0.0,
@@ -202,43 +201,38 @@ def check_fock_four_point(seed: int = 104, samples: int = 50, n_max: int = 40,
                 sites=tuple(int(s) for s in rng.integers(0, 4, size=4)),
             )
             analytic = four_point_correlator(quad, kernel)
-            fock = fock_correlator(quad, lam, 1200.0, n_max=n_max)
+            fock = fock_correlator(quad, lam, 1200.0, n_max=40)
             errors.append(abs(analytic - fock))
-    return _result("fock_four_point", _worst(errors), tol, f"lambdas={lambdas}, all orderings")
+    return _result("fock_four_point", _worst(errors), 1e-8, f"lambdas={lambdas}, all orderings")
 
 
-def check_twod_direct(seed: int = 105, points: int = 20, tol: float = 1e-10) -> CheckResult:
-    """Class-collapsed 2D kernel against the literal quintuple loop."""
-    rng = np.random.default_rng(seed)
-    cases = []      # the arguments of twod_signal_point and twod_signal_direct
+def _loop_cases(rng, lambda_hr: float, m_max: int, points: int, draw) -> list[tuple]:
+    """The loop oracles' arguments (sys, dec, kernel, *draw(rng)), ``points`` per N = 2..5."""
+    cases = []
     for n in (2, 3, 4, 5):
-        sys = reference_params(lambda_hr=0.9, n_molecules=n, collective=1800.0)
+        sys = reference_params(lambda_hr=lambda_hr, n_molecules=n)
         dec = decompose(build_matrix(sys))
-        kernel = kernel_from_params(sys, m_max=4)
-        for _ in range(points):
-            om1 = float(rng.uniform(-2400.0, 2400.0))
-            om3 = float(rng.uniform(-2400.0, 2400.0))
-            t_wait = float(rng.uniform(0.0, 400.0))
-            cases.append((sys, dec, kernel, om1, om3, t_wait))
+        kernel = kernel_from_params(sys, m_max=m_max)
+        cases += [(sys, dec, kernel, *draw(rng)) for _ in range(points)]
+    return cases
+
+
+def check_twod_direct(points: int = 20) -> CheckResult:
+    """Class-collapsed 2D kernel against the literal quintuple loop."""
+    cases = _loop_cases(np.random.default_rng(105), 0.9, 4, points, lambda rng: (   # om1, om3, T
+        float(rng.uniform(-2400.0, 2400.0)), float(rng.uniform(-2400.0, 2400.0)),
+        float(rng.uniform(0.0, 400.0))))
 
     def error(case) -> float:
         return _relative_error(twod_signal_point(*case), twod_signal_direct(*case))
 
-    return _result("twod_direct", _worst(fork_map(error, cases)), tol, "N=2..5, relative")
+    return _result("twod_direct", _worst(fork_map(error, cases)), 1e-10, "N=2..5, relative")
 
 
-def check_pump_probe_direct(seed: int = 106, points: int = 20, tol: float = 1e-10) -> CheckResult:
+def check_pump_probe_direct(points: int = 20) -> CheckResult:
     """Class-collapsed pump-probe kernel against the literal quadruple loop."""
-    rng = np.random.default_rng(seed)
-    cases = []      # the arguments of pump_probe_direct
-    for n in (2, 3, 4, 5):
-        sys = reference_params(lambda_hr=0.8, n_molecules=n, collective=1800.0)
-        dec = decompose(build_matrix(sys))
-        kernel = kernel_from_params(sys, m_max=5)
-        for _ in range(points):
-            omega = float(rng.uniform(12000.0, 20000.0))
-            t_wait = float(rng.uniform(0.0, 500.0))
-            cases.append((sys, dec, kernel, omega, t_wait))
+    cases = _loop_cases(np.random.default_rng(106), 0.8, 5, points, lambda rng: (   # omega, T
+        float(rng.uniform(12000.0, 20000.0)), float(rng.uniform(0.0, 500.0))))
 
     def error(case) -> float:
         sys, dec, kernel, omega, t_wait = case
@@ -246,10 +240,10 @@ def check_pump_probe_direct(seed: int = 106, points: int = 20, tol: float = 1e-1
                                        pump_probe_prefactor(sys))[0])
         return _relative_error(fast, pump_probe_direct(*case))
 
-    return _result("pump_probe_direct", _worst(fork_map(error, cases)), tol, "N=2..5, relative")
+    return _result("pump_probe_direct", _worst(fork_map(error, cases)), 1e-10, "N=2..5, relative")
 
 
-def check_slices_grid(tol: float = 1e-8) -> CheckResult:
+def check_slices_grid() -> CheckResult:
     """Exact slice values against the literal pump-probe loop at the slice lines."""
     t_list = [0.0, 100.0, 250.0, 500.0]
     cases = []      # (exact slice value, the arguments of pump_probe_direct)
@@ -267,13 +261,13 @@ def check_slices_grid(tol: float = 1e-8) -> CheckResult:
         slow = pump_probe_direct(*args)
         return abs(exact - slow) / max(abs(slow), 1e-300)
 
-    return _result("slices_grid", _worst(fork_map(error, cases)), tol,
+    return _result("slices_grid", _worst(fork_map(error, cases)), 1e-8,
                    "N=2..5 vs the literal pump-probe loop, relative")
 
 
-def check_slices_direct(seed: int = 107, tol: float = 1e-10) -> CheckResult:
+def check_slices_direct() -> CheckResult:
     """Array slice formula sums against the literal site loops."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(107)
     cases = [(reference_params(n_molecules=n), [0.0, 100.0, 250.0, 500.0]) for n in (2, 3, 4, 5)]
     cases += [(_random_params(rng, n), [0.0] + list(rng.uniform(0.0, 600.0, size=2)))
               for n in (1, 2, 3, 4)]
@@ -298,7 +292,7 @@ def check_slices_direct(seed: int = 107, tol: float = 1e-10) -> CheckResult:
                 errors.append(float(np.max(np.abs(a.formula - b.formula))) / scale)
         return _worst(errors)
 
-    return _result("slices_direct", _worst(fork_map(error, cases)), tol,
+    return _result("slices_direct", _worst(fork_map(error, cases)), 1e-10,
                    "N=2..5 reference, N=1..4 random, relative")
 
 
@@ -327,7 +321,7 @@ def check_ratio_law(equal_rates: bool = False) -> CheckResult:
     return _result(name, err, tol, f"numeric={numeric:.5f} closed={closed:.5f}")
 
 
-def check_truncation_stability(tol: float = 1e-6) -> CheckResult:
+def check_truncation_stability() -> CheckResult:
     """Doubling the phonon cutoff must not move the reference 2D grid."""
     sys = reference_params()
     dec = decompose(build_matrix(sys))
@@ -338,17 +332,17 @@ def check_truncation_stability(tol: float = 1e-6) -> CheckResult:
     a = twod_values(dec, base, w1, w3, 0.0)
     b = twod_values(dec, doubled, w1, w3, 0.0)
     err = float(np.max(np.abs(a - b)) / np.max(np.abs(a)))
-    return _result("truncation_stability", err, tol, f"m_max {base.m_max} -> {2 * base.m_max}")
+    return _result("truncation_stability", err, 1e-6, f"m_max {base.m_max} -> {2 * base.m_max}")
 
 
-def check_franck_condon_sums(tol: float = 1e-10) -> CheckResult:
+def check_franck_condon_sums() -> CheckResult:
     """Truncated weight sums stay within the advertised tail bound."""
     errors = []
     for lam in (0.0, 0.5, 1.0, 2.0, 3.0):
         m_max = franck_condon_cutoff(lam, 1e-10)
         total = franck_condon_weights(lam, m_max).sum()
         errors.append(1.0 - float(total))
-    return _result("franck_condon_sums", _worst(errors), tol, "lambda in {0,0.5,1,2,3}")
+    return _result("franck_condon_sums", _worst(errors), 1e-10, "lambda in {0,0.5,1,2,3}")
 
 
 ALL_CHECKS = (

@@ -110,7 +110,7 @@ def test_criterion_3_eigenstructure():
 
 def test_criterion_4_correlator_oracle():
     start = time.perf_counter()
-    res = check_fock_four_point(samples=50, n_max=40)
+    res = check_fock_four_point(samples=50)
     elapsed = time.perf_counter() - start
     report(
         "criterion 4 (Fock-space correlator oracle)",
@@ -177,7 +177,7 @@ def test_criterion_6_twod_structure(reference):
 
 
 def test_criterion_7_transform_quadrature():
-    res = check_transform_quadrature(n_points=100)
+    res = check_transform_quadrature()
     report(
         "criterion 7 (transform vs quadrature)",
         res.passed,

@@ -233,6 +233,31 @@ class TestMainExitCodes:
                      "--t-list", "-1"]) == 2
         assert "--t-list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode, key, t_list, clash", [
+        ("pump-probe", "--t-list", "0.1,0.1000001,250,250.0000001",
+         "0.1 and 0.1000001 share the file stem pump_probe_T0p1fs"),
+        ("twod", "--t-list", "0.1,0.1000001", "0.1 and 0.1000001 share the file stem twod_T0p1fs"),
+        ("twod", "--t-list", "0,250,250", "250.0 and 250.0 share the file stem twod_T250fs"),
+        ("pump-probe", "t_wait", [250.0000001, 250.0],
+         "250.0000001 and 250.0 share the file stem pump_probe_T250fs"),
+    ])
+    def test_waiting_times_sharing_a_file_stem_exit_2(self, tmp_path, capsys, mode, key, t_list,
+                                                      clash):
+        # each would overwrite the other's file, the survivor set by process timing
+        if key == "t_wait":
+            args = ["--config", str(write_config(tmp_path, t_wait=t_list))]
+        else:
+            args = ["--config", str(write_config(tmp_path)), "--t-list", t_list]
+        assert main([mode, *args, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: {key}: the waiting times {clash}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("mode", ["twod", "pump-probe"])
+    def test_distinct_stems_are_accepted(self, mode):
+        for t_list in (T_WAITS, [125.0 * k for k in range(8)], [0.1, 0.2, 0.25]):
+            spec = build_jobspec(mode, BASE_CONFIG, t_list_override=",".join(map(repr, t_list)))
+            assert spec.t_list == t_list
+
     def test_empty_grid_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, **{"grids.absorption.count": 1})
         assert main(["absorption", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2

@@ -116,6 +116,19 @@ class TestSmoothing:
         expected = ndimage.uniform_filter(mag, size=3, mode="nearest")
         assert np.max(np.abs(_mean_3x3(mag) - expected)) <= 1e-15 * np.max(mag)
 
+    def test_1d_smoothing_has_zeros_past_the_ends(self):
+        # x = 1 is a maximum of the smoothed magnitude only with zeros past x = 0
+        peaks = find_peaks_1d(np.arange(6.0), [10, 9, 1, 0, 0, 0])
+        assert [p.omega for p in peaks] == [1.0]
+
+    def test_2d_smoothing_repeats_the_edges(self):
+        # a ridge along the omega1 = 0 edge, falling inward, and a bump at (6, 4): with
+        # zeros past the edge (1, 2) would be a maximum too; repeated edges keep the bump alone
+        values = np.outer([10, 9, 1, 0, 0, 0, 0, 0, 0.0], [0, 1, 3, 1, 0, 0, 0.0])
+        values[5:8, 3:6] = np.outer([1, 2, 1], [1, 2, 1])
+        peaks = find_peaks_2d(np.arange(9.0), np.arange(7.0), values)
+        assert [(p.omega1, p.omega3) for p in peaks] == [(6.0, 4.0)]
+
     def test_cli_import_leaves_scipy_out(self):
         script = "import sys, polariton2dcs.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
         env = dict(os.environ, PYTHONPATH=str(Path(polariton2dcs.__file__).resolve().parents[1]))
@@ -318,6 +331,46 @@ class TestGridIO:
             assert np.array_equal(loaded.axis1.values(), grid.axis1.values())
             if two_dimensional:
                 assert np.array_equal(loaded.axis2.values(), grid.axis2.values())
+
+    def make_non_finite_grid(self, two_dimensional, specials):
+        """sin over [0, 10] at 50 points, ``specials`` at indices 10, 20, ... (2D: on the diagonal)."""
+        x = np.linspace(0.0, 10.0, 50)
+        at = [10 * (k + 1) for k in range(len(specials))]
+        ax1 = Axis(0.0, 10.0, 50, label="omega1")
+        if not two_dimensional:
+            values = np.sin(x)
+            values[at] = specials
+            return SpectrumGrid("absorption", ax1, None, None, values.astype(complex), {})
+        values = np.zeros((50, 50), dtype=complex)
+        values.imag = np.outer(np.sin(x), np.sin(x))
+        values.imag[at, at] = specials
+        return SpectrumGrid("twod", ax1, Axis(0.0, 10.0, 50, label="omega3"), 0.0, values, {})
+
+    @pytest.mark.parametrize("two_dimensional", [False, True])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_peaks_refuses_a_grid_with_a_nan_and_an_infinity(self, tmp_path, two_dimensional, fmt):
+        # the smoothing spread them to their neighbours and the height floor became nan:
+        # in 1D, peaks at 4.69, 7.76 and 9.80 (height 0.41) under --min-height 0.5, exit 0
+        path = tmp_path / f"grid.{fmt}"
+        (write_csv if fmt == "csv" else write_json_grid)(
+            path, self.make_non_finite_grid(two_dimensional, [np.nan, np.inf]))
+        env = dict(os.environ, PYTHONPATH=str(Path(polariton2dcs.__file__).resolve().parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "polariton2dcs.cli", "peaks", str(path),
+             "--min-height", "0.5"], capture_output=True, text=True, env=env, timeout=120)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == f"config error: {path}: the values hold a NaN or an infinity\n"
+
+    @pytest.mark.parametrize("special", [np.nan, np.inf, -np.inf])
+    def test_peaks_refuses_each_special_value(self, tmp_path, capsys, special):
+        path = tmp_path / "grid.csv"
+        write_csv(path, self.make_non_finite_grid(False, [special]))
+        assert main(["peaks", str(path)]) == 2
+        assert capsys.readouterr().err == (f"config error: {path}: "
+                                           "the values hold a NaN or an infinity\n")
+        write_csv(path, self.make_non_finite_grid(False, []))
+        assert main(["peaks", str(path)]) == 0
 
     @pytest.mark.parametrize("two_dimensional, keys", [
         (False, ["omega", "refined", "height", "classification"]),
