@@ -60,6 +60,8 @@ class JobSpec:
     out_dir: Path
     formats: tuple[str, ...]
     config_echo: dict = field(default_factory=dict)
+    stems: tuple[str, ...] = ()     # the grid files' stems, in waiting-time order
+    outputs: tuple[str, ...] = ()   # the data files, in write order
 
 
 def _reject_unknown(section: dict, allowed: set[str], where: str) -> None:
@@ -94,6 +96,16 @@ def _number(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ConfigError(f"{key} must be a finite number, got {value!r}")
     return float(value)
+
+
+def _once(key: str, named, clash: str = "{1!r} is named twice") -> None:
+    """Refuse two (output, entry) pairs of ``key`` with one output; ``clash`` words the error
+    from the two entries and the output."""
+    seen: dict = {}
+    for name, entry in named:
+        if name in seen:
+            raise ConfigError(f"{key}: " + clash.format(seen[name], entry, name))
+        seen[name] = entry
 
 
 def _axis(section: dict, name: str, offset: float) -> Axis:
@@ -222,25 +234,24 @@ def build_jobspec(mode: str, config: dict, out_override: str | None = None,
     else:
         raw_t = config.get("t_wait", 0.0)
         tokens = raw_t if isinstance(raw_t, (list, tuple)) else [raw_t]
-    t_list = [_number(t, t_key) for t in tokens]
+    t_list = [_number(t, t_key) + 0.0 for t in tokens]     # -0.0 + 0.0 is 0.0
     if mode in ("twod", "pump-probe", "slices"):
         if not t_list:
             raise ConfigError(f"mode '{mode}' needs at least one waiting time")
         if any(t < 0.0 for t in t_list):
             raise ConfigError(f"{t_key} must be >= 0, got {min(t_list)}")
-    if mode in ("twod", "pump-probe"):     # one file per waiting time, named by its stem
-        stems: dict[str, float] = {}
-        for t in t_list:
-            stem = f"{mode.replace('-', '_')}_T{_t_stem(t)}fs"
-            if stem in stems:
-                raise ConfigError(f"{t_key}: the waiting times {stems[stem]!r} and {t!r} "
-                                  f"share the file stem {stem}")
-            stems[stem] = t
+    stems = ("absorption",) if mode == "absorption" else ()
+    if mode in ("twod", "pump-probe"):     # one grid per waiting time, named by its stem
+        prefix = mode.replace("-", "_")
+        stems = tuple(f"{prefix}_T{t:g}fs".replace("-", "m").replace(".", "p") for t in t_list)
+        _once(t_key, zip(stems, t_list),
+              "the waiting times {0!r} and {1!r} share the file stem {2}")
 
     orders = tuple(_integer(m, "stokes_orders")
                    for m in _list(config.get("stokes_orders", (1, 2)), "stokes_orders"))
     if any(m < 1 for m in orders):
         raise ConfigError("stokes_orders must be >= 1")
+    _once("stokes_orders", zip(orders, orders))
     for m in orders if mode == "slices" else ():
         try:
             line = params.axis_offset + params.delta_x - m * params.omega_v
@@ -263,10 +274,12 @@ def build_jobspec(mode: str, config: dict, out_override: str | None = None,
         formats = tuple(_list(out_cfg.get("formats", ("csv",)), formats_key))
     if not formats or any(not isinstance(f, str) or f not in _FORMATS for f in formats):
         raise ConfigError(f"{formats_key} must be a nonempty subset of {sorted(_FORMATS)}")
+    _once(formats_key, zip(formats, formats))
 
+    outputs = tuple(f"{stem}.{fmt}" for stem in stems for fmt in formats) or (f"{mode}.json",)
     return JobSpec(mode=mode, params=params, kernel=kernel, grids=grids,
                    t_list=t_list, stokes_orders=orders, out_dir=out_dir,
-                   formats=formats, config_echo=config)
+                   formats=formats, config_echo=config, stems=stems, outputs=outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -288,20 +301,15 @@ def _write_grid(spec: JobSpec, grid: SpectrumGrid, stem: str) -> None:
     grid.metadata["params_hash"] = params_hash(spec)
     grid.metadata["code_version"] = __version__
     for fmt in spec.formats:
-        path = spec.out_dir / f"{stem}.{fmt}"
-        if fmt == "csv":
-            write_csv(path, grid)
-        else:
-            write_json_grid(path, grid)
+        (write_csv if fmt == "csv" else write_json_grid)(spec.out_dir / f"{stem}.{fmt}", grid)
 
 
-def _write_grids(spec: JobSpec, jobs: list, written: list[str]) -> tuple[float, int]:
+def _write_grids(spec: JobSpec, jobs: list) -> tuple[float, int]:
     """Compute and write the grids of ``jobs``, (stem, computation) pairs, k at a time.
 
-    k is :func:`parallel.cpu_count`.  Each batch is computed here and written
-    by :func:`parallel.fork_map`, one grid per process, so at most k grids are
-    held at once.  ``written`` gets the file names in job order.  Returns the
-    seconds spent writing and the number of processes that wrote at once."""
+    k is :func:`parallel.cpu_count`.  Each batch is computed here and written by
+    :func:`parallel.fork_map`, one grid per process, so at most k grids are held at once.
+    Returns the seconds spent writing and the number of processes that wrote at once."""
     k = cpu_count()
     write_s = 0.0
     for at in range(0, len(jobs), k):
@@ -313,22 +321,20 @@ def _write_grids(spec: JobSpec, jobs: list, written: list[str]) -> tuple[float, 
         began = time.perf_counter()
         fork_map(lambda job: _write_grid(spec, job[1], job[0]), grids)
         write_s += time.perf_counter() - began
-        written.extend(f"{stem}.{fmt}" for stem, _ in grids for fmt in spec.formats)
         del grids   # the next batch is computed with this one released
     return write_s, min(k, len(jobs))
 
 
-def _write_doc(spec: JobSpec, doc, name: str, written: list[str]) -> None:
+def _write_doc(spec: JobSpec, doc) -> None:
     """Write ``doc`` as indented json, arrays as lists.  A validate report keeps its check
     order and may hold a NaN error (a failed check); any other document must be finite."""
-    validate = spec.mode == "validate"
+    validate, name = spec.mode == "validate", spec.outputs[0]
     try:
         text = json.dumps(doc, indent=2, sort_keys=not validate, allow_nan=validate,
                           default=np.ndarray.tolist)
     except ValueError:   # a NaN or an infinity
         raise NonFiniteResult(f"{name} not written: it would hold a NaN or an infinity") from None
     (spec.out_dir / name).write_text(text + "\n")
-    written.append(name)
 
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -350,8 +356,7 @@ def _environment() -> dict:
     }
 
 
-def write_manifest(spec: JobSpec, written: list[str], wall_time: float,
-                   extra: dict | None = None) -> Path:
+def write_manifest(spec: JobSpec, wall_time: float, extra: dict | None = None) -> Path:
     manifest = {
         "environment": _environment(),
         "mode": spec.mode,
@@ -361,7 +366,7 @@ def write_manifest(spec: JobSpec, written: list[str], wall_time: float,
         "wall_time_s": wall_time,
         "truncation": {"m_max": spec.kernel.m_max, "tail_eps": spec.kernel.tail_eps},
         "unit_bridge_rad_per_cm_fs": RAD_PER_CM_FS,
-        "outputs": written,
+        "outputs": spec.outputs,
         "created_unix": time.time(),
     }
     if extra:
@@ -377,65 +382,57 @@ def write_manifest(spec: JobSpec, written: list[str], wall_time: float,
 # job execution
 
 
-def _t_stem(t_wait: float) -> str:
-    return f"{t_wait:g}".replace("-", "m").replace(".", "p")
-
-
 def _grid_jobs(spec: JobSpec, dec) -> list:
     """(file stem, computation) of each grid of a spectrum mode, in waiting-time order."""
     params, kernel, grids = spec.params, spec.kernel, spec.grids
     if spec.mode == "absorption":
-        return [("absorption", lambda: linear_absorption(params, dec, kernel, grids["absorption"]))]
+        return [(*spec.stems, lambda: linear_absorption(params, dec, kernel, grids["absorption"]))]
     if spec.mode == "twod":
-        return [(f"twod_T{_t_stem(t)}fs",
-                 lambda t=t: twod_signal(params, dec, kernel, grids["omega1"], grids["omega3"], t))
-                for t in spec.t_list]
-    return [(f"pump_probe_T{_t_stem(t)}fs",
-             lambda t=t: pump_probe(params, dec, kernel, grids["pump_probe"], t))
-            for t in spec.t_list]
+        axes = grids["omega1"], grids["omega3"]
+        return [(stem, lambda t=t: twod_signal(params, dec, kernel, *axes, t))
+                for stem, t in zip(spec.stems, spec.t_list)]
+    return [(stem, lambda t=t: pump_probe(params, dec, kernel, grids["pump_probe"], t))
+            for stem, t in zip(spec.stems, spec.t_list)]
 
 
 @np.errstate(all="ignore")   # a NaN or an infinity is refused by name before it is written
-def run_job(spec: JobSpec) -> tuple[list[str], str, bool]:
+def run_job(spec: JobSpec) -> tuple[str, bool]:
     """Compute the mode's outputs and write every data file, then the manifest.
 
-    Returns the files written, the stdout text and a pass flag; prints nothing."""
+    Returns the stdout text and a pass flag; prints nothing."""
     start = time.perf_counter()
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     dec = decompose(build_matrix(spec.params))
-    written: list[str] = []
     extra: dict = {}
     text, passed = "", True
 
     if spec.mode in _GRID_MODES:
-        write_s, writers = _write_grids(spec, _grid_jobs(spec, dec), written)
+        write_s, writers = _write_grids(spec, _grid_jobs(spec, dec))
     else:
         if spec.mode == "slices":
-            name, doc = "slices.json", asdict(pump_probe_slices(spec.params, dec, spec.kernel,
-                                                                spec.t_list, spec.stokes_orders))
+            doc = asdict(pump_probe_slices(spec.params, dec, spec.kernel, spec.t_list,
+                                           spec.stokes_orders))
             doc["stokes"] = {str(m): trace for m, trace in doc["stokes"].items()}
         elif spec.mode == "eig":
-            name, doc = "eig.json", _eig_record(spec, dec)
+            doc = _eig_record(spec, dec)
         else:   # validate; build_jobspec admits no other mode
             results = run_suite()
-            extra["oracle_results"] = [
+            doc = extra["oracle_results"] = [
                 {"name": r.name, "max_err": r.max_err, "tol": r.tol, "passed": r.passed}
-                for r in results
-            ]
+                for r in results]
             # wall times go to the manifest only: validate.json stays deterministic
             extra["oracle_seconds"] = {r.name: r.seconds for r in results}
-            name, doc = "validate.json", extra["oracle_results"]
             text = "".join(f"{r.line()}\n" for r in results)
             passed = all(r.passed for r in results)
         began = time.perf_counter()
-        _write_doc(spec, doc, name, written)
+        _write_doc(spec, doc)
         write_s, writers = time.perf_counter() - began, 1
 
     elapsed = time.perf_counter() - start
     extra["stage_seconds"] = {"compute": elapsed - write_s, "write": write_s}
     extra["writer_processes"] = writers
-    write_manifest(spec, written, elapsed, extra)
-    return written, text, passed
+    write_manifest(spec, elapsed, extra)
+    return text, passed
 
 
 # eig.json lists every mode: at N = 10^5 it holds 4.5 MB and the job takes 0.9 s,
@@ -527,7 +524,7 @@ def main(argv=None) -> int:
         else:
             spec = build_jobspec(args.mode, _read_config(args), out_override=args.out,
                                  formats_override=args.format, t_list_override=args.t_list)
-            _, text, passed = run_job(spec)
+            text, passed = run_job(spec)
     except (ConfigError, MalformedGrid) as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return 2

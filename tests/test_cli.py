@@ -240,6 +240,12 @@ class TestMainExitCodes:
         ("twod", "--t-list", "0,250,250", "250.0 and 250.0 share the file stem twod_T250fs"),
         ("pump-probe", "t_wait", [250.0000001, 250.0],
          "250.0000001 and 250.0 share the file stem pump_probe_T250fs"),
+        # -0 is the waiting time 0, named T0fs
+        ("twod", "--t-list", "0,-0", "0.0 and 0.0 share the file stem twod_T0fs"),
+        ("pump-probe", "--t-list", "250,-0,0", "0.0 and 0.0 share the file stem pump_probe_T0fs"),
+        ("twod", "t_wait", [0.0, -0.0], "0.0 and 0.0 share the file stem twod_T0fs"),
+        ("pump-probe", "t_wait", [-0.0, 250.0, 0.0],
+         "0.0 and 0.0 share the file stem pump_probe_T0fs"),
     ])
     def test_waiting_times_sharing_a_file_stem_exit_2(self, tmp_path, capsys, mode, key, t_list,
                                                       clash):
@@ -250,6 +256,34 @@ class TestMainExitCodes:
             args = ["--config", str(write_config(tmp_path)), "--t-list", t_list]
         assert main([mode, *args, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"config error: {key}: the waiting times {clash}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_zero_waiting_time_is_zero(self, tmp_path, capsys):
+        cfg = str(write_config(tmp_path))
+        out = tmp_path / "pp"
+        assert main(["pump-probe", "--config", cfg, "--out", str(out), "--t-list=-0"]) == 0
+        assert sorted(path.name for path in out.iterdir()) == [
+            "manifest.json", "pump_probe_T0fs.csv", "pump_probe_T0fs.json"]
+        assert "# t_wait=0\n" in (out / "pump_probe_T0fs.csv").read_text()
+        t_wait = json.loads((out / "pump_probe_T0fs.json").read_text())["t_wait"]
+        assert math.copysign(1.0, t_wait) == 1.0
+        out = tmp_path / "sl"
+        assert main(["slices", "--config", cfg, "--out", str(out), "--t-list=-0"]) == 0
+        assert '"t_list": [\n    0.0\n  ]' in (out / "slices.json").read_text()
+
+    @pytest.mark.parametrize("mode, changes, args, err", [
+        ("absorption", {}, ["--format", "csv,csv,json"], "--format: 'csv' is named twice"),
+        ("twod", {}, ["--format", "json, csv,json"], "--format: 'json' is named twice"),
+        ("pump-probe", {"output.formats": ["csv", "json", "csv"]}, [],
+         "output.formats: 'csv' is named twice"),
+        ("slices", {"stokes_orders": [2, 1, 2]}, [], "stokes_orders: 2 is named twice"),
+        ("slices", {"stokes_orders": [1, 1.0]}, [], "stokes_orders: 1 is named twice"),
+    ])
+    def test_output_named_twice_exits_2(self, tmp_path, capsys, mode, changes, args, err):
+        # a repeated format writes and lists one file twice; a repeated order computes it twice
+        cfg = write_config(tmp_path, **changes)
+        assert main([mode, "--config", str(cfg), *args, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: {err}\n"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("mode", ["twod", "pump-probe"])
@@ -726,6 +760,26 @@ class TestParallelWriters:
         assert stages["compute"] > 0.0 and stages["write"] > 0.0
         assert stages["compute"] + stages["write"] == pytest.approx(manifest["wall_time_s"], abs=1e-3)
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("mode, outputs", [
+        ("absorption", ["absorption.csv", "absorption.json"]),
+        ("twod", [f"twod_T{t}fs.{fmt}" for t in (0, 250, 500, 750) for fmt in ("csv", "json")]),
+        ("pump-probe", [f"pump_probe_T{t}fs.{fmt}" for t in (0, 250, 500, 750)
+                        for fmt in ("csv", "json")]),
+        ("slices", ["slices.json"]),
+        ("eig", ["eig.json"]),
+        ("validate", ["validate.json"]),
+    ])
+    def test_manifest_lists_every_data_file_once(self, tmp_path, monkeypatch, cpus, mode, outputs):
+        set_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(cli, "run_suite", lambda: [])
+        out = tmp_path / "out"
+        assert main([mode, "--config", str(CONFIGS / "cyanine_n10.json"), "--out", str(out),
+                     "--format", "csv,json"]) == 0
+        assert_no_child_left()
+        assert json.loads((out / "manifest.json").read_text())["outputs"] == outputs
+        assert sorted(path.name for path in out.iterdir()) == sorted(outputs + ["manifest.json"])
+
     @pytest.mark.parametrize("mode", ["absorption", "pump-probe", "eig", "slices"])
     def test_other_modes_report_stages(self, tmp_path, monkeypatch, mode):
         set_cpus(monkeypatch, 4)
@@ -987,3 +1041,36 @@ class TestBenchmarkTracingContract:
         assert main(["absorption", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
         assert main(["peaks", str(out / "absorption.json")]) == 0
         assert calls == ["write_csv", "write_json_grid", "load_grid"]
+
+    SPECTRUM = ("build_jobspec", "kernel_from_params", "decompose", "write_manifest")
+    GRID = SPECTRUM + ("write_csv", "write_json_grid")
+    JOBS = (("absorption", GRID + ("linear_absorption",)),
+            ("twod", GRID + ("twod_signal",)),
+            ("pump-probe", GRID + ("pump_probe",)),
+            ("slices", SPECTRUM + ("pump_probe_slices",)),
+            ("eig", SPECTRUM),
+            ("validate", SPECTRUM),
+            ("peaks", ("load_grid", "grid_peak_report")))
+
+    @pytest.mark.parametrize("mode, called", JOBS)
+    def test_each_traced_name_is_called_on_cli_by_its_job(self, tmp_path, monkeypatch, mode,
+                                                          called):
+        # the job runs with every traced name wrapped on cli, as perfbench/child.py does,
+        # and calls exactly the names it uses; one CPU keeps every writer in this process
+        set_cpus(monkeypatch, 1)
+        monkeypatch.setattr(cli, "run_suite", lambda: [])
+        cfg, out = str(write_config(tmp_path)), tmp_path / "o"
+        assert main(["absorption", "--config", cfg, "--out", str(out)]) == 0
+        calls = set()
+        for name in self.TRACED:
+            def traced(*args, _fn=getattr(cli, name), _name=name, **kwargs):
+                calls.add(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(cli, name, traced)
+        argv = (["peaks", str(out / "absorption.json")] if mode == "peaks"
+                else [mode, "--config", cfg, "--out", str(tmp_path / mode)])
+        assert main(argv) == 0
+        assert calls == set(called)
+
+    def test_every_traced_name_has_a_job(self):
+        assert set().union(*(called for _, called in self.JOBS)) == set(self.TRACED)
