@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .errors import MalformedGrid, NonFiniteResult, ParameterError, PolaritonError, TooLarge
-from .grids import Axis, SpectrumGrid, load_grid, write_csv, write_json_grid
+from .grids import Axis, SpectrumGrid, integral, load_grid, write_csv, write_json_grid
 from .model import RAD_PER_CM_FS, SystemParams, derived_quantities, validate_params
 from .parallel import cpu_count, fork_map
 from .peaks import grid_peak_report
@@ -39,14 +39,23 @@ class ConfigError(ValueError):
     """Bad job configuration; maps to exit code 2."""
 
 
-_MODES = ("absorption", "twod", "pump-probe", "slices", "eig", "validate")
+@dataclass(frozen=True)
+class Mode:
+    """What a mode computes on; every rule that differs between modes is read from it."""
+    axes: tuple[str, ...] = ()  # the grids.* axes of its spectra
+    waits: bool = False         # whether it takes waiting times
+    power: int = 0              # the power of m_max its phonon tables cost per spectrum; 0: none
+
+
+_MODES = {"absorption": Mode(("absorption",)), "twod": Mode(("omega1", "omega3"), True, 3),
+          "pump-probe": Mode(("pump_probe",), True, 2), "slices": Mode((), True, 2),
+          "eig": Mode(), "validate": Mode()}
 _TOP_KEYS = {"system", "kernel", "grids", "t_wait", "stokes_orders", "output"}
 _KERNEL_KEYS = {"tail_eps", "m_max"}
 _GRID_KEYS = {"start", "stop", "count"}
 _GRID_SECTIONS = {"absorption", "omega1", "omega3", "pump_probe"}
 _OUTPUT_KEYS = {"directory", "formats"}
 _FORMATS = {"csv", "json"}
-_GRID_MODES = ("absorption", "twod", "pump-probe")
 
 
 @dataclass
@@ -84,10 +93,10 @@ def _list(value, key: str) -> list:
 
 def _integer(value, key: str) -> int:
     """An integral config number; booleans and fractional values are rejected."""
-    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral:
+    number = integral(value)
+    if number is None:
         raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+    return number
 
 
 def _number(value, key: str) -> float:
@@ -150,22 +159,16 @@ def _check_grid_size(mode: str, grids: dict[str, Axis], m_max: int) -> None:
     class tables from m_max outer products of (2 m_max + 1)^2 elements; a
     pump-probe spectrum, which slices evaluates at every trace point,
     convolves m_max-long weight vectors for each class."""
-    width = 3 * m_max + 1
-    arrays = []
-    if mode == "twod":
-        n1, n3 = grids["omega1"].count, grids["omega3"].count
-        arrays = [(n1 * n3, "grids.omega1.count x grids.omega3.count"),
-                  (n1 * width, "grids.omega1.count x (3 m_max + 1)"),
-                  (n3 * width, "grids.omega3.count x (3 m_max + 1)"),
-                  (width * width, "(3 m_max + 1)^2")]
-    elif mode in _GRID_MODES:
-        name = mode.replace("-", "_")
-        arrays = [(grids[name].count * width, f"grids.{name}.count x (3 m_max + 1)")]
+    width, axes, power = 3 * m_max + 1, _MODES[mode].axes, _MODES[mode].power
+    arrays = [(grids[name].count * width, f"grids.{name}.count x (3 m_max + 1)") for name in axes]
+    if len(axes) == 2:
+        arrays += [(grids[axes[0]].count * grids[axes[1]].count,
+                    f"grids.{axes[0]}.count x grids.{axes[1]}.count"),
+                   (width * width, "(3 m_max + 1)^2")]
     size, what = max(arrays, default=(0, ""))
     if size > GRID_MAX_ELEMENTS:
         raise TooLarge(f"{mode} would allocate {what} = {_estimate(size)} elements "
                        f"(m_max = {m_max}), more than GRID_MAX_ELEMENTS = {GRID_MAX_ELEMENTS}")
-    power = {"twod": 3, "pump-probe": 2, "slices": 2}.get(mode)
     if power and 15 * m_max ** power > WORK_MAX_OPS:
         raise TooLarge(f"{mode} would take 15 x m_max^{power} = {_estimate(15 * m_max ** power)} "
                        f"operations per spectrum (kernel.m_max = {m_max}), "
@@ -182,6 +185,7 @@ def build_jobspec(mode: str, config: dict, out_override: str | None = None,
                   t_list_override: str | None = None) -> JobSpec:
     if mode not in _MODES:
         raise ConfigError(f"unknown mode '{mode}'")
+    uses = _MODES[mode]
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
     _reject_unknown(config, _TOP_KEYS, "config")
@@ -196,9 +200,7 @@ def build_jobspec(mode: str, config: dict, out_override: str | None = None,
     _reject_unknown(grids_cfg, _GRID_SECTIONS, "grids")
     grids = {name: _axis(sec, name, params.axis_offset) for name, sec in grids_cfg.items()}
 
-    required = {"absorption": ("absorption",), "twod": ("omega1", "omega3"),
-                "pump-probe": ("pump_probe",)}.get(mode, ())
-    for name in required:
+    for name in uses.axes:
         if name not in grids:
             raise ConfigError(f"mode '{mode}' needs grids.{name}")
 
@@ -210,7 +212,7 @@ def build_jobspec(mode: str, config: dict, out_override: str | None = None,
         # refuse before kernel_from_params sums the m_max + 1 Franck-Condon weights; eig and
         # validate never use the kernel, and take the largest cutoff a spectrum mode accepts
         _check_grid_size(mode, grids, m_max)
-        if mode in ("eig", "validate") and 15 * m_max ** 2 > WORK_MAX_OPS:
+        if not (uses.axes or uses.waits) and 15 * m_max ** 2 > WORK_MAX_OPS:
             raise TooLarge(f"{mode} uses no phonon kernel, and kernel.m_max = {m_max} is past "
                            f"the largest cutoff any spectrum mode accepts "
                            f"(15 x m_max^2 <= WORK_MAX_OPS = {WORK_MAX_OPS})")
@@ -235,17 +237,16 @@ def build_jobspec(mode: str, config: dict, out_override: str | None = None,
         raw_t = config.get("t_wait", 0.0)
         tokens = raw_t if isinstance(raw_t, (list, tuple)) else [raw_t]
     t_list = [_number(t, t_key) + 0.0 for t in tokens]     # -0.0 + 0.0 is 0.0
-    if mode in ("twod", "pump-probe", "slices"):
+    if uses.waits:
         if not t_list:
             raise ConfigError(f"mode '{mode}' needs at least one waiting time")
         if any(t < 0.0 for t in t_list):
             raise ConfigError(f"{t_key} must be >= 0, got {min(t_list)}")
-    stems = ("absorption",) if mode == "absorption" else ()
-    if mode in ("twod", "pump-probe"):     # one grid per waiting time, named by its stem
-        prefix = mode.replace("-", "_")
-        stems = tuple(f"{prefix}_T{t:g}fs".replace("-", "m").replace(".", "p") for t in t_list)
-        _once(t_key, zip(stems, t_list),
-              "the waiting times {0!r} and {1!r} share the file stem {2}")
+    # a grid mode writes one grid named after it, or one per waiting time named by its stem
+    prefix = mode.replace("-", "_")
+    stems = (tuple(f"{prefix}_T{t:g}fs".replace("-", "m").replace(".", "p") for t in t_list)
+             if uses.waits else (prefix,)) if uses.axes else ()
+    _once(t_key, zip(stems, t_list), "the waiting times {0!r} and {1!r} share the file stem {2}")
 
     orders = tuple(_integer(m, "stokes_orders")
                    for m in _list(config.get("stokes_orders", (1, 2)), "stokes_orders"))
@@ -384,15 +385,13 @@ def write_manifest(spec: JobSpec, wall_time: float, extra: dict | None = None) -
 
 def _grid_jobs(spec: JobSpec, dec) -> list:
     """(file stem, computation) of each grid of a spectrum mode, in waiting-time order."""
-    params, kernel, grids = spec.params, spec.kernel, spec.grids
-    if spec.mode == "absorption":
-        return [(*spec.stems, lambda: linear_absorption(params, dec, kernel, grids["absorption"]))]
-    if spec.mode == "twod":
-        axes = grids["omega1"], grids["omega3"]
-        return [(stem, lambda t=t: twod_signal(params, dec, kernel, *axes, t))
-                for stem, t in zip(spec.stems, spec.t_list)]
-    return [(stem, lambda t=t: pump_probe(params, dec, kernel, grids["pump_probe"], t))
-            for stem, t in zip(spec.stems, spec.t_list)]
+    uses = _MODES[spec.mode]
+    compute = {"absorption": linear_absorption, "twod": twod_signal,
+               "pump-probe": pump_probe}[spec.mode]   # at each call: a wrapper on cli is seen
+    axes = [spec.grids[name] for name in uses.axes]
+    waits = [(t,) for t in spec.t_list] if uses.waits else [()]
+    return [(stem, lambda wait=wait: compute(spec.params, dec, spec.kernel, *axes, *wait))
+            for stem, wait in zip(spec.stems, waits)]
 
 
 @np.errstate(all="ignore")   # a NaN or an infinity is refused by name before it is written
@@ -406,7 +405,7 @@ def run_job(spec: JobSpec) -> tuple[str, bool]:
     extra: dict = {}
     text, passed = "", True
 
-    if spec.mode in _GRID_MODES:
+    if _MODES[spec.mode].axes:
         write_s, writers = _write_grids(spec, _grid_jobs(spec, dec))
     else:
         if spec.mode == "slices":

@@ -4,12 +4,23 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import MalformedGrid
+
+
+def integral(value) -> int | None:
+    """``value`` as an int when it is an integral number, else None; a boolean is not one.
+
+    The rule for every count: a config's grid counts and cutoffs, a json grid's axis counts."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or (isinstance(value, float) and value.is_integer())):
+        return None
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -127,19 +138,23 @@ def load_grid(path) -> SpectrumGrid:
     """Read a spectrum grid written by :func:`write_csv` or :func:`write_json_grid`.
 
     Malformed content raises :class:`MalformedGrid`; a file that cannot be
-    read raises the ``OSError``.
+    read raises the ``OSError``.  A 2D grid's ``omega_v``, by which the peak
+    report classifies its peaks, must be a positive finite number.
     """
     path = Path(path)
     if not path.exists():
         raise MalformedGrid(f"no such file: {path}")
     try:
-        if path.suffix.lower() == ".json":
-            return _load_json(path)
-        return _load_csv(path)
+        grid = _load_json(path) if path.suffix.lower() == ".json" else _load_csv(path)
     except MalformedGrid:
         raise
-    except (ValueError, KeyError, TypeError, IndexError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, IndexError, AttributeError, OverflowError) as exc:
         raise MalformedGrid(f"cannot parse {path}: {exc}") from exc
+    omega_v = grid.metadata.get("omega_v") if grid.axis2 is not None else None
+    if omega_v is not None and (isinstance(omega_v, bool) or not isinstance(omega_v, (int, float))
+                                or not 0 < omega_v <= sys.float_info.max):
+        raise MalformedGrid(f"{path}: omega_v must be a positive finite number, got {omega_v!r}")
+    return grid
 
 
 def _axis_of(path: Path, column: np.ndarray, offset: float, label: str) -> Axis:
@@ -199,12 +214,18 @@ def _load_csv(path: Path) -> SpectrumGrid:
 def _load_json(path: Path) -> SpectrumGrid:
     doc = json.loads(path.read_text())
     meta = doc.get("metadata", {})
+    if not isinstance(meta, dict):
+        raise MalformedGrid(f"{path}: metadata must be an object, got {meta!r}")
 
-    def axis(rec, label):
-        return Axis(rec["start"], rec["stop"], rec["count"], rec.get("offset", 0.0), label)
+    def axis(key, label):
+        rec = doc[key]
+        count = integral(rec["count"])
+        if count is None:
+            raise MalformedGrid(f"{path}: {key}.count must be an integer, got {rec['count']!r}")
+        return Axis(rec["start"], rec["stop"], count, rec.get("offset", 0.0), label)
 
-    ax1 = axis(doc["axis1"], doc["axis1"].get("label", "omega"))
-    ax2 = axis(doc.get("axis2"), "omega3") if doc.get("axis2") else None
+    ax1 = axis("axis1", doc["axis1"].get("label", "omega"))
+    ax2 = axis("axis2", "omega3") if doc.get("axis2") else None
     values = np.array(doc["values_re"], dtype=complex)
     values.imag = doc["values_im"]
     return SpectrumGrid(doc.get("signal", "unknown"), ax1, ax2,

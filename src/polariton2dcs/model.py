@@ -123,6 +123,10 @@ def validate_params(raw: Mapping) -> SystemParams:
         violations.append(Violation("NonPositiveRate", "lambda_hr", f"must be >= 0, got {floats['lambda_hr']}"))
     if n >= 1 and math.isfinite(floats["g"]) and not math.isfinite(2.0 * floats["g"] * math.sqrt(n)):
         violations.append(Violation("NonFinite", "g", "Rabi splitting 2*g*sqrt(N) overflows"))
+    try:
+        floats["dipole"] ** 4   # the prefactor of the 2D and pump-probe signals
+    except OverflowError:       # nan ** 4 and inf ** 4 do not raise: they are reported above
+        violations.append(Violation("NonFinite", "dipole", "dipole**4 overflows"))
 
     if violations:
         raise ParameterError(violations)

@@ -331,38 +331,22 @@ class PeakRatios:
 
     orders: tuple[int, ...]
     eds_over_lp: tuple[float, ...]
-    eds_over_up: tuple[float, ...]
     sideband_over_lp: tuple[float, ...]
-    sideband_over_up: tuple[float, ...]
-    gamma_lp: float
-    gamma_up: float
-    gamma_dark: float
     approximate: bool
 
 
 def peak_ratios(sys: SystemParams, dec: ModeDecomposition, m_max: int = 3) -> PeakRatios:
     lam2 = sys.lambda_hr ** 2
     n = sys.n_molecules
-    g_lp, g_up = dec.mu_lp.real, dec.mu_up.real
-    g_dark = dec.mu_dark.real
+    g_lp, g_dark = dec.mu_lp.real, dec.mu_dark.real
     gv = sys.gamma_v
     orders = tuple(range(1, m_max + 1))
-
-    def eds(gpol, m):
-        return lam2 ** m / math.factorial(m) * (1.0 - 1.0 / n) * 2.0 * gpol / (g_dark + m * gv)
-
-    def sideband(gpol, m):
-        return lam2 ** m / (math.factorial(m) * n) * gpol / (gpol + m * gv)
-
     return PeakRatios(
         orders=orders,
-        eds_over_lp=tuple(eds(g_lp, m) for m in orders),
-        eds_over_up=tuple(eds(g_up, m) for m in orders),
-        sideband_over_lp=tuple(sideband(g_lp, m) for m in orders),
-        sideband_over_up=tuple(sideband(g_up, m) for m in orders),
-        gamma_lp=g_lp,
-        gamma_up=g_up,
-        gamma_dark=g_dark,
+        eds_over_lp=tuple(lam2 ** m / math.factorial(m) * (1.0 - 1.0 / n) * 2.0 * g_lp
+                          / (g_dark + m * gv) for m in orders),
+        sideband_over_lp=tuple(lam2 ** m / (math.factorial(m) * n) * g_lp / (g_lp + m * gv)
+                               for m in orders),
         approximate=not math.isclose(sys.gamma_x, sys.gamma_c, rel_tol=1e-12),
     )
 

@@ -309,6 +309,25 @@ class TestMainExitCodes:
         assert main([mode, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0, \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode, dipole", [
+        *((mode, 2e77) for mode in ("absorption", "twod", "pump-probe", "slices", "eig",
+                                    "validate")),
+        ("absorption", 2e154)])
+    def test_dipole_past_the_float_range_exits_2(self, tmp_path, capsys, mode, dipole):
+        # dipole**4 of the 2D and pump-probe prefactors, and dipole**2 of absorption at
+        # 2e154, ended in an OverflowError traceback (exit 1)
+        cfg = write_config(tmp_path, **{"system.dipole": dipole})
+        out = tmp_path / "o"
+        assert main([mode, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("config error: system section invalid: "
+                                           "NonFinite(dipole): dipole**4 overflows\n")
+        assert not out.exists()
+
+    def test_largest_dipole_power_of_ten_runs(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, **{"system.dipole": 1e77})
+        assert main(["twod", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0, \
+            capsys.readouterr().err
+
     @pytest.mark.parametrize("mode", ["absorption", "eig"])
     @pytest.mark.parametrize("lam", [150.0, 1e300])
     def test_lambda_past_the_cutoff_cap_exits_2(self, tmp_path, capsys, mode, lam):
@@ -597,6 +616,28 @@ class TestMainExitCodes:
         assert manifest["oracle_seconds"] == {"stub": 1.25}
         assert json.loads((out / "validate.json").read_text()) == [
             {"name": "stub", "max_err": 0.1, "tol": 0.5, "passed": True}]
+
+
+class TestExtremeSystemNumbers:
+    """Each system number of the shipped config, and the defaulted dipole and phase, in turn
+    at 1e-300 and at 1e300, ends every mode in a documented exit code, never in a traceback."""
+
+    @pytest.mark.parametrize("value", [1e-300, 1e300])
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SystemParams)])
+    def test_every_mode_exits_0_2_or_3(self, tmp_path, monkeypatch, capsys, name, value):
+        # one CPU keeps every writer in this process; the validate suite is stubbed
+        set_cpus(monkeypatch, 1)
+        monkeypatch.setattr(cli, "run_suite", lambda: [])
+        cfg = json.loads((CONFIGS / "cyanine_n10.json").read_text())
+        cfg["system"][name] = value
+        for grid, count in (("absorption", 16), ("omega1", 6), ("omega3", 5), ("pump_probe", 16)):
+            cfg["grids"][grid]["count"] = count
+        cfg["t_wait"] = [0.0, 250.0]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        for mode in cli._MODES:
+            code = main([mode, "--config", str(path), "--out", str(tmp_path / mode)])
+            assert code in (0, 2, 3), (mode, code, capsys.readouterr().err)
 
 
 class TestParamsRecord:

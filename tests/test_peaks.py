@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -332,6 +333,13 @@ class TestGridIO:
             if two_dimensional:
                 assert np.array_equal(loaded.axis2.values(), grid.axis2.values())
 
+    def run_peaks(self, path, *args):
+        """``peaks`` on ``path`` in a fresh interpreter that turns every warning into an error."""
+        env = dict(os.environ, PYTHONPATH=str(Path(polariton2dcs.__file__).resolve().parents[1]))
+        return subprocess.run(
+            [sys.executable, "-W", "error", "-m", "polariton2dcs.cli", "peaks", str(path), *args],
+            capture_output=True, text=True, env=env, timeout=120)
+
     def make_non_finite_grid(self, two_dimensional, specials):
         """sin over [0, 10] at 50 points, ``specials`` at indices 10, 20, ... (2D: on the diagonal)."""
         x = np.linspace(0.0, 10.0, 50)
@@ -354,10 +362,7 @@ class TestGridIO:
         path = tmp_path / f"grid.{fmt}"
         (write_csv if fmt == "csv" else write_json_grid)(
             path, self.make_non_finite_grid(two_dimensional, [np.nan, np.inf]))
-        env = dict(os.environ, PYTHONPATH=str(Path(polariton2dcs.__file__).resolve().parents[1]))
-        result = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "polariton2dcs.cli", "peaks", str(path),
-             "--min-height", "0.5"], capture_output=True, text=True, env=env, timeout=120)
+        result = self.run_peaks(path, "--min-height", "0.5")
         assert result.returncode == 2
         assert result.stdout == ""
         assert result.stderr == f"config error: {path}: the values hold a NaN or an infinity\n"
@@ -370,6 +375,72 @@ class TestGridIO:
         assert capsys.readouterr().err == (f"config error: {path}: "
                                            "the values hold a NaN or an infinity\n")
         write_csv(path, self.make_non_finite_grid(False, []))
+        assert main(["peaks", str(path)]) == 0
+
+    @pytest.mark.parametrize("two_dimensional", [False, True])
+    def test_integral_json_count_reads_as_an_integer(self, tmp_path, capsys, two_dimensional):
+        # a count of 50.0 reached np.linspace and ended in a TypeError traceback (exit 1)
+        path = tmp_path / "grid.json"
+        write_json_grid(path, self.make_non_finite_grid(two_dimensional, []))
+        assert main(["peaks", str(path)]) == 0
+        report = capsys.readouterr().out
+        doc = json.loads(path.read_text())
+        for key in ("axis1", "axis2") if two_dimensional else ("axis1",):
+            doc[key]["count"] = 50.0
+        path.write_text(json.dumps(doc))
+        result = self.run_peaks(path)
+        assert (result.returncode, result.stdout, result.stderr) == (0, report, "")
+        assert json.loads(report)
+
+    @pytest.mark.parametrize("two_dimensional, key, value, shown", [
+        (False, "axis1", 50.5, "axis1.count must be an integer, got 50.5"),
+        (True, "axis2", "50", "axis2.count must be an integer, got '50'"),
+        (True, "axis1", True, "axis1.count must be an integer, got True"),
+        # a list reached metadata.get in the 2D peak report: an AttributeError (exit 1)
+        (True, "metadata", [1200.0], "metadata must be an object, got [1200.0]"),
+        (False, "metadata", "omega_v=1200", "metadata must be an object, got 'omega_v=1200'"),
+    ])
+    def test_peaks_refuses_a_malformed_json_record(self, tmp_path, two_dimensional, key, value,
+                                                   shown):
+        path = tmp_path / "grid.json"
+        write_json_grid(path, self.make_non_finite_grid(two_dimensional, []))
+        doc = json.loads(path.read_text())
+        if key == "metadata":
+            doc[key] = value
+        else:
+            doc[key]["count"] = value
+        path.write_text(json.dumps(doc))
+        result = self.run_peaks(path)
+        assert (result.returncode, result.stdout, result.stderr) == (
+            2, "", f"config error: {path}: {shown}\n")
+
+    @pytest.mark.parametrize("fmt, value, shown", [
+        # classify_2d divided by it: a TypeError, a ZeroDivisionError or a ValueError (exit 1)
+        ("csv", "abc", "'abc'"), ("csv", "0", "0"), ("csv", "-1200", "-1200"),
+        ("csv", "inf", "inf"), ("json", "1200", "'1200'"), ("json", math.nan, "nan"),
+        ("json", True, "True"), pytest.param("json", 10 ** 400, str(10 ** 400), id="json-1e400"),
+    ])
+    def test_peaks_refuses_a_2d_omega_v_that_is_not_a_positive_finite_number(
+            self, tmp_path, fmt, value, shown):
+        path = tmp_path / f"grid.{fmt}"
+        grid = self.make_non_finite_grid(True, [])
+        if fmt == "csv":
+            grid.metadata["omega_v"] = value   # written as it is, read back by the csv rules
+            write_csv(path, grid)
+        else:
+            write_json_grid(path, grid)
+            doc = json.loads(path.read_text())
+            doc["metadata"]["omega_v"] = value
+            path.write_text(json.dumps(doc))
+        result = self.run_peaks(path)
+        assert (result.returncode, result.stdout, result.stderr) == (
+            2, "", f"config error: {path}: omega_v must be a positive finite number, got {shown}\n")
+
+    def test_1d_grid_ignores_its_omega_v(self, tmp_path, capsys):
+        path = tmp_path / "grid.csv"
+        grid = self.make_non_finite_grid(False, [])
+        grid.metadata["omega_v"] = "abc"
+        write_csv(path, grid)
         assert main(["peaks", str(path)]) == 0
 
     @pytest.mark.parametrize("two_dimensional, keys", [
