@@ -3,121 +3,80 @@
 Computes linear absorption, heterodyne-detected two-dimensional coherent
 spectra and pump-probe spectra of N identical vibronically coupled molecules
 in a lossy single-mode cavity, with brute-force oracles for every fast path.
+
+Each public name is imported from its home module on first access, so
+``import polariton2dcs`` loads no submodule and a process pays only for the
+layers it uses.
 """
 
 __version__ = "0.1.0"
 
-from .errors import (
-    DegenerateBright,
-    DivergentTransform,
-    MalformedGrid,
-    NegativeTime,
-    NegativeWaitingTime,
-    ParameterError,
-    TooLarge,
-    TruncationWarning,
-)
-from .grids import Axis, SpectrumGrid
-from .model import (
-    RAD_PER_CM_FS,
-    SystemParams,
-    derived_quantities,
-    time_phase,
-    validate_params,
-)
-from .propagator import (
-    DynamicsMatrix,
-    ModeDecomposition,
-    build_matrix,
-    decompose,
-    expm_propagator,
-    fourier_conj_entries,
-    fourier_entries,
-    matrix_exp,
-    propagator_G,
-    propagator_fourier,
-    quadrature_fourier,
-)
-from .signals import (
-    IndexClass,
-    index_classes,
-    linear_absorption,
-    peak_ratios,
-    pump_probe,
-    pump_probe_direct,
-    pump_probe_prefactor,
-    pump_probe_slices,
-    pump_probe_slices_direct,
-    pump_probe_values,
-    twod_signal,
-    twod_signal_direct,
-    twod_signal_point,
-    twod_prefactor,
-    twod_values,
-)
-from .vibrations import (
-    TimeQuadruple,
-    VibKernel,
-    fock_correlator,
-    four_point_correlator,
-    franck_condon,
-    franck_condon_cutoff,
-    franck_condon_weights,
-    kernel_from_params,
-    mode_commutator,
-    phonon_shift,
-)
+# each public name and its home module, in the order of __all__
+_HOMES = {
+    "DegenerateBright": "errors",
+    "DivergentTransform": "errors",
+    "MalformedGrid": "errors",
+    "NegativeTime": "errors",
+    "NegativeWaitingTime": "errors",
+    "ParameterError": "errors",
+    "TooLarge": "errors",
+    "TruncationWarning": "errors",
+    "RAD_PER_CM_FS": "model",
+    "SystemParams": "model",
+    "derived_quantities": "model",
+    "time_phase": "model",
+    "validate_params": "model",
+    "DynamicsMatrix": "propagator",
+    "ModeDecomposition": "propagator",
+    "build_matrix": "propagator",
+    "decompose": "propagator",
+    "expm_propagator": "propagator",
+    "fourier_conj_entries": "propagator",
+    "fourier_entries": "propagator",
+    "matrix_exp": "propagator",
+    "propagator_G": "propagator",
+    "propagator_fourier": "propagator",
+    "quadrature_fourier": "propagator",
+    "Axis": "grids",
+    "IndexClass": "signals",
+    "SpectrumGrid": "grids",
+    "index_classes": "signals",
+    "linear_absorption": "signals",
+    "peak_ratios": "signals",
+    "pump_probe": "signals",
+    "pump_probe_direct": "signals",
+    "pump_probe_prefactor": "signals",
+    "pump_probe_slices": "signals",
+    "pump_probe_slices_direct": "signals",
+    "pump_probe_values": "signals",
+    "twod_signal": "signals",
+    "twod_signal_direct": "signals",
+    "twod_signal_point": "signals",
+    "twod_prefactor": "signals",
+    "twod_values": "signals",
+    "TimeQuadruple": "vibrations",
+    "VibKernel": "vibrations",
+    "fock_correlator": "vibrations",
+    "four_point_correlator": "vibrations",
+    "franck_condon": "vibrations",
+    "franck_condon_cutoff": "vibrations",
+    "franck_condon_weights": "vibrations",
+    "kernel_from_params": "vibrations",
+    "mode_commutator": "vibrations",
+    "phonon_shift": "vibrations",
+}
 
-__all__ = [
-    "DegenerateBright",
-    "DivergentTransform",
-    "MalformedGrid",
-    "NegativeTime",
-    "NegativeWaitingTime",
-    "ParameterError",
-    "TooLarge",
-    "TruncationWarning",
-    "RAD_PER_CM_FS",
-    "SystemParams",
-    "derived_quantities",
-    "time_phase",
-    "validate_params",
-    "DynamicsMatrix",
-    "ModeDecomposition",
-    "build_matrix",
-    "decompose",
-    "expm_propagator",
-    "fourier_conj_entries",
-    "fourier_entries",
-    "matrix_exp",
-    "propagator_G",
-    "propagator_fourier",
-    "quadrature_fourier",
-    "Axis",
-    "IndexClass",
-    "SpectrumGrid",
-    "index_classes",
-    "linear_absorption",
-    "peak_ratios",
-    "pump_probe",
-    "pump_probe_direct",
-    "pump_probe_prefactor",
-    "pump_probe_slices",
-    "pump_probe_slices_direct",
-    "pump_probe_values",
-    "twod_signal",
-    "twod_signal_direct",
-    "twod_signal_point",
-    "twod_prefactor",
-    "twod_values",
-    "TimeQuadruple",
-    "VibKernel",
-    "fock_correlator",
-    "four_point_correlator",
-    "franck_condon",
-    "franck_condon_cutoff",
-    "franck_condon_weights",
-    "kernel_from_params",
-    "mode_commutator",
-    "phonon_shift",
-]
+__all__ = list(_HOMES)
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # from .<home> import <name>; unlike importlib.import_module, -X importtime sees it
+    value = globals()[name] = getattr(__import__(f"{__name__}.{home}", fromlist=(name,)), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -7,12 +7,14 @@ times per round, one per CPU of the affinity set, and write the batch with
 :func:`parallel.fork_map`: the first grid in this process, each other one in
 a forked child.  ``validate`` shares the CPUs the same way, inside its heavy
 checks (see :mod:`validate`).
+
+Each process imports only the layers its mode runs (see :func:`_load`):
+``peaks`` reads a grid and finds its peaks without the spectrum kernels.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -26,13 +28,39 @@ import numpy as np
 from . import __version__
 from .errors import MalformedGrid, NonFiniteResult, ParameterError, PolaritonError, TooLarge
 from .grids import Axis, SpectrumGrid, integral, load_grid, write_csv, write_json_grid
-from .model import RAD_PER_CM_FS, SystemParams, derived_quantities, validate_params
-from .parallel import cpu_count, fork_map
-from .peaks import grid_peak_report
-from .propagator import build_matrix, decompose
-from .signals import linear_absorption, pump_probe, pump_probe_slices, twod_signal
-from .validate import reference_params, run_suite
-from .vibrations import CutoffTooLarge, VibKernel, kernel_from_params
+
+# The layers of the package that the modes run, each with the names cli uses from it.  _load
+# binds these names as globals, which the code below looks up at call time.
+_LAYERS = {
+    "model": ("RAD_PER_CM_FS", "SystemParams", "derived_quantities", "validate_params"),
+    "vibrations": ("CutoffTooLarge", "VibKernel", "kernel_from_params"),
+    "propagator": ("build_matrix", "decompose"),
+    "signals": ("linear_absorption", "pump_probe", "pump_probe_slices", "twod_signal"),
+    "parallel": ("cpu_count", "fork_map"),
+    "validate": ("reference_params", "run_suite"),
+    "peaks": ("grid_peak_report",),
+}
+_STACK = ("model", "vibrations", "propagator", "signals", "parallel")
+
+
+def _load(layers) -> None:
+    """Import ``layers`` and bind the names cli uses from each; a name already bound stays,
+    so a wrapper set on cli from outside is kept."""
+    bound = globals()
+    for layer in layers:
+        # from .<layer> import <names>; unlike importlib.import_module, -X importtime sees it
+        module = __import__(f"{__package__}.{layer}", fromlist=_LAYERS[layer])
+        for name in _LAYERS[layer]:
+            bound.setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    """A layer name looked up on cli from outside binds every layer, so that code which
+    reads or wraps names on cli (tests, ``perfbench/child.py``) finds the whole stack."""
+    if not any(name in names for names in _LAYERS.values()):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(_LAYERS)
+    return globals()[name]
 
 
 class ConfigError(ValueError):
@@ -45,11 +73,12 @@ class Mode:
     axes: tuple[str, ...] = ()  # the grids.* axes of its spectra
     waits: bool = False         # whether it takes waiting times
     power: int = 0              # the power of m_max its phonon tables cost per spectrum; 0: none
+    layers: tuple[str, ...] = _STACK   # the _LAYERS it runs
 
 
 _MODES = {"absorption": Mode(("absorption",)), "twod": Mode(("omega1", "omega3"), True, 3),
           "pump-probe": Mode(("pump_probe",), True, 2), "slices": Mode((), True, 2),
-          "eig": Mode(), "validate": Mode()}
+          "eig": Mode(), "validate": Mode(layers=_STACK + ("validate",))}
 _TOP_KEYS = {"system", "kernel", "grids", "t_wait", "stokes_orders", "output"}
 _KERNEL_KEYS = {"tail_eps", "m_max"}
 _GRID_KEYS = {"start", "stop", "count"}
@@ -186,6 +215,7 @@ def build_jobspec(mode: str, config: dict, out_override: str | None = None,
     if mode not in _MODES:
         raise ConfigError(f"unknown mode '{mode}'")
     uses = _MODES[mode]
+    _load(uses.layers)
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
     _reject_unknown(config, _TOP_KEYS, "config")
@@ -289,6 +319,8 @@ def build_jobspec(mode: str, config: dict, out_override: str | None = None,
 
 def params_hash(spec: JobSpec) -> str:
     """The first 16 hex digits of the sha256 of every SystemParams field and the truncation."""
+    import hashlib   # here, not at the top: peaks never hashes
+
     payload = {
         "system": asdict(spec.params),
         "kernel": {"m_max": spec.kernel.m_max, "tail_eps": spec.kernel.tail_eps},
@@ -517,6 +549,7 @@ def _print_stdout(text: str) -> None:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    _load(_MODES[args.mode].layers if args.mode in _MODES else ("peaks",))
     try:
         if args.mode == "peaks":
             text, passed = _peaks_text(args), True

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
@@ -171,23 +172,28 @@ def _axis_of(path: Path, column: np.ndarray, offset: float, label: str) -> Axis:
 
 
 def _load_csv(path: Path) -> SpectrumGrid:
+    """The metadata and the header are read line by line, then ``np.loadtxt`` reads the
+    rows from the open file, so the file's text is never held whole."""
     meta: dict = {}
-    lines = path.read_text().splitlines()
-    for at, line in enumerate(lines):
-        line = line.strip()
-        if line.startswith("#"):
-            key, eq, val = line[1:].partition("=")
-            if eq:
-                meta[key.strip()] = _meta_cast(val.strip())
-        elif line:
-            break
-    else:
-        raise MalformedGrid(f"{path}: no data rows")
-    header = [h.strip() for h in line.split(",")]
-    body = lines[at + 1:]
-    if not any(body):
-        raise MalformedGrid(f"{path}: no data rows")
-    data = np.loadtxt(body, delimiter=",", ndmin=2)
+    with path.open() as file:
+        for line in iter(file.readline, ""):
+            line = line.strip()
+            if line.startswith("#"):
+                key, eq, val = line[1:].partition("=")
+                if eq:
+                    meta[key.strip()] = _meta_cast(val.strip())
+            elif line:
+                break
+        else:
+            raise MalformedGrid(f"{path}: no data rows")
+        header = [h.strip() for h in line.split(",")]
+        # the first row that np.loadtxt does not skip as empty or a comment; it warns on none
+        for row in iter(file.readline, ""):
+            if row.partition("#")[0].rstrip("\n"):
+                break
+        else:
+            raise MalformedGrid(f"{path}: no data rows")
+        data = np.loadtxt(itertools.chain([row], file), delimiter=",", ndmin=2)
     offset = float(meta.get("axis_offset", 0.0))
     signal = str(meta.get("signal", "unknown"))
     t_wait = meta.get("t_wait")

@@ -1115,3 +1115,80 @@ class TestBenchmarkTracingContract:
 
     def test_every_traced_name_has_a_job(self):
         assert set().union(*(called for _, called in self.JOBS)) == set(self.TRACED)
+
+
+def loaded_modules(*args: str) -> set[str]:
+    """The package modules that ``python -W error -X importtime <args>`` loads, in a fresh
+    interpreter; the module that ``-m`` runs is ``__main__``, which importtime does not list."""
+    env = dict(os.environ, PYTHONPATH=str(Path(polariton2dcs.__file__).resolve().parents[1]))
+    result = subprocess.run([sys.executable, "-W", "error", "-X", "importtime", *args],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    names = {line.rpartition("|")[2].strip() for line in result.stderr.splitlines()
+             if line.startswith("import time:")}
+    if args[0] == "-m":
+        names.add(args[1])
+    return {name for name in names if name.split(".")[0] == "polariton2dcs"}
+
+
+PACKAGE = {f"polariton2dcs{name}" for name in ("", ".cli", ".errors", ".grids")}
+STACK = PACKAGE | {f"polariton2dcs.{name}"
+                   for name in ("model", "vibrations", "propagator", "signals", "parallel")}
+
+
+class TestImportBudget:
+    """Each process imports only the layers its mode runs."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_peaks_loads_the_grid_reader_and_the_peak_finder_only(self, tmp_path, fmt):
+        out = tmp_path / "o"
+        assert main(["twod", "--config", str(write_config(tmp_path)), "--out", str(out),
+                     "--t-list", "250"]) == 0
+        assert (loaded_modules("-m", "polariton2dcs.cli", "peaks", str(out / f"twod_T250fs.{fmt}"))
+                == PACKAGE | {"polariton2dcs.peaks"})
+
+    @pytest.mark.parametrize("mode", ["absorption", "twod", "pump-probe", "slices", "eig"])
+    def test_spectrum_modes_load_the_stack_without_the_oracles(self, tmp_path, mode):
+        argv = [mode, "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "o")]
+        assert loaded_modules("-m", "polariton2dcs.cli", *argv) == STACK
+
+    def test_package_import_loads_no_submodule(self):
+        assert loaded_modules("-c", "import polariton2dcs") == {"polariton2dcs"}
+
+
+class TestPackageNamespace:
+    """The package resolves its public names on first access; cli binds its layers the same
+    way, and binds them all on the first lookup from outside."""
+
+    def test_every_public_name_is_the_object_of_its_home_module(self):
+        from polariton2dcs import model
+
+        for name in polariton2dcs.__all__:
+            value = getattr(polariton2dcs, name)
+            home = model if name == "RAD_PER_CM_FS" else sys.modules[value.__module__]
+            assert value is getattr(home, name), name
+
+    def test_dir_and_star_import_hold_every_public_name(self):
+        assert set(polariton2dcs.__all__) <= set(dir(polariton2dcs))
+        namespace: dict = {}
+        exec("from polariton2dcs import *", namespace)
+        assert set(polariton2dcs.__all__) <= set(namespace)
+
+    @pytest.mark.parametrize("module", [polariton2dcs, cli], ids=["package", "cli"])
+    def test_unknown_name_raises_attribute_error_naming_it(self, module):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            module.no_such_name
+
+    def test_first_outside_lookup_on_cli_loads_every_layer(self):
+        # perfbench/child.py wraps names only in modules already imported, after its first
+        # lookup of a name on cli: that lookup must load validate too
+        loaded = loaded_modules("-c", "import polariton2dcs.cli as cli; getattr(cli, 'decompose')")
+        assert "polariton2dcs.validate" in loaded
+        assert loaded == STACK | {"polariton2dcs.peaks", "polariton2dcs.validate"}
+
+    def test_a_name_set_on_cli_before_the_lookup_stays(self):
+        script = ("import polariton2dcs.cli as cli\n"
+                  "cli.run_suite = stub = lambda: []\n"
+                  "cli.decompose\n"
+                  "assert cli.run_suite is stub and callable(cli.build_matrix)\n")
+        assert "polariton2dcs.validate" in loaded_modules("-c", script)

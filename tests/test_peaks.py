@@ -367,6 +367,31 @@ class TestGridIO:
         assert result.stdout == ""
         assert result.stderr == f"config error: {path}: the values hold a NaN or an infinity\n"
 
+    @pytest.mark.parametrize("text", [
+        "", "# signal=absorption\n", "# signal=absorption\nomega,re,im\n",
+        "omega,re,im\n\n\n", "omega,re,im\n# a comment\n\n", "omega,re,im\r\n\r\n# note\r\n",
+    ])
+    def test_csv_without_data_rows_exits_2(self, tmp_path, text):
+        # np.loadtxt warns "input contained no data" on rows it skips whole: a body of
+        # comments alone ended in that UserWarning's traceback under -W error (exit 1)
+        path = tmp_path / "grid.csv"
+        path.write_bytes(text.encode())
+        result = self.run_peaks(path)
+        assert (result.returncode, result.stdout, result.stderr) == (
+            2, "", f"config error: {path}: no data rows\n")
+
+    @pytest.mark.skipif(not Path("/dev/stdin").exists(), reason="no /dev/stdin")
+    def test_csv_read_from_a_pipe(self, tmp_path, capsys):
+        # the reader streams the rows and never seeks, so a pipe reads like the file
+        path = tmp_path / "grid.csv"
+        write_csv(path, self.make_grid(True))
+        assert main(["peaks", str(path)]) == 0
+        env = dict(os.environ, PYTHONPATH=str(Path(polariton2dcs.__file__).resolve().parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "polariton2dcs.cli", "peaks", "/dev/stdin"],
+            input=path.read_text(), capture_output=True, text=True, env=env, timeout=120)
+        assert (result.returncode, result.stdout) == (0, capsys.readouterr().out), result.stderr
+
     @pytest.mark.parametrize("special", [np.nan, np.inf, -np.inf])
     def test_peaks_refuses_each_special_value(self, tmp_path, capsys, special):
         path = tmp_path / "grid.csv"
