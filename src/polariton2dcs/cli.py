@@ -27,13 +27,13 @@ import numpy as np
 
 from . import __version__
 from .errors import MalformedGrid, NonFiniteResult, ParameterError, PolaritonError, TooLarge
-from .grids import Axis, SpectrumGrid, integral, load_grid, write_csv, write_json_grid
+from .grids import Axis, SpectrumGrid, finite, integral, load_grid, write_csv, write_json_grid
 
 # The layers of the package that the modes run, each with the names cli uses from it.  _load
 # binds these names as globals, which the code below looks up at call time.
 _LAYERS = {
-    "model": ("RAD_PER_CM_FS", "SystemParams", "derived_quantities", "validate_params"),
-    "vibrations": ("CutoffTooLarge", "VibKernel", "kernel_from_params"),
+    "model": ("RAD_PER_CM_FS", "derived_quantities", "validate_params"),
+    "vibrations": ("CutoffTooLarge", "kernel_from_params"),
     "propagator": ("build_matrix", "decompose"),
     "signals": ("linear_absorption", "pump_probe", "pump_probe_slices", "twod_signal"),
     "parallel": ("cpu_count", "fork_map"),
@@ -121,7 +121,7 @@ def _list(value, key: str) -> list:
 
 
 def _integer(value, key: str) -> int:
-    """An integral config number; booleans and fractional values are rejected."""
+    """A config count, by :func:`grids.integral`."""
     number = integral(value)
     if number is None:
         raise ConfigError(f"{key} must be an integer, got {value!r}")
@@ -129,11 +129,11 @@ def _integer(value, key: str) -> int:
 
 
 def _number(value, key: str) -> float:
-    """A finite config number; NaN, infinities, strings, booleans and other
-    JSON types are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    """Any other config number, by :func:`grids.finite`."""
+    number = finite(value)
+    if number is None:
         raise ConfigError(f"{key} must be a finite number, got {value!r}")
-    return float(value)
+    return number
 
 
 def _once(key: str, named, clash: str = "{1!r} is named twice") -> None:
@@ -352,6 +352,7 @@ def _write_grids(spec: JobSpec, jobs: list) -> tuple[float, int]:
                 raise NonFiniteResult(f"{', '.join(f'{stem}.{fmt}' for fmt in spec.formats)} "
                                       f"not written: the {grid.signal} values hold a NaN or an infinity")
         began = time.perf_counter()
+        spec.out_dir.mkdir(parents=True, exist_ok=True)   # here: a refused job leaves none
         fork_map(lambda job: _write_grid(spec, job[1], job[0]), grids)
         write_s += time.perf_counter() - began
         del grids   # the next batch is computed with this one released
@@ -367,6 +368,7 @@ def _write_doc(spec: JobSpec, doc) -> None:
                           default=np.ndarray.tolist)
     except ValueError:   # a NaN or an infinity
         raise NonFiniteResult(f"{name} not written: it would hold a NaN or an infinity") from None
+    spec.out_dir.mkdir(parents=True, exist_ok=True)   # here: a refused job leaves none
     (spec.out_dir / name).write_text(text + "\n")
 
 
@@ -432,7 +434,6 @@ def run_job(spec: JobSpec) -> tuple[str, bool]:
 
     Returns the stdout text and a pass flag; prints nothing."""
     start = time.perf_counter()
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
     dec = decompose(build_matrix(spec.params))
     extra: dict = {}
     text, passed = "", True
@@ -527,7 +528,7 @@ def _read_config(args) -> dict:
 
 def _peaks_text(args) -> str:
     """The peak report of ``args.grid_file``; a ``--report`` file is written in full first."""
-    if not math.isfinite(args.min_height):
+    if finite(args.min_height) is None:
         raise ConfigError(f"--min-height must be a finite number, got {args.min_height}")
     grid = load_grid(args.grid_file)
     if not np.all(np.isfinite(grid.values)):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import sys
+import numbers
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -15,13 +15,24 @@ from .errors import MalformedGrid
 
 
 def integral(value) -> int | None:
-    """``value`` as an int when it is an integral number, else None; a boolean is not one.
-
-    The rule for every count: a config's grid counts and cutoffs, a json grid's axis counts."""
-    if isinstance(value, bool) or not (
-            isinstance(value, int) or (isinstance(value, float) and value.is_integer())):
+    """``value`` as an int when it is an integral number (a numpy integer too), else None; a
+    boolean is not one.  The rule for every count: ``system.n_molecules``, a config's grid
+    counts, cutoffs and Stokes orders, a json grid's axis counts."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
+                                       or (isinstance(value, float) and value.is_integer())):
         return None
     return int(value)
+
+
+def finite(value) -> float | None:
+    """``value`` as a float when it is a finite number, else None; a string, a boolean or an
+    integer past the float range is not one.  The rule for every number that is not a count."""
+    if isinstance(value, (str, bool)):
+        return None
+    try:
+        return float(value) if math.isfinite(value) else None
+    except (TypeError, OverflowError):   # None, a list, an integer past the float range
+        return None
 
 
 @dataclass(frozen=True)
@@ -37,7 +48,7 @@ class Axis:
     def __post_init__(self):
         if self.count < 2:
             raise ValueError(f"axis '{self.label}' needs count >= 2, got {self.count}")
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+        if finite(self.start) is None or finite(self.stop) is None:
             raise ValueError(f"axis '{self.label}' needs finite start and stop")
         if not (self.start < self.stop):
             raise ValueError(f"axis '{self.label}' needs start < stop")
@@ -152,8 +163,7 @@ def load_grid(path) -> SpectrumGrid:
     except (ValueError, KeyError, TypeError, IndexError, AttributeError, OverflowError) as exc:
         raise MalformedGrid(f"cannot parse {path}: {exc}") from exc
     omega_v = grid.metadata.get("omega_v") if grid.axis2 is not None else None
-    if omega_v is not None and (isinstance(omega_v, bool) or not isinstance(omega_v, (int, float))
-                                or not 0 < omega_v <= sys.float_info.max):
+    if omega_v is not None and (finite(omega_v) or 0.0) <= 0.0:
         raise MalformedGrid(f"{path}: omega_v must be a positive finite number, got {omega_v!r}")
     return grid
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, fields
 from typing import Mapping
 
 from .errors import ParameterError, Violation
+from .grids import finite, integral
 
 #: radians accumulated per (cm^-1 * fs): 2*pi*c with c = 2.99792458e-5 cm/fs
 RAD_PER_CM_FS = 2.0 * math.pi * 2.99792458e-5
@@ -66,19 +67,6 @@ _DEFAULTS = {"delta_x": 0.0, "delta_c": 0.0, "dipole": 1.0, "phase": 0.0}
 _FIELD_NAMES = tuple(f.name for f in fields(SystemParams))
 
 
-def _as_float(name: str, value, violations: list[Violation]) -> float:
-    try:
-        if isinstance(value, (str, bool)):   # a quoted number or a flag is a typo
-            raise TypeError
-        out = float(value)
-    except (TypeError, ValueError):
-        violations.append(Violation("NonFinite", name, f"not a number: {value!r}"))
-        return math.nan
-    if not math.isfinite(out):
-        violations.append(Violation("NonFinite", name, f"not finite: {value!r}"))
-    return out
-
-
 def validate_params(raw: Mapping) -> SystemParams:
     """Build a :class:`SystemParams` from a plain mapping.
 
@@ -104,15 +92,16 @@ def validate_params(raw: Mapping) -> SystemParams:
         raise ParameterError(violations)
 
     n_raw = values["n_molecules"]
-    try:
-        n = int(n_raw) if not isinstance(n_raw, (bool, str)) and float(n_raw) == int(n_raw) else -1
-    except (TypeError, ValueError, OverflowError):   # None, a list, nan, inf
+    n = integral(n_raw)
+    if n is None or n < 1 or finite(n) is None:
         n = -1
-    if n < 1:
-        violations.append(Violation("NegativeCount", "n_molecules", f"need an integer >= 1, got {n_raw!r}"))
-
-    floats = {name: _as_float(name, values[name], violations)
-              for name in _FIELD_NAMES if name != "n_molecules"}
+        violations.append(Violation("NegativeCount", "n_molecules",
+                                    f"need an integer >= 1 within the float range, got {n_raw!r}"))
+    floats = {name: finite(values[name]) for name in _FIELD_NAMES if name != "n_molecules"}
+    for name, number in floats.items():
+        if number is None:   # reported here; as nan, the checks below pass it over
+            floats[name] = math.nan
+            violations.append(Violation("NonFinite", name, f"must be a finite number, got {values[name]!r}"))
 
     for name in ("gamma_x", "gamma_c", "gamma_v", "omega_v"):
         if math.isfinite(floats[name]) and floats[name] <= 0.0:

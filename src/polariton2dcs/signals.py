@@ -574,8 +574,6 @@ def _slice_report(sys: SystemParams, dec: ModeDecomposition, kernel: VibKernel,
                   t_list, stokes_orders: tuple[int, ...], sums) -> SliceReport:
     """Formula and exact traces, with ``sums`` evaluating the formula sums at each T."""
     t_list = np.asarray(list(t_list), dtype=float)
-    if np.any(t_list < 0):
-        raise NegativeWaitingTime("waiting times must be >= 0")
     n = sys.n_molecules
     lam2 = kernel.lambda_hr ** 2
     s = kernel.weights

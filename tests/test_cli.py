@@ -76,6 +76,13 @@ def write_config(tmp_path, **changes) -> Path:
     return path
 
 
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """``python -W error -m polariton2dcs.cli <args>`` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(polariton2dcs.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-W", "error", "-m", "polariton2dcs.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 class TestJobSpec:
     def test_valid_config(self, tmp_path):
         spec = build_jobspec("twod", BASE_CONFIG)
@@ -354,6 +361,16 @@ class TestMainExitCodes:
         assert main([mode, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0, \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", [2 ** 53 + 1, 10 ** 17 + 1, 10 ** 70],
+                             ids=["2^53+1", "10^17+1", "10^70"])
+    def test_integral_n_past_float_precision_runs(self, tmp_path, capsys, n):
+        # float(n) == int(n) refused these with "need an integer >= 1" (exit 2)
+        cfg, out = write_config(tmp_path, **{"system.n_molecules": n}), tmp_path / "o"
+        assert main(["absorption", "--config", str(cfg), "--out", str(out)]) == 0, \
+            capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["system"]["n_molecules"] == n
+
     @pytest.mark.parametrize("mode, n", [
         ("absorption", 1e155), ("twod", 1e62), ("pump-probe", 1e78),
         ("absorption", 1e300), ("twod", 1e300), ("pump-probe", 1e300),
@@ -364,7 +381,38 @@ class TestMainExitCodes:
         assert main([mode, "--config", str(cfg), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: TooLarge: ") and "system.n_molecules" in err, err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode, key, value, err", [
+        ("eig", "n_molecules", 200_000, "TooLarge: eig lists every mode and is limited to "),
+        ("slices", "n_molecules", 101, "TooLarge: slices limited to N <= 100 "),
+        ("twod", "n_molecules", 10 ** 70, "TooLarge: index counts up to N^5 overflow a float "),
+        ("twod", "omega_v", 1e308,
+         "NonFiniteResult: twod_T0fs.csv, twod_T0fs.json not written: the twod values hold "),
+    ], ids=["eig-N=200000", "slices-N=101", "twod-N=10^70", "twod-nan"])
+    def test_job_refused_at_run_time_leaves_no_directory(self, tmp_path, capsys, mode, key,
+                                                         value, err):
+        # each was refused after the directory was made, and left it empty
+        cfg, out = write_config(tmp_path, **{f"system.{key}": value}), tmp_path / "o" / "job"
+        assert main([mode, "--config", str(cfg), "--out", str(out)]) == 3
+        stderr = capsys.readouterr().err
+        assert stderr.startswith(f"numeric failure: {err}") and stderr.count("\n") == 1, stderr
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("mode, dotted", [
+        ("absorption", "grids.absorption.start"), ("absorption", "grids.absorption.stop"),
+        ("twod", "grids.omega1.start"), ("twod", "grids.omega1.stop"),
+        ("twod", "grids.omega3.start"), ("twod", "grids.omega3.stop"),
+        ("pump-probe", "grids.pump_probe.start"), ("pump-probe", "grids.pump_probe.stop"),
+        ("absorption", "kernel.tail_eps"), ("twod", "t_wait"),
+    ])
+    def test_config_number_past_the_float_range_exits_2(self, tmp_path, mode, dotted):
+        # float() of a 400-digit JSON integer raised an OverflowError traceback (exit 1)
+        cfg, out = write_config(tmp_path, **{dotted: 10 ** 400}), tmp_path / "o"
+        result = run_cli(mode, "--config", str(cfg), "--out", str(out))
+        assert (result.returncode, result.stdout, result.stderr) == (
+            2, "", f"config error: {dotted} must be a finite number, got {10 ** 400}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("mode, changes, what", [
         ("absorption", {"grids.absorption.count": 1e9}, "grids.absorption.count x (3 m_max + 1)"),
@@ -537,7 +585,7 @@ class TestMainExitCodes:
         assert result.returncode == 3, result.stderr
         assert result.stderr.startswith(f"numeric failure: NonFiniteResult: {outputs} not written: ")
         assert result.stderr.count("\n") == 1, result.stderr
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_peaks_subcommand(self, tmp_path, capsys):
         # narrow polariton lines need the fine grid for stable peak heights
@@ -620,7 +668,8 @@ class TestMainExitCodes:
 
 class TestExtremeSystemNumbers:
     """Each system number of the shipped config, and the defaulted dipole and phase, in turn
-    at 1e-300 and at 1e300, ends every mode in a documented exit code, never in a traceback."""
+    at 1e-300, at 1e300 and as a 400-digit integer, ends every mode in a documented exit code,
+    never in a traceback."""
 
     @pytest.mark.parametrize("value", [1e-300, 1e300])
     @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SystemParams)])
@@ -638,6 +687,23 @@ class TestExtremeSystemNumbers:
         for mode in cli._MODES:
             code = main([mode, "--config", str(path), "--out", str(tmp_path / mode)])
             assert code in (0, 2, 3), (mode, code, capsys.readouterr().err)
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SystemParams)])
+    def test_an_integer_past_the_float_range_exits_2(self, tmp_path, monkeypatch, capsys, name):
+        # float() of a 400-digit JSON integer raised an OverflowError traceback (exit 1)
+        monkeypatch.setattr(cli, "run_suite", lambda: [])
+        cfg = json.loads((CONFIGS / "cyanine_n10.json").read_text())
+        cfg["system"][name] = 10 ** 400
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        what = ("NegativeCount(n_molecules): need an integer >= 1 within the float range"
+                if name == "n_molecules" else f"NonFinite({name}): must be a finite number")
+        for mode in cli._MODES:
+            out = tmp_path / mode
+            assert main([mode, "--config", str(path), "--out", str(out)]) == 2, mode
+            assert capsys.readouterr().err == (f"config error: system section invalid: {what}, "
+                                               f"got {10 ** 400}\n")
+            assert not out.exists()
 
 
 class TestParamsRecord:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +11,7 @@ from polariton2dcs import (
     time_phase,
     validate_params,
 )
+from polariton2dcs import grids
 from polariton2dcs.validate import reference_params
 
 
@@ -57,6 +59,24 @@ class TestValidateParams:
         with pytest.raises(ParameterError) as err:
             validate_params(raw_reference(g=float("nan")))
         assert "NonFinite" in err.value.kinds()
+
+    def test_numpy_scalars_give_the_same_params(self):
+        plain = validate_params(raw_reference())
+        scalars = validate_params(raw_reference(n_molecules=np.int64(10),
+                                                g=np.float64(1800.0 / math.sqrt(10))))
+        assert scalars == plain
+        assert type(scalars.n_molecules) is int and type(scalars.g) is float
+
+    @pytest.mark.parametrize("n", [2 ** 53 + 1, 10 ** 17 + 1, 10 ** 70],
+                             ids=["2^53+1", "10^17+1", "10^70"])
+    def test_integral_n_past_float_precision_is_kept_exactly(self, n):
+        assert validate_params(raw_reference(n_molecules=n)).n_molecules == n
+
+    @pytest.mark.parametrize("n", [pytest.param(10 ** 400, id="10^400"), 0, 2.5, "10", True, None, math.inf])
+    def test_n_that_is_not_a_count_in_the_float_range_rejected(self, n):
+        with pytest.raises(ParameterError) as err:
+            validate_params(raw_reference(n_molecules=n))
+        assert err.value.kinds() == {"NegativeCount"} and err.value.fields() == {"n_molecules"}
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ParameterError) as err:
@@ -131,3 +151,24 @@ class TestTimePhase:
     def test_bilinear(self, scale, freq, t):
         assert time_phase(scale * freq, t) == pytest.approx(scale * time_phase(freq, t), rel=1e-12, abs=1e-300)
 
+
+
+class TestNumberRules:
+    """``grids.integral`` decides what is a count, ``grids.finite`` what is any other number."""
+
+    @pytest.mark.parametrize("value, count", [
+        (10, 10), (10.0, 10), (np.int64(10), 10), (np.uint8(3), 3),
+        pytest.param(10 ** 400, 10 ** 400, id="10^400"),
+        (2.5, None), (True, None), (np.bool_(True), None), ("10", None), (None, None),
+        (math.inf, None), (math.nan, None)])
+    def test_integral(self, value, count):
+        assert grids.integral(value) == count and type(grids.integral(value)) is type(count)
+
+    @pytest.mark.parametrize("value, number", [
+        (2.5, 2.5), (-3, -3.0), (np.float64(2.5), 2.5), (np.int64(7), 7.0), pytest.param(10 ** 300, 1e300, id="10^300"),
+        (1.7976931348623157e308, 1.7976931348623157e308),
+        pytest.param(10 ** 400, None, id="10^400"), (math.inf, None),
+        (-math.inf, None), (math.nan, None), ("2.5", None), (True, None), (None, None),
+        ([1.0], None)])
+    def test_finite(self, value, number):
+        assert grids.finite(value) == number and type(grids.finite(value)) is type(number)
