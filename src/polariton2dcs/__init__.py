@@ -13,6 +13,7 @@ __version__ = "0.1.0"
 
 # each public name and its home module, in the order of __all__
 _HOMES = {
+    "BrightRateOutOfRange": "errors",
     "DegenerateBright": "errors",
     "DivergentTransform": "errors",
     "MalformedGrid": "errors",

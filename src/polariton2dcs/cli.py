@@ -80,7 +80,7 @@ _MODES = {"absorption": Mode(("absorption",)), "twod": Mode(("omega1", "omega3")
           "pump-probe": Mode(("pump_probe",), True, 2), "slices": Mode((), True, 2),
           "eig": Mode(), "validate": Mode(layers=_STACK + ("validate",))}
 _TOP_KEYS = {"system", "kernel", "grids", "t_wait", "stokes_orders", "output"}
-_KERNEL_KEYS = {"tail_eps", "m_max"}
+_KERNEL_KEYS = {"tail_eps"}
 _GRID_KEYS = {"start", "stop", "count"}
 _GRID_SECTIONS = {"absorption", "omega1", "omega3", "pump_probe"}
 _OUTPUT_KEYS = {"directory", "formats"}
@@ -171,6 +171,8 @@ GRID_MAX_ELEMENTS = 2 ** 22
 # The most phonon-table operations one spectrum may take (see
 # _check_grid_size): 15 index classes times m_max^3 for a twod map, times
 # m_max^2 for a pump-probe spectrum, which slices evaluates at each point.
+# At kernel.tail_eps = 1e-10 the bound is system.lambda_hr = 17.29 (m_max =
+# 415) for twod and 88.82 (m_max = 8460) for the other two.
 # At the bound, on the shipped system (2-vCPU x86_64): one 300 x 300 twod
 # map at m_max = 415 takes 7.2 s and 282 MiB; slices at m_max = 8460 takes
 # 2.4 s and 40 MiB; one pump-probe spectrum at m_max = 8460 and count 165
@@ -178,7 +180,7 @@ GRID_MAX_ELEMENTS = 2 ** 22
 WORK_MAX_OPS = 2 ** 30
 
 
-def _check_grid_size(mode: str, grids: dict[str, Axis], m_max: int) -> None:
+def _check_grid_size(mode: str, grids: dict[str, Axis], kernel: VibKernel) -> None:
     """Refuse a job whose largest array would hold more than GRID_MAX_ELEMENTS,
     or whose phonon tables would take more than WORK_MAX_OPS per spectrum.
 
@@ -188,6 +190,9 @@ def _check_grid_size(mode: str, grids: dict[str, Axis], m_max: int) -> None:
     class tables from m_max outer products of (2 m_max + 1)^2 elements; a
     pump-probe spectrum, which slices evaluates at every trace point,
     convolves m_max-long weight vectors for each class."""
+    m_max = kernel.m_max
+    cutoff = (f"m_max = {m_max} from system.lambda_hr = {kernel.lambda_hr:g} "
+              f"at kernel.tail_eps = {kernel.tail_eps:g}")
     width, axes, power = 3 * m_max + 1, _MODES[mode].axes, _MODES[mode].power
     arrays = [(grids[name].count * width, f"grids.{name}.count x (3 m_max + 1)") for name in axes]
     if len(axes) == 2:
@@ -197,10 +202,10 @@ def _check_grid_size(mode: str, grids: dict[str, Axis], m_max: int) -> None:
     size, what = max(arrays, default=(0, ""))
     if size > GRID_MAX_ELEMENTS:
         raise TooLarge(f"{mode} would allocate {what} = {_estimate(size)} elements "
-                       f"(m_max = {m_max}), more than GRID_MAX_ELEMENTS = {GRID_MAX_ELEMENTS}")
+                       f"({cutoff}), more than GRID_MAX_ELEMENTS = {GRID_MAX_ELEMENTS}")
     if power and 15 * m_max ** power > WORK_MAX_OPS:
         raise TooLarge(f"{mode} would take 15 x m_max^{power} = {_estimate(15 * m_max ** power)} "
-                       f"operations per spectrum (kernel.m_max = {m_max}), "
+                       f"operations per spectrum ({cutoff}), "
                        f"more than WORK_MAX_OPS = {WORK_MAX_OPS}")
 
 
@@ -236,26 +241,14 @@ def build_jobspec(mode: str, config: dict, out_override: str | None = None,
 
     kernel_cfg = _object(config.get("kernel", {}), "kernel")
     _reject_unknown(kernel_cfg, _KERNEL_KEYS, "kernel")
-    if "m_max" in kernel_cfg and kernel_cfg["m_max"] is not None:
-        m_max = _integer(kernel_cfg["m_max"], "kernel.m_max")
-        key, truncation = "kernel.m_max", {"m_max": m_max}
-        # refuse before kernel_from_params sums the m_max + 1 Franck-Condon weights; eig and
-        # validate never use the kernel, and take the largest cutoff a spectrum mode accepts
-        _check_grid_size(mode, grids, m_max)
-        if not (uses.axes or uses.waits) and 15 * m_max ** 2 > WORK_MAX_OPS:
-            raise TooLarge(f"{mode} uses no phonon kernel, and kernel.m_max = {m_max} is past "
-                           f"the largest cutoff any spectrum mode accepts "
-                           f"(15 x m_max^2 <= WORK_MAX_OPS = {WORK_MAX_OPS})")
-    else:
-        key, truncation = "kernel.tail_eps", {
-            "tail_eps": _number(kernel_cfg.get("tail_eps", 1e-10), "kernel.tail_eps")}
+    tail_eps = _number(kernel_cfg.get("tail_eps", 1e-10), "kernel.tail_eps")
     try:
-        kernel = kernel_from_params(params, **truncation)
+        kernel = kernel_from_params(params, tail_eps)
     except CutoffTooLarge as exc:
         raise ConfigError(f"system.lambda_hr: {exc}") from exc
     except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
-    _check_grid_size(mode, grids, kernel.m_max)
+        raise ConfigError(f"kernel.tail_eps: {exc}") from exc
+    _check_grid_size(mode, grids, kernel)
 
     t_key = "t_wait" if t_list_override is None else "--t-list"
     if t_list_override is not None:
@@ -307,10 +300,20 @@ def build_jobspec(mode: str, config: dict, out_override: str | None = None,
         raise ConfigError(f"{formats_key} must be a nonempty subset of {sorted(_FORMATS)}")
     _once(formats_key, zip(formats, formats))
 
+    echo, echo_output = dict(config), dict(out_cfg)   # what ran: each flag's value at its key
+    if t_list_override is not None:
+        echo["t_wait"] = t_list
+    if out_override:
+        echo_output["directory"] = directory
+    if formats_override is not None:
+        echo_output["formats"] = list(formats)
+    if echo_output != out_cfg:
+        echo["output"] = echo_output
+
     outputs = tuple(f"{stem}.{fmt}" for stem in stems for fmt in formats) or (f"{mode}.json",)
     return JobSpec(mode=mode, params=params, kernel=kernel, grids=grids,
                    t_list=t_list, stokes_orders=orders, out_dir=out_dir,
-                   formats=formats, config_echo=config, stems=stems, outputs=outputs)
+                   formats=formats, config_echo=echo, stems=stems, outputs=outputs)
 
 
 # ---------------------------------------------------------------------------

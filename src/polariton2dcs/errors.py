@@ -39,6 +39,10 @@ class DegenerateBright(PolaritonError, ArithmeticError):
     """The two bright eigenvalues coincide; no perturbation is attempted."""
 
 
+class BrightRateOutOfRange(PolaritonError, ArithmeticError):
+    """A computed bright decay rate lies outside [min, max] of gamma_x and gamma_c."""
+
+
 class NegativeTime(PolaritonError, ValueError):
     """Propagation requested for t < 0."""
 

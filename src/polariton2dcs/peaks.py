@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -93,7 +94,10 @@ def find_peaks_1d(x: np.ndarray, values: np.ndarray, min_rel_height: float = 0.0
 
 def classify_2d(omega1: float, omega3: float, omega_v: float, tol: float) -> tuple[str, int | None]:
     diff = omega1 - omega3
-    k = int(round(diff / omega_v))
+    quanta = diff / omega_v
+    if not math.isfinite(quanta):   # omega_v so small that no integer offset exists
+        return "coherence", None
+    k = int(round(quanta))
     if abs(diff - k * omega_v) <= tol:
         return ("diagonal" if k == 0 else "cross"), k
     return "coherence", None

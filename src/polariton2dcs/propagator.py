@@ -20,7 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateBright, DivergentTransform, NegativeTime, TooLarge
+from .errors import (BrightRateOutOfRange, DegenerateBright, DivergentTransform, NegativeTime,
+                     TooLarge)
 from .model import RAD_PER_CM_FS, SystemParams
 
 
@@ -115,6 +116,11 @@ def decompose(m: DynamicsMatrix) -> ModeDecomposition:
     half_diff = 0.5 * (a - c)
     radical = cmath.sqrt(half_diff * half_diff + b * b)
     mu1, mu2 = half_sum + radical, half_sum - radical
+    # a root far below the other cancels (rates 10^6 apart, say): det / the other gives it
+    if abs(mu2) < 1e-6 * abs(mu1):
+        mu2 = (a * c - b * b) / mu1
+    elif abs(mu1) < 1e-6 * abs(mu2):
+        mu1 = (a * c - b * b) / mu2
     scale = max(1.0, abs(mu1), abs(mu2))
     if abs(mu1 - mu2) < 1e-12 * scale:
         raise DegenerateBright(f"bright eigenvalues coincide: {mu1} ~ {mu2}")
@@ -123,12 +129,24 @@ def decompose(m: DynamicsMatrix) -> ModeDecomposition:
         bright_t = np.eye(2, dtype=complex)
         mus = (a, c)
     else:
-        norm = cmath.sqrt((half_diff + radical) ** 2 + b * b)
+        # the eigenvector head cancels when half_diff, far larger than b, points against the
+        # radical (gamma_c far above gamma_x, say); (radical + half_diff)(radical - half_diff)
+        # = b^2 gives it without cancellation
+        head = half_diff + radical
+        if abs(head) < 1e-6 * abs(radical):
+            head = b * b / (radical - half_diff)
+        norm = cmath.sqrt(head * head + b * b)   # head ** 2 raises OverflowError past ~1e154
         bright_t = np.array(
-            [[(half_diff + radical) / norm, -b / norm],
-             [b / norm, (half_diff + radical) / norm]]
+            [[head / norm, -b / norm],
+             [b / norm, head / norm]]
         )
         mus = (mu1, mu2)
+    # the Hermitian part of the block is diag(gamma_x, gamma_c), so every rate lies between them
+    low, high = sorted((a.real, c.real))
+    for mu in mus:
+        if not low - 1e-9 * high <= mu.real <= high + 1e-9 * high:
+            raise BrightRateOutOfRange(f"bright decay rate {mu.real:g} lies outside the range "
+                                       f"of gamma_x = {a.real:g} and gamma_c = {c.real:g}")
 
     # label by mode frequency (imaginary part): LP below UP
     order = (0, 1) if mus[0].imag <= mus[1].imag else (1, 0)

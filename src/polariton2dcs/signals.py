@@ -638,7 +638,7 @@ def pump_probe_slices(sys: SystemParams, dec: ModeDecomposition, kernel: VibKern
     """
     if sys.n_molecules > SLICES_MAX_N:
         raise TooLarge(f"slices limited to N <= {SLICES_MAX_N} (cost grows as N^3), "
-                       f"got N = {sys.n_molecules}")
+                       f"got system.n_molecules = {sys.n_molecules}")
     return _slice_report(sys, dec, kernel, t_list, stokes_orders, _slice_sums)
 
 

@@ -162,7 +162,6 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("dotted, value, key", [
         ("grids.absorption.count", 2.7, "grids.absorption.count"),
         ("system.n_molecules", True, "n_molecules"),
-        ("kernel.m_max", 3.9, "kernel.m_max"),
         ("stokes_orders", [1.5], "stokes_orders"),
     ])
     def test_non_integer_field_exits_2(self, tmp_path, capsys, dotted, value, key):
@@ -226,10 +225,13 @@ class TestMainExitCodes:
         assert main(["eig", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "kernel.tail_eps" in capsys.readouterr().err
 
-    def test_negative_m_max_names_the_key(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, **{"kernel.m_max": -1})
-        assert main(["eig", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert "kernel.m_max" in capsys.readouterr().err
+    @pytest.mark.parametrize("mode", list(cli._MODES))
+    def test_kernel_m_max_is_an_unknown_key(self, tmp_path, capsys, mode):
+        # kernel.tail_eps alone sets the cutoff, and every mode refuses the key before it runs
+        cfg, out = write_config(tmp_path, **{"kernel.m_max": 12}), tmp_path / "o"
+        assert main([mode, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "config error: unknown key(s) in kernel: m_max\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["twod", "pump-probe", "slices"])
     def test_negative_t_wait_exits_2(self, tmp_path, capsys, mode):
@@ -385,7 +387,8 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize("mode, key, value, err", [
         ("eig", "n_molecules", 200_000, "TooLarge: eig lists every mode and is limited to "),
-        ("slices", "n_molecules", 101, "TooLarge: slices limited to N <= 100 "),
+        ("slices", "n_molecules", 101,
+         "TooLarge: slices limited to N <= 100 (cost grows as N^3), got system.n_molecules = 101\n"),
         ("twod", "n_molecules", 10 ** 70, "TooLarge: index counts up to N^5 overflow a float "),
         ("twod", "omega_v", 1e308,
          "NonFiniteResult: twod_T0fs.csv, twod_T0fs.json not written: the twod values hold "),
@@ -420,8 +423,8 @@ class TestMainExitCodes:
         ("twod", {"grids.omega1.count": 10 ** 6}, "grids.omega1.count x grids.omega3.count"),
         ("twod", {"grids.omega1.count": 2, "grids.omega3.count": 10 ** 6},
          "grids.omega3.count x (3 m_max + 1)"),
-        ("twod", {"kernel.m_max": 100000}, "(3 m_max + 1)^2"),
-        ("absorption", {"kernel.m_max": 100000}, "grids.absorption.count x (3 m_max + 1)"),
+        ("twod", {"system.lambda_hr": 90.0}, "(3 m_max + 1)^2"),
+        ("absorption", {"system.lambda_hr": 90.0}, "grids.absorption.count x (3 m_max + 1)"),
     ])
     def test_grid_past_the_size_bound_is_refused(self, tmp_path, mode, changes, what):
         # refused by build_jobspec, before anything is allocated
@@ -454,28 +457,42 @@ class TestMainExitCodes:
         monkeypatch.setattr(cli, "GRID_MAX_ELEMENTS", cli.GRID_MAX_ELEMENTS // 40)
         build_jobspec(mode, json.loads((CONFIGS / config).read_text()))
 
-    @pytest.mark.parametrize("mode, changes", [
-        ("twod", {"kernel.m_max": 416}),
-        ("slices", {"kernel.m_max": 8461}),
-        ("slices", {"kernel.m_max": 100000}),
-        ("pump-probe", {"kernel.m_max": 8461, "grids.pump_probe.count": 2}),
+    @pytest.mark.parametrize("mode, changes, m_max", [
+        ("twod", {"system.lambda_hr": 18.0}, 445),
+        ("slices", {"system.lambda_hr": 90.0}, 8679),
+        ("slices", {"system.lambda_hr": 96.8}, 9992),
+        ("pump-probe", {"system.lambda_hr": 90.0, "grids.pump_probe.count": 2}, 8679),
     ])
-    def test_work_past_the_bound_is_refused(self, tmp_path, mode, changes):
+    def test_work_past_the_bound_is_refused(self, tmp_path, mode, changes, m_max):
+        # at kernel.tail_eps = 1e-10 the bound is lambda_hr 17.29 for twod, 88.82 for the others
         cfg = json.loads(write_config(tmp_path, **changes).read_text())
         power = 3 if mode == "twod" else 2
         with pytest.raises(TooLarge, match=re.escape(
                 f"{mode} would take 15 x m_max^{power} = ")) as info:
             build_jobspec(mode, cfg)
-        assert f"(kernel.m_max = {changes['kernel.m_max']})" in str(info.value)
+        assert (f"(m_max = {m_max} from system.lambda_hr = {changes['system.lambda_hr']:g} "
+                f"at kernel.tail_eps = 1e-10)") in str(info.value)
 
-    @pytest.mark.parametrize("mode, changes", [
-        ("twod", {"kernel.m_max": 415}),
-        ("slices", {"kernel.m_max": 8460}),
-        ("pump-probe", {"kernel.m_max": 8460, "grids.pump_probe.count": 2}),
+    @pytest.mark.parametrize("mode, changes, m_max", [
+        ("twod", {"system.lambda_hr": 17.0}, 404),
+        ("slices", {"system.lambda_hr": 88.0}, 8309),
+        ("pump-probe", {"system.lambda_hr": 88.0, "grids.pump_probe.count": 2}, 8309),
     ])
-    def test_work_bound_is_inclusive(self, tmp_path, mode, changes):
+    def test_work_just_below_the_bound_is_accepted(self, tmp_path, mode, changes, m_max):
         cfg = json.loads(write_config(tmp_path, **changes).read_text())
-        assert build_jobspec(mode, cfg).kernel.m_max == changes["kernel.m_max"]
+        assert build_jobspec(mode, cfg).kernel.m_max == m_max
+
+    @pytest.mark.parametrize("mode, power", [("twod", 3), ("slices", 2), ("pump-probe", 2)])
+    def test_work_bound_is_inclusive(self, tmp_path, monkeypatch, mode, power):
+        # the base config's m_max = 12, with the bound set at and just below its work
+        cfg = json.loads(write_config(tmp_path).read_text())
+        monkeypatch.setattr(cli, "WORK_MAX_OPS", 15 * 12 ** power)
+        assert build_jobspec(mode, cfg).kernel.m_max == 12
+        monkeypatch.setattr(cli, "WORK_MAX_OPS", 15 * 12 ** power - 1)
+        with pytest.raises(TooLarge, match=re.escape(f"(m_max = 12 from system.lambda_hr = 1 at "
+                                                     f"kernel.tail_eps = 1e-10), more than "
+                                                     f"WORK_MAX_OPS = {15 * 12 ** power - 1}")):
+            build_jobspec(mode, cfg)
 
     @pytest.mark.parametrize("mode", ["twod", "pump-probe", "slices"])
     def test_work_past_the_bound_exits_3(self, tmp_path, capsys, monkeypatch, mode):
@@ -485,32 +502,14 @@ class TestMainExitCodes:
         assert main([mode, "--config", str(write_config(tmp_path)), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"numeric failure: TooLarge: {mode} would take 15 x m_max^"), err
-        assert "(kernel.m_max = 12)" in err and "more than WORK_MAX_OPS = 1000" in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("mode", ["absorption", "twod", "pump-probe", "slices", "eig",
-                                      "validate"])
-    def test_large_m_max_refused_before_the_weights_are_summed(self, tmp_path, monkeypatch, mode):
-        def unreachable(*args, **kwargs):
-            raise AssertionError("kernel_from_params called")
-
-        monkeypatch.setattr(cli, "kernel_from_params", unreachable)
-        for m_max in (10 ** 8, 1e300):
-            cfg = json.loads(write_config(tmp_path, **{"kernel.m_max": m_max}).read_text())
-            with pytest.raises(TooLarge, match=f"m_max = {int(m_max)}"):
-                build_jobspec(mode, cfg)
+        assert "(m_max = 12 from system.lambda_hr = 1 at kernel.tail_eps = 1e-10)" in err
+        assert "more than WORK_MAX_OPS = 1000" in err and not out.exists()
 
     @pytest.mark.parametrize("mode", ["eig", "validate"])
-    def test_modes_without_a_kernel_take_the_largest_spectrum_cutoff(self, tmp_path, capsys, mode):
-        cfg = write_config(tmp_path, **{"kernel.m_max": 8460})
-        assert build_jobspec(mode, json.loads(cfg.read_text())).kernel.m_max == 8460
-        cfg = write_config(tmp_path, **{"kernel.m_max": 8461})
-        out = tmp_path / "o"
-        assert main([mode, "--config", str(cfg), "--out", str(out)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith(f"numeric failure: TooLarge: {mode} uses no phonon kernel, "
-                              f"and kernel.m_max = 8461 "), err
-        assert not out.exists()
+    def test_modes_without_a_kernel_take_any_cutoff(self, tmp_path, mode):
+        # the largest cutoff the tail search gives, past every spectrum mode's bound
+        cfg = json.loads(write_config(tmp_path, **{"system.lambda_hr": 96.8}).read_text())
+        assert build_jobspec(mode, cfg).kernel.m_max == 9992
 
     @pytest.mark.parametrize("config", ["cyanine_n10.json", "cyanine_n1.json"])
     @pytest.mark.parametrize("mode", ["twod", "pump-probe", "slices"])
@@ -599,6 +598,21 @@ class TestMainExitCodes:
         assert len(found) == 3
         assert abs(found[0] - 14313) < 6 and abs(found[2] - 17913) < 6
 
+    def test_peaks_on_a_map_with_a_subnormal_omega_v(self, tmp_path):
+        # an offset over omega_v = 1e-320 is no finite number of quanta; int() of it raised
+        cfg = write_config(tmp_path, **{"system.omega_v": 1e-320, "t_wait": [0.0]})
+        out = tmp_path / "out"
+        assert run_cli("twod", "--config", str(cfg), "--out", str(out)).returncode == 0
+        reports = []
+        for fmt in ("csv", "json"):
+            result = run_cli("peaks", str(out / f"twod_T0fs.{fmt}"))
+            assert (result.returncode, result.stderr) == (0, ""), result.stderr
+            reports.append(result.stdout)
+        assert reports[0] == reports[1]
+        off_diagonal = [p for p in json.loads(reports[0]) if p["omega1"] != p["omega3"]]
+        assert off_diagonal and all(p["classification"] == "coherence" and p["k"] is None
+                                    for p in off_diagonal)
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_peaks_non_finite_min_height_exits_2(self, tmp_path, capsys, value):
         out = tmp_path / "out"
@@ -668,10 +682,12 @@ class TestMainExitCodes:
 
 class TestExtremeSystemNumbers:
     """Each system number of the shipped config, and the defaulted dipole and phase, in turn
-    at 1e-300, at 1e300 and as a 400-digit integer, ends every mode in a documented exit code,
-    never in a traceback."""
+    at 1e-300, 1e17, 2e154, 1e300 and as a 400-digit integer, ends every mode in a documented
+    exit code, never in a traceback.  At 1e17 a rate 10^17 above the other once left the
+    slower bright rate at zero, and slices divided by it; at 2e154 a rate or a detuning
+    overflowed the square of the eigenvector head, an OverflowError."""
 
-    @pytest.mark.parametrize("value", [1e-300, 1e300])
+    @pytest.mark.parametrize("value", [1e-300, 1e17, 2e154, 1e300])
     @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SystemParams)])
     def test_every_mode_exits_0_2_or_3(self, tmp_path, monkeypatch, capsys, name, value):
         # one CPU keeps every writer in this process; the validate suite is stubbed
@@ -729,6 +745,36 @@ class TestParamsRecord:
         grid = cli._grid_jobs(spec, dec)[0][1]()
         for f in dataclasses.fields(SystemParams):
             assert grid.metadata[f.name] == getattr(spec.params, f.name), f.name
+
+
+class TestManifestConfigEcho:
+    """The manifest's config plans the job that ran: build_jobspec of it gives the same
+    waiting times, formats, directory and outputs, with the flags and without."""
+
+    FLAGS = {"t_list_override": "--t-list", "formats_override": "--format",
+             "out_override": "--out"}
+
+    @pytest.mark.parametrize("mode, overrides", [
+        ("pump-probe", {}),
+        ("pump-probe", {"t_list_override": "0,100", "formats_override": "json", "out_override": "x"}),
+        ("twod", {"t_list_override": "-0,250"}),
+        ("absorption", {"formats_override": "json,csv"}),
+        ("slices", {"t_list_override": "50", "out_override": "s"}),
+        ("eig", {"out_override": "e"}),
+    ])
+    def test_the_echo_plans_the_job_that_ran(self, tmp_path, monkeypatch, mode, overrides):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, t_wait=[0.0])
+        flags = [f"{self.FLAGS[key]}={value}" for key, value in overrides.items()]
+        assert main([mode, "--config", str(cfg), *flags]) == 0
+        ran = build_jobspec(mode, json.loads(cfg.read_text()), **overrides)
+        manifest = json.loads((ran.out_dir / "manifest.json").read_text())
+        planned = build_jobspec(mode, manifest["config"])
+        assert (planned.t_list, planned.formats, planned.out_dir, planned.outputs) == (
+            ran.t_list, ran.formats, ran.out_dir, ran.outputs)
+        assert manifest["outputs"] == list(ran.outputs)
+        if not overrides:   # without flags the echo is the file as read
+            assert manifest["config"] == json.loads(cfg.read_text())
 
 
 class TestManifestEnvironment:

@@ -94,6 +94,11 @@ class TestFindPeaks2D:
         assert classify_2d(14313.0, 14320.0, 1200.0, 40.0) == ("diagonal", 0)
         assert classify_2d(17913.0, 14913.0, 1200.0, 40.0) == ("coherence", None)
 
+    def test_offset_of_no_finite_number_of_quanta_is_a_coherence(self):
+        # 1825 / 1e-320 is past the float range, and int() of it raised an OverflowError
+        assert classify_2d(17925.0, 16100.0, 1e-320, 40.0) == ("coherence", None)
+        assert classify_2d(16100.0, 16100.0, 1e-320, 40.0) == ("diagonal", 0)
+
     def test_synthetic_cross_peak(self):
         ax1 = np.linspace(14000.0, 18000.0, 161)
         ax2 = np.linspace(14000.0, 18000.0, 161)

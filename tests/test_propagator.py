@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polariton2dcs import (
+    BrightRateOutOfRange,
     DegenerateBright,
     DivergentTransform,
     NegativeTime,
@@ -24,6 +26,7 @@ from polariton2dcs.propagator import (
     ModeDecomposition,
     PatternEntries,
     _assemble_entries,
+    propagator_entries,
 )
 from polariton2dcs.validate import (
     _random_params,
@@ -164,6 +167,57 @@ class TestDecompose:
 
     def test_suite_check(self):
         assert check_eigenstructure().passed
+
+
+def exact_bright(sys, t: float, dps: int = 300):
+    """The bright eigenvalues, slower first, and the pattern entries of G(t), by mpmath.
+
+    The 2x2 block [[a, b], [b, c]] is solved by the textbook roots at ``dps`` digits, enough
+    for rates 10^100 apart, and exp(-B theta) is the sum of exp(-mu theta) times the spectral
+    projector (B - mu' I) / (mu - mu') of each root."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        n = sys.n_molecules
+        a = mpmath.mpc(sys.gamma_x, sys.delta_x)
+        c = mpmath.mpc(sys.gamma_c, sys.delta_c)
+        b = mpmath.mpc(0, sys.g) * mpmath.sqrt(n)
+        radical = mpmath.sqrt(((a - c) / 2) ** 2 + b * b)
+        mus = sorted(((a + c) / 2 + radical, (a + c) / 2 - radical), key=lambda mu: mu.real)
+        theta = mpmath.mpf(RAD_PER_CM_FS) * t
+        block = [[a, b], [b, c]]
+        e = [[sum(mpmath.exp(-mu * theta) * (block[i][j] - (i == j) * other) / (mu - other)
+                  for mu, other in (mus, mus[::-1])) for j in range(2)] for i in range(2)]
+        dark = mpmath.exp(-a * theta)
+        entries = ((1 - mpmath.mpf(1) / n) * dark + e[0][0] / n, (e[0][0] - dark) / n,
+                   e[0][1] / mpmath.sqrt(n), e[1][0] / mpmath.sqrt(n), e[1][1])
+        return [complex(mu) for mu in mus], [complex(x) for x in entries]
+
+
+class TestRatesFarApart:
+    """A rate 10^6 or more above the other: the slower bright root and the eigenvector head
+    cancel in the textbook formulas, and decompose takes them by their exact identities.
+    At gamma_x = 1e12 the slower rate read 0.9000244 instead of 0.90000324, at 1e16 zero."""
+
+    @pytest.mark.parametrize("value", [1e6, 1e12, 1e16, 1e100])
+    @pytest.mark.parametrize("name", ["gamma_x", "gamma_c"])
+    def test_eigenvalues_and_propagator_match_mpmath(self, name, value):
+        sys = dataclasses.replace(reference_params(), **{name: value})
+        dec = decompose(build_matrix(sys))
+        mus = sorted((dec.mu_lp, dec.mu_up), key=lambda mu: mu.real)
+        for t in (0.0, 10.0, 100.0):
+            exact_mus, exact = exact_bright(sys, t)
+            assert max(abs(x - y) for x, y in zip(mus, exact_mus)) <= 1e-12 * abs(exact_mus[1])
+            assert abs(mus[0] - exact_mus[0]) <= 1e-9 * abs(exact_mus[0])
+            got = propagator_entries(dec, t)
+            err = max(abs(complex(getattr(got, f)) - x) for f, x in zip(_PATTERN_FIELDS, exact))
+            assert err <= 1e-12 * max(abs(x) for x in exact), (t, err)
+
+    @pytest.mark.parametrize("name", ["gamma_x", "gamma_c"])
+    def test_rate_past_the_range_of_the_bare_rates_raises(self, name):
+        # at 1e300 the square of half the rate difference overflows, and a root with it
+        sys = dataclasses.replace(reference_params(), **{name: 1e300})
+        with pytest.raises(BrightRateOutOfRange, match="bright decay rate inf lies outside"):
+            decompose(build_matrix(sys))
 
 
 class TestPropagator:
