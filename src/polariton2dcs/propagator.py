@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -116,11 +116,16 @@ def decompose(m: DynamicsMatrix) -> ModeDecomposition:
     half_diff = 0.5 * (a - c)
     radical = cmath.sqrt(half_diff * half_diff + b * b)
     mu1, mu2 = half_sum + radical, half_sum - radical
-    # a root far below the other cancels (rates 10^6 apart, say): det / the other gives it
-    if abs(mu2) < 1e-6 * abs(mu1):
-        mu2 = (a * c - b * b) / mu1
-    elif abs(mu1) < 1e-6 * abs(mu2):
-        mu1 = (a * c - b * b) / mu2
+    # a root far below the other cancels (rates 10^6 apart, say): det / the other gives it.
+    # Both are taken in the frame shifted by i*Im(half_sum), which leaves every rate as it is,
+    # so that a large common detuning cannot hide the cancellation of the real parts.
+    shift = 1j * half_sum.imag
+    nu1, nu2 = half_sum.real + radical, half_sum.real - radical
+    shifted_det = (a - shift) * (c - shift) - b * b
+    if abs(nu2) < 1e-6 * abs(nu1):
+        mu2 = shifted_det / nu1 + shift
+    elif abs(nu1) < 1e-6 * abs(nu2):
+        mu1 = shifted_det / nu2 + shift
     scale = max(1.0, abs(mu1), abs(mu2))
     if abs(mu1 - mu2) < 1e-12 * scale:
         raise DegenerateBright(f"bright eigenvalues coincide: {mu1} ~ {mu2}")
@@ -295,6 +300,15 @@ def expm_propagator(m: DynamicsMatrix, t: float) -> np.ndarray:
     return matrix_exp(-m.to_dense() * (RAD_PER_CM_FS * t))
 
 
+@cache
+def _gauss_legendre_10() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the ten-node Gauss-Legendre rule on [-1, 1], built on first use."""
+    rule = np.polynomial.legendre.leggauss(10)
+    for arr in rule:
+        arr.setflags(write=False)     # one pair serves every caller
+    return rule
+
+
 def quadrature_fourier(dec: ModeDecomposition, omega: complex,
                        conjugated: bool = False) -> np.ndarray:
     """Numerical-quadrature transform of G (or conj G), as a dense matrix.
@@ -308,10 +322,14 @@ def quadrature_fourier(dec: ModeDecomposition, omega: complex,
     exp(-mu*u) (LP, UP, dark), so the quadrature runs once per eigenmode on
     the scalar integrand exp((s - mu)*u), with s the kernel exponent, and the
     three sums are combined into pattern entries like the pole terms of the
-    closed form.  Each node value is exp(r*mid_p) * exp(r*half*x_j), one
-    exponential per panel times one per node, so the node sum factors: the
-    mode integral is the sum of exp(r*mid_p) over the panels times the
-    weighted node sum of exp(r*half*x_j), both summed from sampled values.
+    closed form.  Each node value is exp(r*(p + 1/2)*w) * exp(r*(w/2)*x_j) on
+    panel p of width w, one exponential per panel times one per node, so the
+    node sum factors: the mode integral is the panel sum times the weighted
+    node sum.  The panel sum factors the same way in blocks of B =
+    ceil(sqrt(n_panels)) panels, p = a*B + b: over the full blocks it is the
+    sum of exp(r*a*B*w) over a times the sum of exp(r*(b + 1/2)*w) over b,
+    and the n_panels mod B panels past them are summed directly.  A mode
+    then takes about 3*sqrt(n_panels) + 10 exponentials, not n_panels + 10.
     """
     omega = complex(omega)
     u_max = 40.0 / dec.gamma_min
@@ -325,10 +343,14 @@ def quadrature_fourier(dec: ModeDecomposition, omega: complex,
     freq_scale = abs(w_osc) + max(abs(dec.mu_lp.imag), abs(dec.mu_up.imag),
                                   abs(dec.mu_dark.imag)) + 1.0
     n_panels = max(64, int(math.ceil(u_max * freq_scale / math.pi)))
-    x, gl_w = np.polynomial.legendre.leggauss(10)
-    edges = np.linspace(0.0, u_max, n_panels + 1)
-    half = 0.5 * (edges[1] - edges[0])
-    mids = 0.5 * (edges[:-1] + edges[1:])
+    x, gl_w = _gauss_legendre_10()
+    width = u_max / n_panels
+    half = 0.5 * width
+    block = math.ceil(math.sqrt(n_panels))
+    n_blocks = n_panels // block
+    starts = block * width * np.arange(n_blocks)
+    offsets = width * (np.arange(block) + 0.5)
+    tail = width * (np.arange(n_blocks * block, n_panels) + 0.5)
     s = 1j * w_osc - q
     if conjugated:
         # sum conj(G) * kernel = conj(sum G * conj(kernel)); the weights are real
@@ -336,7 +358,8 @@ def quadrature_fourier(dec: ModeDecomposition, omega: complex,
 
     def mode_integral(mu: complex) -> complex:
         r = s - mu
-        return complex(np.sum(np.exp(r * mids)) * np.sum(np.exp(r * half * x) * (half * gl_w)))
+        panels = np.sum(np.exp(r * starts)) * np.sum(np.exp(r * offsets)) + np.sum(np.exp(r * tail))
+        return complex(panels * np.sum(np.exp(r * half * x) * (half * gl_w)))
 
     ent = _assemble_entries(dec, mode_integral)
     if conjugated:

@@ -71,6 +71,14 @@ def reference_quadrature_fourier(dec: ModeDecomposition, omega: complex,
     return PatternEntries(**vals).to_dense(dec.n_molecules)
 
 
+def panel_count(dec: ModeDecomposition, omega: complex, conjugated: bool = False) -> int:
+    """The number of equal panels :func:`quadrature_fourier` spreads over [0, 40/gamma_min]."""
+    w_osc = -omega.real if conjugated else omega.real
+    freq_scale = abs(w_osc) + max(abs(dec.mu_lp.imag), abs(dec.mu_up.imag),
+                                  abs(dec.mu_dark.imag)) + 1.0
+    return max(64, int(math.ceil(40.0 / dec.gamma_min * freq_scale / math.pi)))
+
+
 def reference_matrix_exp(a: np.ndarray) -> np.ndarray:
     """exp(a) with a fresh identity on every Horner step; the reference for
     :func:`matrix_exp`, which builds the identity once."""
@@ -212,6 +220,28 @@ class TestRatesFarApart:
             err = max(abs(complex(getattr(got, f)) - x) for f, x in zip(_PATTERN_FIELDS, exact))
             assert err <= 1e-12 * max(abs(x) for x in exact), (t, err)
 
+    @pytest.mark.parametrize("overrides", [
+        {"gamma_x": 1e12, "delta_x": 1e13, "delta_c": 1e13},
+        {"gamma_x": 1e12, "delta_x": 1e15, "delta_c": 1e15},
+        {"gamma_c": 1e12, "delta_x": 1e14, "delta_c": 1e14},
+    ])
+    def test_common_detuning_keeps_the_slower_rate(self, overrides):
+        # the detuning makes both roots large, so only the frame shifted by i*Im(half_sum)
+        # shows the cancellation; the slower rate read 0.9000244 and 1.0 without it. |mu| is
+        # the detuning here, so the slower rate is held to 1e-9 of itself, not of |mu|.
+        sys = dataclasses.replace(reference_params(), **overrides)
+        dec = decompose(build_matrix(sys))
+        mus = sorted((dec.mu_lp, dec.mu_up), key=lambda mu: mu.real)
+        for t in (0.0, 10.0, 100.0):
+            exact_mus, exact = exact_bright(sys, t)
+            assert max(abs(x - y) for x, y in zip(mus, exact_mus)) <= 1e-12 * abs(exact_mus[1])
+            assert abs(mus[0].real - exact_mus[0].real) <= 1e-9 * exact_mus[0].real
+            got = propagator_entries(dec, t)
+            err = max(abs(complex(getattr(got, f)) - x) for f, x in zip(_PATTERN_FIELDS, exact))
+            # exp(-mu theta) carries the rounding of the phase Im(mu) theta, about 1e11 rad
+            phase = abs(exact_mus[1]) * RAD_PER_CM_FS * t
+            assert err <= (1e-12 + 2 * np.finfo(float).eps * phase) * max(abs(x) for x in exact)
+
     @pytest.mark.parametrize("name", ["gamma_x", "gamma_c"])
     def test_rate_past_the_range_of_the_bare_rates_raises(self, name):
         # at 1e300 the square of half the rate difference overflows, and a root with it
@@ -344,6 +374,57 @@ class TestFourier:
                 quad = quadrature_fourier(dec, omega, conjugated=conjugated)
                 ref = reference_quadrature_fourier(dec, omega, conjugated=conjugated)
                 assert np.max(np.abs(quad - ref)) / np.max(np.abs(ref)) < 1e-10
+
+    # Im(omega) = -0.9 (+0.9 conjugated) is just inside gamma_min = 0.95: the integrand then
+    # decays only to exp(-0.05 u_max) ~ 0.1, so a panel left out of the sum shows
+    @pytest.mark.parametrize("collective, omega, conjugated, expected", [
+        (0.5, -0.9j, False, (64, 8, 0)),                   # the fewest panels: 8 blocks of 8
+        (1800.0, 3.0 - 0.9j, False, (24179, 156, 155)),    # a prime: the longest tail, B - 1
+        (1800.0, 2400.0 - 0.9j, False, (56304, 238, 136)),  # the most the suite integrates
+        (1800.0, -2400.0 + 0.9j, True, (56304, 238, 136)),
+    ])
+    def test_block_sum_covers_every_panel(self, collective, omega, conjugated, expected):
+        dec = decompose(build_matrix(reference_params(collective=collective)))
+        assert dec.gamma_min == 0.95
+        n = panel_count(dec, omega, conjugated)
+        block = math.ceil(math.sqrt(n))
+        assert (n, block, n % block) == expected
+        quad = quadrature_fourier(dec, omega, conjugated=conjugated)
+        ref = reference_quadrature_fourier(dec, omega, conjugated=conjugated)
+        assert np.max(np.abs(quad - ref)) / np.max(np.abs(ref)) < 1e-10
+
+    def test_quadrature_refuses_a_divergent_target(self, dye_dec):
+        # the envelope exp(-q u) of the kernel must not outgrow the slowest mode, q > -gamma_min
+        edge = dye_dec.gamma_min
+        for omega in (-1j * edge, 100.0 - 2j * edge):
+            with pytest.raises(DivergentTransform):
+                quadrature_fourier(dye_dec, omega)
+            with pytest.raises(DivergentTransform):
+                quadrature_fourier(dye_dec, omega.conjugate(), conjugated=True)
+
+    @pytest.mark.parametrize("conjugated", [False, True])
+    def test_quadrature_takes_order_sqrt_panels_exponentials(self, dye_dec, monkeypatch,
+                                                             conjugated):
+        from polariton2dcs import propagator
+
+        class CountingNumpy:
+            """numpy, with the elements passed to exp counted."""
+            exp_elements = 0
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def exp(self, z):
+                self.exp_elements += np.size(z)
+                return np.exp(z)
+
+        omega = -2400.0 if conjugated else 2400.0
+        n = panel_count(dye_dec, omega, conjugated)
+        counting = CountingNumpy()
+        monkeypatch.setattr(propagator, "np", counting)
+        quadrature_fourier(dye_dec, omega, conjugated=conjugated)
+        # three eigenmodes (LP, UP, dark), each ~3 sqrt(n) panel and 10 node exponentials
+        assert 0 < counting.exp_elements <= 3 * (3 * math.ceil(math.sqrt(n)) + 10)
 
     @pytest.mark.parametrize("target", ["propagator_fourier", "fourier_conj_entries"])
     def test_quadrature_check_catches_a_scaled_transform(self, monkeypatch, target):
