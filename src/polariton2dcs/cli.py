@@ -503,13 +503,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Linear, two-dimensional and pump-probe spectra of vibronic cavity polaritons.",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in _MODES:
+    for mode, uses in _MODES.items():     # each mode takes the flags it reads, no other
         p = sub.add_parser(mode)
-        p.add_argument("--config", required=(mode != "validate"),
-                       help="JSON job configuration")
+        p.set_defaults(config=None, format=None, t_list=None)
+        if mode != "validate":    # validate runs on its own reference sets
+            p.add_argument("--config", required=True, help="JSON job configuration")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--format", default=None, help="comma-separated subset of csv,json")
-        p.add_argument("--t-list", default=None, help="comma-separated waiting times in fs")
+        if uses.axes:
+            p.add_argument("--format", default=None, help="comma-separated subset of csv,json")
+        if uses.waits:
+            p.add_argument("--t-list", default=None, help="comma-separated waiting times in fs")
     peaks_p = sub.add_parser("peaks")
     peaks_p.add_argument("grid_file", help="CSV or JSON grid produced by this tool")
     peaks_p.add_argument("--report", default=None, help="write the peak list to this JSON file")
@@ -519,7 +522,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_config(args) -> dict:
-    if args.config is None:     # only validate may omit --config
+    if args.config is None:     # validate, which takes no --config
         return {"system": asdict(reference_params())}
     try:
         return json.loads(Path(args.config).read_text())

@@ -309,40 +309,16 @@ def _gauss_legendre_10() -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def quadrature_fourier(dec: ModeDecomposition, omega: complex,
-                       conjugated: bool = False) -> np.ndarray:
-    """Numerical-quadrature transform of G (or conj G), as a dense matrix.
+# The most panels quadrature_fourier takes: 300 times the validate suite's largest target.
+QUADRATURE_MAX_PANELS = 2 ** 24
 
-    Independent cross-check of :func:`propagator_fourier` /
-    :func:`fourier_conj_entries`: integrates the time-domain propagator over
-    [0, 40/gamma_min] in theta units (where the integrand has decayed to
-    ~1e-17) with composite ten-node Gauss-Legendre panels, equal in width
-    and sized to hold at most half an oscillation period of integrand times
-    kernel.  G(u) is a fixed combination of the three modal exponentials
-    exp(-mu*u) (LP, UP, dark), so the quadrature runs once per eigenmode on
-    the scalar integrand exp((s - mu)*u), with s the kernel exponent, and the
-    three sums are combined into pattern entries like the pole terms of the
-    closed form.  Each node value is exp(r*(p + 1/2)*w) * exp(r*(w/2)*x_j) on
-    panel p of width w, one exponential per panel times one per node, so the
-    node sum factors: the mode integral is the panel sum times the weighted
-    node sum.  The panel sum factors the same way in blocks of B =
-    ceil(sqrt(n_panels)) panels, p = a*B + b: over the full blocks it is the
-    sum of exp(r*a*B*w) over a times the sum of exp(r*(b + 1/2)*w) over b,
-    and the n_panels mod B panels past them are summed directly.  A mode
-    then takes about 3*sqrt(n_panels) + 10 exponentials, not n_panels + 10.
-    """
-    omega = complex(omega)
-    u_max = 40.0 / dec.gamma_min
-    if conjugated:
-        # conj(G(u)) * exp(-i z u):  oscillation -Re z, envelope exp(+Im(z) u)
-        w_osc, q = -omega.real, -omega.imag
-    else:
-        w_osc, q = omega.real, omega.imag
-    if q <= -dec.gamma_min:
-        raise DivergentTransform("quadrature target does not converge")
-    freq_scale = abs(w_osc) + max(abs(dec.mu_lp.imag), abs(dec.mu_up.imag),
-                                  abs(dec.mu_dark.imag)) + 1.0
-    n_panels = max(64, int(math.ceil(u_max * freq_scale / math.pi)))
+
+def _mode_integral(r: complex, u_max: float, n_panels: int) -> complex:
+    """Integral of exp(r*u) over [0, u_max] on n_panels equal ten-node Gauss-Legendre panels,
+    as the panel sum of exp(r*(p + 1/2)*w), w = u_max/n_panels, times the weighted node sum of
+    exp(r*(w/2)*x_j).  The panel sum goes in blocks of B = ceil(sqrt(n_panels)), p = a*B + b, as
+    the sum of exp(r*a*B*w) over the full blocks times the sum of exp(r*(b + 1/2)*w) over b, plus
+    the n_panels mod B panels past them: about 3*sqrt(n_panels) + 10 exponentials, not n + 10."""
     x, gl_w = _gauss_legendre_10()
     width = u_max / n_panels
     half = 0.5 * width
@@ -351,17 +327,37 @@ def quadrature_fourier(dec: ModeDecomposition, omega: complex,
     starts = block * width * np.arange(n_blocks)
     offsets = width * (np.arange(block) + 0.5)
     tail = width * (np.arange(n_blocks * block, n_panels) + 0.5)
-    s = 1j * w_osc - q
-    if conjugated:
-        # sum conj(G) * kernel = conj(sum G * conj(kernel)); the weights are real
-        s = s.conjugate()
+    panels = np.sum(np.exp(r * starts)) * np.sum(np.exp(r * offsets)) + np.sum(np.exp(r * tail))
+    return complex(panels * np.sum(np.exp(r * half * x) * (half * gl_w)))
 
-    def mode_integral(mu: complex) -> complex:
-        r = s - mu
-        panels = np.sum(np.exp(r * starts)) * np.sum(np.exp(r * offsets)) + np.sum(np.exp(r * tail))
-        return complex(panels * np.sum(np.exp(r * half * x) * (half * gl_w)))
 
-    ent = _assemble_entries(dec, mode_integral)
-    if conjugated:
-        ent = ent.conj()
-    return ent.to_dense(dec.n_molecules)
+def quadrature_fourier(dec: ModeDecomposition, omega: complex) -> np.ndarray:
+    """Numerical-quadrature transform of G, as a dense matrix.
+
+    Independent cross-check of :func:`propagator_fourier`, and as
+    conj(quadrature_fourier(dec, conj(z))) of :func:`fourier_conj_entries`:
+    integrates G over [0, 40/(gamma_min + min(q, 0))] in theta units,
+    q = Im(omega), where its slowest mode times the kernel has decayed by
+    exp(-40), on equal ten-node Gauss-Legendre panels that hold at most half
+    an oscillation period each; more than QUADRATURE_MAX_PANELS are refused.
+    G(u) combines the modal exponentials exp(-mu*u) (LP, UP, dark), so each
+    mode integrates the scalar exp((s - mu)*u) by :func:`_mode_integral`,
+    s the kernel exponent, and the three integrals combine into pattern
+    entries like the pole terms of the closed form.
+    """
+    omega = complex(omega)
+    if omega.imag <= -dec.gamma_min:
+        raise DivergentTransform("quadrature target does not converge")
+    decay = dec.gamma_min + min(omega.imag, 0.0)
+    u_max = 40.0 / decay
+    freq_scale = abs(omega.real) + max(abs(dec.mu_lp.imag), abs(dec.mu_up.imag),
+                                       abs(dec.mu_dark.imag)) + 1.0
+    panels = u_max * freq_scale / math.pi
+    if panels > QUADRATURE_MAX_PANELS:
+        raise TooLarge(f"quadrature at omega = {omega} over [0, 40/(gamma_min + min(Im(omega), 0))]"
+                       f" = [0, 40/{decay:g}] needs {panels:.3g} panels, "
+                       f"more than QUADRATURE_MAX_PANELS = {QUADRATURE_MAX_PANELS}")
+    n_panels = max(64, math.ceil(panels))
+    s = 1j * omega.real - omega.imag
+    entries = _assemble_entries(dec, lambda mu: _mode_integral(s - mu, u_max, n_panels))
+    return entries.to_dense(dec.n_molecules)

@@ -461,9 +461,7 @@ class SliceReport:
 
 def _fit_scale(formula: np.ndarray, exact: np.ndarray) -> tuple[float, float]:
     denom = float(np.dot(formula, formula))
-    if denom == 0.0:
-        return 0.0, float(np.sqrt(np.mean(exact ** 2)))
-    scale = float(np.dot(exact, formula) / denom)
+    scale = float(np.dot(exact, formula) / denom) if denom else 0.0
     resid = exact - scale * formula
     norm = max(float(np.max(np.abs(exact))), 1e-300)
     return scale, float(np.sqrt(np.mean(resid ** 2)) / norm)

@@ -175,9 +175,9 @@ def check_transform_quadrature() -> CheckResult:
 
     def error(case) -> float:
         omega, conjugated = case
-        if conjugated:
+        if conjugated:      # the conjugate transform at z is conj of the plain one at conj(z)
             exact = fourier_conj_entries(dec, omega).to_dense(sys.n_molecules)
-            quad = quadrature_fourier(dec, omega, conjugated=True)
+            quad = np.conj(quadrature_fourier(dec, np.conj(omega)))
         else:
             exact = propagator_fourier(dec, omega)
             quad = quadrature_fourier(dec, omega)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -34,6 +35,9 @@ from polariton2dcs.propagator import build_matrix, decompose, propagator_G
 from polariton2dcs.signals import twod_signal
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+# the modes that read a config: validate runs on its own reference sets and takes only --out
+CONFIG_MODES = [mode for mode in cli._MODES if mode != "validate"]
 
 BASE_CONFIG = {
     "system": {
@@ -214,7 +218,7 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("tokens", ["0,inf", "nan", "100,-Infinity"])
     def test_non_finite_t_list_exits_2(self, tmp_path, capsys, tokens):
         cfg = write_config(tmp_path)
-        code = main(["absorption", "--config", str(cfg), "--out", str(tmp_path / "o"),
+        code = main(["pump-probe", "--config", str(cfg), "--out", str(tmp_path / "o"),
                      "--t-list", tokens])
         assert code == 2
         assert "--t-list" in capsys.readouterr().err
@@ -225,7 +229,7 @@ class TestMainExitCodes:
         assert main(["eig", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "kernel.tail_eps" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("mode", list(cli._MODES))
+    @pytest.mark.parametrize("mode", CONFIG_MODES)
     def test_kernel_m_max_is_an_unknown_key(self, tmp_path, capsys, mode):
         # kernel.tail_eps alone sets the cutoff, and every mode refuses the key before it runs
         cfg, out = write_config(tmp_path, **{"kernel.m_max": 12}), tmp_path / "o"
@@ -319,8 +323,7 @@ class TestMainExitCodes:
             capsys.readouterr().err
 
     @pytest.mark.parametrize("mode, dipole", [
-        *((mode, 2e77) for mode in ("absorption", "twod", "pump-probe", "slices", "eig",
-                                    "validate")),
+        *((mode, 2e77) for mode in CONFIG_MODES),
         ("absorption", 2e154)])
     def test_dipole_past_the_float_range_exits_2(self, tmp_path, capsys, mode, dipole):
         # dipole**4 of the 2D and pump-probe prefactors, and dipole**2 of absorption at
@@ -577,9 +580,10 @@ class TestMainExitCodes:
         path.write_text(json.dumps(cfg))
         out = tmp_path / "o"
         env = dict(os.environ, PYTHONPATH=str(Path(polariton2dcs.__file__).resolve().parents[1]))
+        formats = ["--format", "csv,json"] if mode == "absorption" else []
         result = subprocess.run(
             [sys.executable, "-W", "error", "-m", "polariton2dcs.cli", mode, "--config", str(path),
-             "--out", str(out), "--format", "csv,json"],
+             "--out", str(out), *formats],
             capture_output=True, text=True, env=env, timeout=120)
         assert result.returncode == 3, result.stderr
         assert result.stderr.startswith(f"numeric failure: NonFiniteResult: {outputs} not written: ")
@@ -680,19 +684,68 @@ class TestMainExitCodes:
             {"name": "stub", "max_err": 0.1, "tol": 0.5, "passed": True}]
 
 
+# the flags each mode takes: --format where it writes grids, --t-list where it takes waiting
+# times, --config everywhere but validate
+MODE_FLAGS = {"absorption": {"--config", "--out", "--format"},
+              "twod": {"--config", "--out", "--format", "--t-list"},
+              "pump-probe": {"--config", "--out", "--format", "--t-list"},
+              "slices": {"--config", "--out", "--t-list"},
+              "eig": {"--config", "--out"},
+              "validate": {"--out"}}
+
+
+class TestModeFlags:
+    """Each mode takes only the flags it reads; argparse refuses any other with exit 2."""
+
+    def test_each_mode_takes_the_flags_it_reads(self):
+        sub = next(action for action in cli._build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        takes = {mode: {flag for action in sub.choices[mode]._actions
+                        for flag in action.option_strings if flag not in ("-h", "--help")}
+                 for mode in cli._MODES}
+        assert takes == MODE_FLAGS
+        assert sum(len(flags) for flags in MODE_FLAGS.values()) == 17
+
+    @pytest.mark.parametrize("mode, flag", [
+        (mode, flag) for mode, flags in MODE_FLAGS.items()
+        for flag in ("--config", "--format", "--t-list") if flag not in flags])
+    def test_a_flag_the_mode_does_not_read_exits_2(self, tmp_path, capsys, mode, flag):
+        # eig --t-list and slices --format were accepted, ignored and echoed in the manifest
+        cfg = str(write_config(tmp_path))
+        config = ["--config", cfg] if "--config" in MODE_FLAGS[mode] else []
+        value = cfg if flag == "--config" else "0"
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([mode, *config, "--out", str(out), flag, value])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {flag} {value}\n")
+        assert not out.exists()
+
+    def test_validate_reads_no_config(self, tmp_path, monkeypatch, capsys):
+        # validate --config on a degenerate bright pair exited 3 before any check ran
+        monkeypatch.setattr(cli, "run_suite", lambda: [validate.CheckResult("stub", 0.1, 0.5, True)])
+        cfg = write_config(tmp_path, **{"system.g": 0.0, "system.gamma_c": 1.0})
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--config", str(cfg), "--out", str(tmp_path / "v")])
+        assert exc.value.code == 2 and not (tmp_path / "v").exists()
+        capsys.readouterr()
+        assert main(["validate", "--out", str(tmp_path / "v")]) == 0
+        manifest = json.loads((tmp_path / "v" / "manifest.json").read_text())
+        assert manifest["config"]["system"] == dataclasses.asdict(validate.reference_params())
+
+
 class TestExtremeSystemNumbers:
     """Each system number of the shipped config, and the defaulted dipole and phase, in turn
-    at 1e-300, 1e17, 2e154, 1e300 and as a 400-digit integer, ends every mode in a documented
-    exit code, never in a traceback.  At 1e17 a rate 10^17 above the other once left the
-    slower bright rate at zero, and slices divided by it; at 2e154 a rate or a detuning
-    overflowed the square of the eigenvector head, an OverflowError."""
+    at 1e-300, 1e17, 2e154, 1e300 and as a 400-digit integer, ends every mode that reads a
+    config in a documented exit code, never in a traceback.  At 1e17 a rate 10^17 above the
+    other once left the slower bright rate at zero, and slices divided by it; at 2e154 a rate
+    or a detuning overflowed the square of the eigenvector head, an OverflowError."""
 
     @pytest.mark.parametrize("value", [1e-300, 1e17, 2e154, 1e300])
     @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SystemParams)])
     def test_every_mode_exits_0_2_or_3(self, tmp_path, monkeypatch, capsys, name, value):
-        # one CPU keeps every writer in this process; the validate suite is stubbed
+        # one CPU keeps every writer in this process
         set_cpus(monkeypatch, 1)
-        monkeypatch.setattr(cli, "run_suite", lambda: [])
         cfg = json.loads((CONFIGS / "cyanine_n10.json").read_text())
         cfg["system"][name] = value
         for grid, count in (("absorption", 16), ("omega1", 6), ("omega3", 5), ("pump_probe", 16)):
@@ -700,21 +753,20 @@ class TestExtremeSystemNumbers:
         cfg["t_wait"] = [0.0, 250.0]
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
-        for mode in cli._MODES:
+        for mode in CONFIG_MODES:
             code = main([mode, "--config", str(path), "--out", str(tmp_path / mode)])
             assert code in (0, 2, 3), (mode, code, capsys.readouterr().err)
 
     @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SystemParams)])
-    def test_an_integer_past_the_float_range_exits_2(self, tmp_path, monkeypatch, capsys, name):
+    def test_an_integer_past_the_float_range_exits_2(self, tmp_path, capsys, name):
         # float() of a 400-digit JSON integer raised an OverflowError traceback (exit 1)
-        monkeypatch.setattr(cli, "run_suite", lambda: [])
         cfg = json.loads((CONFIGS / "cyanine_n10.json").read_text())
         cfg["system"][name] = 10 ** 400
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
         what = ("NegativeCount(n_molecules): need an integer >= 1 within the float range"
                 if name == "n_molecules" else f"NonFinite({name}): must be a finite number")
-        for mode in cli._MODES:
+        for mode in CONFIG_MODES:
             out = tmp_path / mode
             assert main([mode, "--config", str(path), "--out", str(out)]) == 2, mode
             assert capsys.readouterr().err == (f"config error: system section invalid: {what}, "
@@ -786,7 +838,8 @@ class TestManifestEnvironment:
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         cfg = write_config(tmp_path, t_wait=[0.0], stokes_orders=[1])
         out = tmp_path / "out"
-        assert main([mode, "--config", str(cfg), "--out", str(out)]) == 0
+        config = ["--config", str(cfg)] if mode != "validate" else []
+        assert main([mode, *config, "--out", str(out)]) == 0
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert json.loads((out / "manifest.json").read_text())["environment"] == {
             "python": "%d.%d.%d" % sys.version_info[:3],
@@ -927,8 +980,9 @@ class TestParallelWriters:
         set_cpus(monkeypatch, cpus)
         monkeypatch.setattr(cli, "run_suite", lambda: [])
         out = tmp_path / "out"
-        assert main([mode, "--config", str(CONFIGS / "cyanine_n10.json"), "--out", str(out),
-                     "--format", "csv,json"]) == 0
+        config = ["--config", str(CONFIGS / "cyanine_n10.json")] if mode != "validate" else []
+        formats = ["--format", "csv,json"] if cli._MODES[mode].axes else []
+        assert main([mode, *config, "--out", str(out), *formats]) == 0
         assert_no_child_left()
         assert json.loads((out / "manifest.json").read_text())["outputs"] == outputs
         assert sorted(path.name for path in out.iterdir()) == sorted(outputs + ["manifest.json"])
@@ -1221,6 +1275,7 @@ class TestBenchmarkTracingContract:
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(cli, name, traced)
         argv = (["peaks", str(out / "absorption.json")] if mode == "peaks"
+                else ["validate", "--out", str(tmp_path / mode)] if mode == "validate"
                 else [mode, "--config", cfg, "--out", str(tmp_path / mode)])
         assert main(argv) == 0
         assert calls == set(called)

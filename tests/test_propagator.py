@@ -1,5 +1,7 @@
+import cmath
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from polariton2dcs import (
     DivergentTransform,
     NegativeTime,
     RAD_PER_CM_FS,
+    TooLarge,
     build_matrix,
     decompose,
     expm_propagator,
@@ -26,6 +29,7 @@ from polariton2dcs.propagator import (
     ModeDecomposition,
     PatternEntries,
     _assemble_entries,
+    _mode_integral,
     propagator_entries,
 )
 from polariton2dcs.validate import (
@@ -37,46 +41,38 @@ from polariton2dcs.validate import (
 )
 
 
-def reference_quadrature_fourier(dec: ModeDecomposition, omega: complex,
-                                 conjugated: bool = False) -> np.ndarray:
+def quadrature_range(dec: ModeDecomposition, omega: complex) -> float:
+    """The upper end of the range of :func:`quadrature_fourier`, 40/(gamma_min + min(q, 0))."""
+    return 40.0 / (dec.gamma_min + min(complex(omega).imag, 0.0))
+
+
+def panel_count(dec: ModeDecomposition, omega: complex) -> int:
+    """The number of equal panels :func:`quadrature_fourier` spreads over its range."""
+    freq_scale = abs(complex(omega).real) + max(abs(dec.mu_lp.imag), abs(dec.mu_up.imag),
+                                                abs(dec.mu_dark.imag)) + 1.0
+    return max(64, int(math.ceil(quadrature_range(dec, omega) * freq_scale / math.pi)))
+
+
+def reference_quadrature_fourier(dec: ModeDecomposition, omega: complex) -> np.ndarray:
     """Entry-wise panel quadrature: every pattern entry of G(u) sampled at every node.
 
     The reference for :func:`quadrature_fourier`, which integrates per eigenmode
     on the same panels.
     """
     omega = complex(omega)
-    u_max = 40.0 / dec.gamma_min
-    panel_points = 10
-    if conjugated:
-        # conj(G(u)) * exp(-i z u):  oscillation -Re z, envelope exp(+Im(z) u)
-        w_osc, q = -omega.real, -omega.imag
-    else:
-        w_osc, q = omega.real, omega.imag
-    if q <= -dec.gamma_min:
+    if omega.imag <= -dec.gamma_min:
         raise DivergentTransform("quadrature target does not converge")
-    freq_scale = abs(w_osc) + max(abs(dec.mu_lp.imag), abs(dec.mu_up.imag),
-                                  abs(dec.mu_dark.imag)) + 1.0
-    n_panels = max(64, int(math.ceil(u_max * freq_scale / math.pi)))
+    u_max, n_panels, panel_points = quadrature_range(dec, omega), panel_count(dec, omega), 10
     x, gl_w = np.polynomial.legendre.leggauss(panel_points)
     edges = np.linspace(0.0, u_max, n_panels + 1)
     half = 0.5 * (edges[1] - edges[0])
     mids = 0.5 * (edges[:-1] + edges[1:])
     u = (mids[:, None] + half * x[None, :]).ravel()
     du = np.broadcast_to(half * gl_w[None, :], (n_panels, panel_points)).ravel()
-    kernel = np.exp((1j * w_osc - q) * u) * du
+    kernel = np.exp((1j * omega.real - omega.imag) * u) * du
     ent = _assemble_entries(dec, lambda mu: np.exp(-mu * u))
-    if conjugated:
-        ent = ent.conj()
     vals = {name: complex(np.sum(getattr(ent, name) * kernel)) for name in _PATTERN_FIELDS}
     return PatternEntries(**vals).to_dense(dec.n_molecules)
-
-
-def panel_count(dec: ModeDecomposition, omega: complex, conjugated: bool = False) -> int:
-    """The number of equal panels :func:`quadrature_fourier` spreads over [0, 40/gamma_min]."""
-    w_osc = -omega.real if conjugated else omega.real
-    freq_scale = abs(w_osc) + max(abs(dec.mu_lp.imag), abs(dec.mu_up.imag),
-                                  abs(dec.mu_dark.imag)) + 1.0
-    return max(64, int(math.ceil(40.0 / dec.gamma_min * freq_scale / math.pi)))
 
 
 def reference_matrix_exp(a: np.ndarray) -> np.ndarray:
@@ -350,48 +346,58 @@ class TestFourier:
             assert np.max(np.abs(exact - quad)) / np.max(np.abs(exact)) < 1e-6
 
     def test_conjugate_transform_quadrature(self, dye_dec):
+        # the conjugate transform at z is conj of the plain one at conj(z)
         for omega in (432.1, -900.0 - 20.0j):
             exact = fourier_conj_entries(dye_dec, omega).to_dense(10)
-            quad = quadrature_fourier(dye_dec, omega, conjugated=True)
+            quad = np.conj(quadrature_fourier(dye_dec, np.conj(omega)))
             assert np.max(np.abs(exact - quad)) / np.max(np.abs(exact)) < 1e-6
 
-    @pytest.mark.parametrize("omega, conjugated", [
-        (0.0, False), (1234.5, False), (-1800.0, False), (2400.0, False),
-        (350.0 + 40.0j, False), (-2100.0 + 20.0j, False),
-        (432.1, True), (-900.0 - 20.0j, True), (1800.0 - 40.0j, True),
+    @pytest.mark.parametrize("omega", [
+        0.0, 1234.5, -1800.0, 2400.0, 350.0 + 40.0j, -2100.0 + 20.0j,
+        432.1, -900.0 + 20.0j, 1800.0 + 40.0j,
     ])
-    def test_quadrature_matches_entrywise_reference(self, dye_dec, omega, conjugated):
-        quad = quadrature_fourier(dye_dec, omega, conjugated=conjugated)
-        ref = reference_quadrature_fourier(dye_dec, omega, conjugated=conjugated)
+    def test_quadrature_matches_entrywise_reference(self, dye_dec, omega):
+        quad = quadrature_fourier(dye_dec, omega)
+        ref = reference_quadrature_fourier(dye_dec, omega)
         assert np.max(np.abs(quad - ref)) / np.max(np.abs(ref)) < 1e-10
 
     def test_quadrature_matches_entrywise_reference_detuned(self):
         rng = np.random.default_rng(17)
         for n in (1, 3):
             dec = decompose(build_matrix(_random_params(rng, n)))
-            for conjugated in (False, True):
+            for _ in range(2):
                 omega = complex(rng.uniform(-2400.0, 2400.0), 0.0)
-                quad = quadrature_fourier(dec, omega, conjugated=conjugated)
-                ref = reference_quadrature_fourier(dec, omega, conjugated=conjugated)
+                quad = quadrature_fourier(dec, omega)
+                ref = reference_quadrature_fourier(dec, omega)
                 assert np.max(np.abs(quad - ref)) / np.max(np.abs(ref)) < 1e-10
 
-    # Im(omega) = -0.9 (+0.9 conjugated) is just inside gamma_min = 0.95: the integrand then
-    # decays only to exp(-0.05 u_max) ~ 0.1, so a panel left out of the sum shows
-    @pytest.mark.parametrize("collective, omega, conjugated, expected", [
-        (0.5, -0.9j, False, (64, 8, 0)),                   # the fewest panels: 8 blocks of 8
-        (1800.0, 3.0 - 0.9j, False, (24179, 156, 155)),    # a prime: the longest tail, B - 1
-        (1800.0, 2400.0 - 0.9j, False, (56304, 238, 136)),  # the most the suite integrates
-        (1800.0, -2400.0 + 0.9j, True, (56304, 238, 136)),
+    # 3 - 0.9486i takes 1.64e7 panels, just below QUADRATURE_MAX_PANELS
+    @pytest.mark.parametrize("omega", [3.0 - 0.9j, 3.0 - 0.94j, 3.0 - 0.9486j])
+    def test_quadrature_of_a_damped_target(self, dye_dec, omega):
+        # the range follows the slowest mode of the integrand, at rate gamma_min + Im(omega);
+        # over a fixed [0, 40/gamma_min] the first two were 1.5e-2 and 8.0e-2 off
+        exact = propagator_fourier(dye_dec, omega)
+        quad = quadrature_fourier(dye_dec, omega)
+        assert np.max(np.abs(exact - quad)) / np.max(np.abs(exact)) < 1e-10
+        # the conjugate transform at conj(omega), through the identity
+        exact = fourier_conj_entries(dye_dec, np.conj(omega)).to_dense(10)
+        quad = np.conj(quadrature_fourier(dye_dec, omega))
+        assert np.max(np.abs(exact - quad)) / np.max(np.abs(exact)) < 1e-10
+
+    # at an undamped exponent r = i k every panel carries weight, so a panel left out shows
+    @pytest.mark.parametrize("n_panels, expected", [
+        (64, (8, 0)),           # the fewest panels: 8 blocks of 8
+        (24179, (156, 155)),    # a prime: the longest tail, B - 1
+        (56304, (238, 136)),    # the most the validate suite integrates
     ])
-    def test_block_sum_covers_every_panel(self, collective, omega, conjugated, expected):
-        dec = decompose(build_matrix(reference_params(collective=collective)))
-        assert dec.gamma_min == 0.95
-        n = panel_count(dec, omega, conjugated)
-        block = math.ceil(math.sqrt(n))
-        assert (n, block, n % block) == expected
-        quad = quadrature_fourier(dec, omega, conjugated=conjugated)
-        ref = reference_quadrature_fourier(dec, omega, conjugated=conjugated)
-        assert np.max(np.abs(quad - ref)) / np.max(np.abs(ref)) < 1e-10
+    def test_block_sum_covers_every_panel(self, n_panels, expected):
+        block = math.ceil(math.sqrt(n_panels))
+        assert (block, n_panels % block) == expected
+        u_max = 0.37 * n_panels
+        # no turn, a quarter turn over the range, and 1.1 and 3.0 rad a panel (at most pi)
+        for k in (0.0, 0.5 * math.pi / u_max, 3.0, 8.1):
+            exact = u_max if k == 0.0 else (cmath.exp(1j * k * u_max) - 1.0) / (1j * k)
+            assert abs(_mode_integral(1j * k, u_max, n_panels) - exact) < 1e-10 * u_max
 
     def test_quadrature_refuses_a_divergent_target(self, dye_dec):
         # the envelope exp(-q u) of the kernel must not outgrow the slowest mode, q > -gamma_min
@@ -399,12 +405,21 @@ class TestFourier:
         for omega in (-1j * edge, 100.0 - 2j * edge):
             with pytest.raises(DivergentTransform):
                 quadrature_fourier(dye_dec, omega)
-            with pytest.raises(DivergentTransform):
-                quadrature_fourier(dye_dec, omega.conjugate(), conjugated=True)
 
-    @pytest.mark.parametrize("conjugated", [False, True])
-    def test_quadrature_takes_order_sqrt_panels_exponentials(self, dye_dec, monkeypatch,
-                                                             conjugated):
+    @pytest.mark.parametrize("omega", [
+        3.0 - 0.9499j, 3.0 - 0.95j * (1.0 - 1e-9), 3.0 + 1j * np.nextafter(-0.95, 0.0), 1e15,
+    ])
+    def test_quadrature_refuses_a_target_past_the_panel_bound(self, dye_dec, omega):
+        # near Im(omega) = -gamma_min the range 40/(gamma_min + Im(omega)) grows without limit
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match=r"over \[0, 40/\(gamma_min \+ min\(Im\(omega\), 0\)\)\] = "
+                                           r"\[0, 40/[0-9.e+-]+\] needs [0-9.e+]+ panels, "
+                                           r"more than QUADRATURE_MAX_PANELS = 16777216$"):
+            quadrature_fourier(dye_dec, omega)
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("omega", [2400.0, -2400.0, 3.0 - 0.9486j])
+    def test_quadrature_takes_order_sqrt_panels_exponentials(self, dye_dec, monkeypatch, omega):
         from polariton2dcs import propagator
 
         class CountingNumpy:
@@ -418,13 +433,39 @@ class TestFourier:
                 self.exp_elements += np.size(z)
                 return np.exp(z)
 
-        omega = -2400.0 if conjugated else 2400.0
-        n = panel_count(dye_dec, omega, conjugated)
+        n = panel_count(dye_dec, omega)
         counting = CountingNumpy()
         monkeypatch.setattr(propagator, "np", counting)
-        quadrature_fourier(dye_dec, omega, conjugated=conjugated)
+        quadrature_fourier(dye_dec, omega)
         # three eigenmodes (LP, UP, dark), each ~3 sqrt(n) panel and 10 node exponentials
         assert 0 < counting.exp_elements <= 3 * (3 * math.ceil(math.sqrt(n)) + 10)
+
+    def test_check_takes_each_conjugate_point_through_the_identity(self, dye_dec, monkeypatch):
+        # validate calls quadrature_fourier through its own name, once per case, and each of
+        # its 10 conjugate points as conj(quadrature_fourier(dec, conj(omega)))
+        from polariton2dcs import validate
+
+        cases, targets = [], []
+
+        def serial(fn, items):
+            cases.extend(items)
+            return [fn(item) for item in items]
+
+        def recorded(dec, omega):
+            targets.append(complex(omega))
+            return quadrature_fourier(dec, omega)
+
+        monkeypatch.setattr(validate, "fork_map", serial)
+        monkeypatch.setattr(validate, "quadrature_fourier", recorded)
+        assert check_transform_quadrature().passed
+        assert len(cases) == len(targets) == 110
+        conjugate = [omega for omega, conjugated in cases if conjugated]
+        assert len(conjugate) == 10 and all(omega.imag == -20.0 for omega in conjugate)
+        assert targets[100:] == [omega.conjugate() for omega in conjugate]
+        for omega in conjugate:
+            exact = fourier_conj_entries(dye_dec, omega).to_dense(10)
+            quad = np.conj(quadrature_fourier(dye_dec, omega.conjugate()))
+            assert np.max(np.abs(exact - quad)) / np.max(np.abs(exact)) < 1e-10
 
     @pytest.mark.parametrize("target", ["propagator_fourier", "fourier_conj_entries"])
     def test_quadrature_check_catches_a_scaled_transform(self, monkeypatch, target):

@@ -581,6 +581,20 @@ class TestSlices:
         alone = pump_probe_slices(dye_system, dye_dec, dye_kernel, t_list, (1,))
         assert np.array_equal(report.stokes[1].formula, alone.stokes[1].formula)
 
+    @pytest.mark.parametrize("lambda_hr, order, n", [(0.0, 1, 3), (0.0, 2, 10), (1.0, 10 ** 12, 10)])
+    def test_residual_of_a_zero_formula_is_relative(self, lambda_hr, order, n):
+        # an all-zero formula trace fits with scale 0 and leaves all of exact as the misfit,
+        # rms over max|exact| as for any trace; at N = 3, lambda_hr = 0, order 1 the residual
+        # was rms(exact) alone, 1.41e-5, with exact peaking at 1.61e-5
+        sys = reference_params(lambda_hr=lambda_hr, n_molecules=n)
+        dec = decompose(build_matrix(sys))
+        trace = pump_probe_slices(sys, dec, kernel_from_params(sys), [0.0, 250.0, 500.0, 750.0],
+                                  (order,)).stokes[order]
+        assert np.array_equal(trace.formula, np.zeros(4)) and trace.fitted_scale == 0.0
+        assert np.all(trace.exact > 0.0)
+        assert trace.residual == np.sqrt(np.mean(trace.exact ** 2)) / np.max(np.abs(trace.exact))
+        assert 0.85 < trace.residual < 0.9
+
     def test_vectorized_dark_weight_product_is_the_scalar_product(self):
         # _slice_sums takes Re(dw * inner) over arrays, where the loops take it per scalar
         rng = np.random.default_rng(11)
