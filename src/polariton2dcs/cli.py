@@ -220,6 +220,12 @@ def build_jobspec(mode: str, config: dict, out_override: str | None = None,
     if mode not in _MODES:
         raise ConfigError(f"unknown mode '{mode}'")
     uses = _MODES[mode]
+    # an override the mode does not read would be echoed as if it had run; the parser
+    # refuses the flag, and so does this
+    for value, flag, read in ((formats_override, "--format", uses.axes),
+                              (t_list_override, "--t-list", uses.waits)):
+        if value is not None and not read:
+            raise ConfigError(f"mode '{mode}' takes no {flag}")
     _load(uses.layers)
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")

@@ -7,7 +7,9 @@ only on the *equality pattern* of its indices, so the quadruple sum collapses
 onto the 15 set partitions of (i, l, j, j') weighted by the number of index
 tuples realizing each partition, with p contributing at most four extra cases
 (p equal to l, equal to j', another molecule, or the photon slot).  This makes
-grid evaluation O(1) in N; literal nested-loop oracles are kept alongside.
+grid evaluation O(1) in N.  The oracles kept alongside sum over every index
+tuple, each with its own dense entries; they form the products of the tuples
+with one Kronecker-delta pattern together, and add the terms in loop order.
 
 Phonon sums use the Kronecker-power convention delta^0 == 1 (also for unequal
 indices) and delta^(m>=1) == delta, so the m = 0 terms reproduce the
@@ -112,6 +114,25 @@ def _wait_factor(kernel: VibKernel, t_wait: float) -> complex:
         raise DivergentTransform(
             f"one-phonon wait factor |z| = {abs(z)} exceeds 1 at T = {t_wait} fs")
     return z
+
+
+def _tuple_groups(keys) -> dict:
+    """The positions of ``keys`` by value, each list in increasing order."""
+    groups: dict = {}
+    for pos, key in enumerate(keys):
+        groups.setdefault(key, []).append(pos)
+    return groups
+
+
+# The most complex values one batch of a loop oracle's products holds (1 MiB).
+ORACLE_BATCH_VALUES = 2 ** 16
+
+
+def _batches(members: list, per_tuple: int, budget: int = ORACLE_BATCH_VALUES):
+    """``members`` in runs whose products hold at most ``budget`` values together,
+    ``per_tuple`` each; a tuple that needs more than ``budget`` alone runs alone."""
+    step = max(1, budget // per_tuple)
+    return (members[start:start + step] for start in range(0, len(members), step))
 
 
 def _weight_table(kernel: VibKernel, free: tuple[bool, ...], z: complex) -> np.ndarray:
@@ -248,11 +269,29 @@ def twod_signal_point(sys: SystemParams, dec: ModeDecomposition, kernel: VibKern
     return complex(vals[0, 0])
 
 
+def _twod_phonon_sums(weight: np.ndarray, side_a: np.ndarray, side_b: np.ndarray) -> np.ndarray:
+    """The phonon sums [tuple, p] of weight * side_a * side_b, for a batch of index tuples.
+
+    order="C" keeps each (tuple, p) row's terms contiguous, so each row is
+    summed pairwise like a flat array.  The products live only in this call,
+    so one batch's are freed before the next batch's are formed.
+    """
+    weighted_a = np.multiply(weight, side_a, order="C")
+    products = np.multiply(weighted_a[:, None], side_b, order="C")
+    return products.reshape(*side_b.shape[:2], -1).sum(axis=2)
+
+
 def twod_signal_direct(sys: SystemParams, dec: ModeDecomposition, kernel: VibKernel,
                        omega1: float, omega3: float, t_wait: float) -> complex:
     """Literal quintuple-index sum with explicit Kronecker deltas (oracle).
 
-    Cost grows as N^4 (N+1) m_max^6 with pinned-m pruning; refuse N > 6.
+    Every index tuple (i, l, j, j') reads its own dense transform and
+    propagator entries.  The tuples with one Kronecker-delta pattern share a
+    phonon weight table, and their products are formed in batches (see
+    :func:`_batches`), each product with the operand shapes of one tuple and
+    a leading tuple axis.  The p terms are then added one at a time, in
+    tuple and p order, so the sum is that of a loop over the tuples, bit for
+    bit.  Cost grows as N^4 (N+1) m_max^6 with pinned-m pruning; refuse N > 6.
     """
     n = sys.n_molecules
     if n > 6:
@@ -262,32 +301,32 @@ def twod_signal_direct(sys: SystemParams, dec: ModeDecomposition, kernel: VibKer
     mm = kernel.m_max
     g_wait = propagator_G(dec, t_wait)
     dim = 3 * mm + 1
-    # [shift, row, column]
+    # [row, column, shift]
     trans_a = np.stack([fourier_entries(dec, omega3 + kernel.shift(a)).to_dense(n)
-                        for a in range(dim)])
+                        for a in range(dim)], axis=-1)
     # [column, row, shift]: the rows p of one column j' sit next to each other
     trans_b = np.stack([fourier_conj_entries(dec, -omega1 - kernel.shift(k)).to_dense(n).T
                         for k in range(dim)], axis=-1)
     full = np.arange(mm + 1)
     pinned = np.arange(1)
-    tables = {}   # (weight, alpha, kappa) by the Kronecker-delta pattern of the tuple
+    i, l, j, jp = np.indices((n,) * 4).reshape(4, -1)       # every index tuple, in loop order
+    groups = _tuple_groups(zip(*[eq.tolist() for eq in
+                                 (jp == j, i == l, j == l, jp == l, i == j, i == jp)]))
+    terms = np.empty((n ** 4, n + 1), dtype=complex)          # [tuple, p]
+    for deltas, members in groups.items():
+        m1, m2, m3, m4, m5, m6 = np.ix_(*[full if eq else pinned for eq in deltas])
+        weight = (s[m1] * s[m2] * s[m3] * s[m4] * s[m5] * s[m6]
+                  * (-1.0) ** (m3 + m6) * z ** (m3 + m4 + m5 + m6))
+        alpha, kappa = m2 + m5 + m6, m1 + m4 + m6
+        # no batch holds more terms than the tuple with every m free, (N+1)(m_max+1)^6
+        for pos in _batches(members, (n + 1) * weight.size, (n + 1) * (mm + 1) ** 6):
+            sums = _twod_phonon_sums(weight, trans_a[i[pos], l[pos]][:, alpha],
+                                     trans_b[jp[pos]][:, :, kappa])
+            terms[pos] = np.conj(g_wait[l[pos]]) * g_wait[l[pos], j[pos]][:, None] * sums
+    # add the p terms one at a time, in tuple and p order
     total = 0.0 + 0.0j
-    for i, l, j, jp in product(range(n), repeat=4):
-        deltas = ((jp == j), (i == l), (j == l), (jp == l), (i == j), (i == jp))
-        if deltas not in tables:
-            m1, m2, m3, m4, m5, m6 = np.ix_(*[full if eq else pinned for eq in deltas])
-            weight = (s[m1] * s[m2] * s[m3] * s[m4] * s[m5] * s[m6]
-                      * (-1.0) ** (m3 + m6) * z ** (m3 + m4 + m5 + m6))
-            tables[deltas] = (weight, m2 + m5 + m6, m1 + m4 + m6)
-        weight, alpha, kappa = tables[deltas]
-        weighted_a = weight * trans_a[:, i, l][alpha]
-        # the phonon sums of every p at once: order="C" keeps each p's terms in
-        # one contiguous row, so each row is summed pairwise like a flat array
-        terms = np.multiply(weighted_a, trans_b[jp][:, kappa], order="C")
-        sums = terms.reshape(n + 1, -1).sum(axis=1)
-        # add the p terms one at a time, in p order
-        for term in (np.conj(g_wait[l]) * g_wait[l, j] * sums).tolist():
-            total += term
+    for term in terms.ravel().tolist():
+        total += term
     return complex(twod_prefactor(sys) * total)
 
 
@@ -406,7 +445,15 @@ def pump_probe(sys: SystemParams, dec: ModeDecomposition, kernel: VibKernel,
 
 def pump_probe_direct(sys: SystemParams, dec: ModeDecomposition, kernel: VibKernel,
                       omega_abs: float, t_wait: float) -> float:
-    """Literal quadruple-index pump-probe sum (oracle); refuse N > 6."""
+    """Literal quadruple-index pump-probe sum (oracle); refuse N > 6.
+
+    Every index tuple (i, l, j, j') reads its own dense transform and
+    propagator entries.  The tuples with one Kronecker-delta pattern share a
+    phonon weight table, and their phonon sums are formed in batches (see
+    :func:`_batches`).  Each sum is then weighted and added in Python
+    scalars, in tuple order, so the result is that of a loop over the tuples,
+    bit for bit.
+    """
     n = sys.n_molecules
     if n > 6:
         raise TooLarge("direct pump-probe oracle limited to N <= 6")
@@ -415,23 +462,27 @@ def pump_probe_direct(sys: SystemParams, dec: ModeDecomposition, kernel: VibKern
     mm = kernel.m_max
     w_rot = omega_abs - sys.axis_offset
     g_wait = propagator_G(dec, t_wait)
-    # [shift, row, column]
+    # [row, column, shift]
     trans = np.stack([fourier_entries(dec, w_rot + kernel.shift(x)).to_dense(n)
-                      for x in range(2 * mm + 1)])
+                      for x in range(2 * mm + 1)], axis=-1)
     full = np.arange(mm + 1)
     pinned = np.arange(1)
-    tables = {}   # (weight, m1 + m3) by the Kronecker-delta pattern of the tuple
+    i, l, j, jp = np.indices((n,) * 4).reshape(4, -1)       # every index tuple, in loop order
+    # the Kronecker-delta pattern (i == l, d2, d3) of each tuple
+    groups = _tuple_groups(zip((i == l).tolist(), ((jp == l) - (j == l) * 1.0).tolist(),
+                               ((i == j) - (i == jp) * 1.0).tolist()))
+    sums = np.empty(n ** 4, dtype=complex)
+    for (same_il, d2, d3), members in groups.items():
+        m1, m2, m3 = np.ix_(full if same_il else pinned, full, full)
+        weight = (s[m1] * s[m2] * s[m3] * d2 ** m2 * d3 ** m3 * z ** (m2 + m3))
+        for pos in _batches(members, weight.size):
+            # order="C" keeps each tuple's terms contiguous, summed pairwise like a flat array
+            sums[pos] = np.multiply(weight, trans[i[pos], l[pos]][:, m1 + m3],
+                                    order="C").reshape(len(pos), -1).sum(axis=1)
+    conj_g, g = np.conj(g_wait).tolist(), g_wait.tolist()
     total = 0.0 + 0.0j
-    for i, l, j, jp in product(range(n), repeat=4):
-        d2 = float(jp == l) - float(j == l)
-        d3 = float(i == j) - float(i == jp)
-        deltas = (i == l, d2, d3)
-        if deltas not in tables:
-            m1, m2, m3 = np.ix_(full if i == l else pinned, full, full)
-            weight = (s[m1] * s[m2] * s[m3] * d2 ** m2 * d3 ** m3 * z ** (m2 + m3))
-            tables[deltas] = (weight, m1 + m3)
-        weight, m13 = tables[deltas]
-        total += np.conj(g_wait[l, jp]) * g_wait[l, j] * (weight * trans[:, i, l][m13]).sum()
+    for l_, j_, jp_, part in zip(l.tolist(), j.tolist(), jp.tolist(), sums.tolist()):
+        total += conj_g[l_][jp_] * g[l_][j_] * part
     return float(pump_probe_prefactor(sys) * np.real(total))
 
 
@@ -474,35 +525,53 @@ SLICES_MAX_N = 100
 
 
 def _slice_sums_direct(s, z, zp, gg, dark_weight, stokes_orders) -> tuple[float, dict]:
-    """Upper-polariton and Stokes sums of the slice formulas as literal site loops."""
+    """Upper-polariton and Stokes sums of the slice formulas as literal site loops.
+
+    Both sums take the phonon sum of one site triple (l, j', j) from its own
+    entry gg[l, j', j].  The triples with one value of d = (j' == l) - (j == l)
+    share their weight vector, and their phonon sums are formed in batches
+    (see :func:`_batches`).  The loops over the triples, the sites and m1
+    then run in Python scalars, so each sum is that of the loops, bit for bit.
+    """
     n = gg.shape[0]
     mm = s.size - 1
+    m_idx = np.arange(mm + 1)
+    eye = np.eye(n)
+    # d of every site triple (l, j', j), in loop order, and its entry of gg
+    d_of = (eye[:, :, None] - eye[:, None, :]).ravel()
+    gg_of = gg.reshape(-1)
+    phonon = np.empty(n ** 3, dtype=complex)
+    for d, members in _tuple_groups(d_of.tolist()).items():
+        weight = s * d ** m_idx * zp
+        for pos in _batches(members, mm + 1):
+            phonon[pos] = np.multiply(weight, gg_of[pos][:, None], order="C").sum(axis=1)
     accum = 0.0
-    for l, jp, j in product(range(n), repeat=3):
-        d = float(jp == l) - float(j == l)
-        accum += float((s * d ** np.arange(mm + 1) * zp * gg[l, jp, j]).sum().real)
+    for value in phonon.real.tolist():
+        accum += value
+    phonon = phonon.reshape(n, n, n).tolist()                # [l][j'][j]
+    # each dark weight as a complex number: numpy promotes it so in dw * inner
+    weights, dark = s.tolist(), dark_weight.astype(complex).tolist()
     stokes = {}
     for order in stokes_orders:
         acc = 0.0
-        m_idx = np.arange(mm + 1)
+        # w13[d3][m1] = s[m1] s[m3] d3^m3 and z^m3, over the m1 that keep m1 and
+        # m3 = order - m1 within the cutoff
+        m1_kept = range(max(0, order - mm), min(order, mm) + 1)
+        w13 = {d3: {m1: weights[m1] * weights[order - m1] * (d3 ** (order - m1)) for m1 in m1_kept}
+               for d3 in (-1.0, 0.0, 1.0)}
+        z_m3 = {m1: complex(z ** (order - m1)) for m1 in m1_kept}
         for site, l in product(range(n), repeat=2):
-            dw = dark_weight[site, l]
+            dw = dark[site][l]
             if dw == 0.0:
                 continue
+            m1_site = m1_kept if site == l else m1_kept[:1] if 0 in m1_kept else ()
             for jp, j in product(range(n), repeat=2):
-                d2 = float(jp == l) - float(j == l)
                 d3 = float(site == j) - float(site == jp)
-                for m1 in range(order + 1):
-                    m3 = order - m1
-                    if m1 > mm or m3 > mm:
+                for m1 in m1_site:
+                    if w13[d3][m1] == 0.0:
                         continue
-                    if m1 > 0 and site != l:
-                        continue
-                    w13 = s[m1] * s[m3] * (d3 ** m3)
-                    if w13 == 0.0:
-                        continue
-                    inner = (s * d2 ** m_idx * zp * gg[l, jp, j]).sum() * (z ** m3)
-                    acc += w13 * float(np.real(dw * inner))
+                    inner = phonon[l][jp][j] * z_m3[m1]
+                    acc += w13[d3][m1] * (dw * inner).real
         stokes[order] = acc
     return accum, stokes
 

@@ -721,6 +721,17 @@ class TestModeFlags:
         assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {flag} {value}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode, override, flag", [
+        (mode, override, flag) for mode, flags in MODE_FLAGS.items()
+        for override, flag in (("formats_override", "--format"), ("t_list_override", "--t-list"))
+        if flag not in flags])
+    def test_build_jobspec_refuses_an_override_the_mode_does_not_read(self, mode, override, flag):
+        # build_jobspec("eig", ..., formats_override="json", t_list_override="5") echoed
+        # t_wait [5.0] and output.formats ["json"] for a job that writes only eig.json
+        value = "json" if flag == "--format" else "5"
+        with pytest.raises(ConfigError, match=f"^mode '{mode}' takes no {flag}$"):
+            build_jobspec(mode, BASE_CONFIG, **{override: value})
+
     def test_validate_reads_no_config(self, tmp_path, monkeypatch, capsys):
         # validate --config on a degenerate bright pair exited 3 before any check ran
         monkeypatch.setattr(cli, "run_suite", lambda: [validate.CheckResult("stub", 0.1, 0.5, True)])
@@ -1138,8 +1149,8 @@ class TestValidateOnEveryCpu:
         handed = []
         monkeypatch.setattr(validate, "fork_map", lambda fn, items: handed.extend(items) or [0.0])
         validate.check_slices_direct()
-        # reference N = 5, 4, 2, 3, then random N = 2, 4, 1, 3: shares of 0.148 and 0.155 s at 2 CPUs
-        assert [params.n_molecules for params, _ in handed] == [5, 4, 2, 3, 2, 4, 1, 3]
+        # reference N = 5, 3, 4, 2, then random N = 2, 4, 1, 3: shares of 0.083 and 0.082 s at 2 CPUs
+        assert [params.n_molecules for params, _ in handed] == [5, 3, 4, 2, 2, 4, 1, 3]
         # drawn as before: the random cases in N order 1, 2, 3, 4 from seed 107
         rng = np.random.default_rng(107)
         drawn = {n: (validate._random_params(rng, n), list(rng.uniform(0.0, 600.0, size=2)))

@@ -21,6 +21,7 @@ from polariton2dcs import (
     propagator_fourier,
     pump_probe,
     pump_probe_direct,
+    pump_probe_prefactor,
     pump_probe_slices,
     pump_probe_slices_direct,
     pump_probe_values,
@@ -31,6 +32,7 @@ from polariton2dcs import (
     twod_values,
     validate_params,
 )
+from polariton2dcs import validate
 from polariton2dcs.peaks import find_peaks_1d, find_peaks_2d
 from polariton2dcs.signals import (
     I_,
@@ -39,6 +41,7 @@ from polariton2dcs.signals import (
     L_,
     SLICES_MAX_N,
     IndexClass,
+    _batches,
     _pp_class_weights,
     _slice_report,
     _slice_sums,
@@ -131,6 +134,117 @@ def reference_twod_signal_direct(sys, dec, kernel, omega1: float, omega3: float,
                 weighted_a * trans_b[:, p, jp][kappa]
             )
     return complex(twod_prefactor(sys) * total)
+
+
+# The loop oracles as they were before their products were batched over the index tuples;
+# the batched oracles must reproduce them exactly.
+
+
+def loop_twod_signal_direct(sys, dec, kernel, omega1: float, omega3: float,
+                            t_wait: float) -> complex:
+    """:func:`twod_signal_direct` as a loop over the index tuples, one tuple at a time.
+
+    The batched oracle must give the same complex number, bit for bit.
+    """
+    n = sys.n_molecules
+    if n > 6:
+        raise TooLarge("direct 2D oracle limited to N <= 6")
+    z = _wait_factor(kernel, t_wait)
+    s = kernel.weights
+    mm = kernel.m_max
+    g_wait = propagator_G(dec, t_wait)
+    dim = 3 * mm + 1
+    # [shift, row, column]
+    trans_a = np.stack([fourier_entries(dec, omega3 + kernel.shift(a)).to_dense(n)
+                        for a in range(dim)])
+    # [column, row, shift]: the rows p of one column j' sit next to each other
+    trans_b = np.stack([fourier_conj_entries(dec, -omega1 - kernel.shift(k)).to_dense(n).T
+                        for k in range(dim)], axis=-1)
+    full = np.arange(mm + 1)
+    pinned = np.arange(1)
+    tables = {}   # (weight, alpha, kappa) by the Kronecker-delta pattern of the tuple
+    total = 0.0 + 0.0j
+    for i, l, j, jp in product(range(n), repeat=4):
+        deltas = ((jp == j), (i == l), (j == l), (jp == l), (i == j), (i == jp))
+        if deltas not in tables:
+            m1, m2, m3, m4, m5, m6 = np.ix_(*[full if eq else pinned for eq in deltas])
+            weight = (s[m1] * s[m2] * s[m3] * s[m4] * s[m5] * s[m6]
+                      * (-1.0) ** (m3 + m6) * z ** (m3 + m4 + m5 + m6))
+            tables[deltas] = (weight, m2 + m5 + m6, m1 + m4 + m6)
+        weight, alpha, kappa = tables[deltas]
+        weighted_a = weight * trans_a[:, i, l][alpha]
+        # the phonon sums of every p at once: order="C" keeps each p's terms in
+        # one contiguous row, so each row is summed pairwise like a flat array
+        terms = np.multiply(weighted_a, trans_b[jp][:, kappa], order="C")
+        sums = terms.reshape(n + 1, -1).sum(axis=1)
+        # add the p terms one at a time, in p order
+        for term in (np.conj(g_wait[l]) * g_wait[l, j] * sums).tolist():
+            total += term
+    return complex(twod_prefactor(sys) * total)
+
+
+def loop_pump_probe_direct(sys, dec, kernel, omega_abs: float, t_wait: float) -> float:
+    """:func:`pump_probe_direct` as a loop over the index tuples, one tuple at a time."""
+    n = sys.n_molecules
+    if n > 6:
+        raise TooLarge("direct pump-probe oracle limited to N <= 6")
+    z = _wait_factor(kernel, t_wait)
+    s = kernel.weights
+    mm = kernel.m_max
+    w_rot = omega_abs - sys.axis_offset
+    g_wait = propagator_G(dec, t_wait)
+    # [shift, row, column]
+    trans = np.stack([fourier_entries(dec, w_rot + kernel.shift(x)).to_dense(n)
+                      for x in range(2 * mm + 1)])
+    full = np.arange(mm + 1)
+    pinned = np.arange(1)
+    tables = {}   # (weight, m1 + m3) by the Kronecker-delta pattern of the tuple
+    total = 0.0 + 0.0j
+    for i, l, j, jp in product(range(n), repeat=4):
+        d2 = float(jp == l) - float(j == l)
+        d3 = float(i == j) - float(i == jp)
+        deltas = (i == l, d2, d3)
+        if deltas not in tables:
+            m1, m2, m3 = np.ix_(full if i == l else pinned, full, full)
+            weight = (s[m1] * s[m2] * s[m3] * d2 ** m2 * d3 ** m3 * z ** (m2 + m3))
+            tables[deltas] = (weight, m1 + m3)
+        weight, m13 = tables[deltas]
+        total += np.conj(g_wait[l, jp]) * g_wait[l, j] * (weight * trans[:, i, l][m13]).sum()
+    return float(pump_probe_prefactor(sys) * np.real(total))
+
+
+def loop_slice_sums_direct(s, z, zp, gg, dark_weight, stokes_orders) -> tuple[float, dict]:
+    """:func:`_slice_sums_direct` as literal site loops, one phonon sum per kept term."""
+    n = gg.shape[0]
+    mm = s.size - 1
+    accum = 0.0
+    for l, jp, j in product(range(n), repeat=3):
+        d = float(jp == l) - float(j == l)
+        accum += float((s * d ** np.arange(mm + 1) * zp * gg[l, jp, j]).sum().real)
+    stokes = {}
+    for order in stokes_orders:
+        acc = 0.0
+        m_idx = np.arange(mm + 1)
+        for site, l in product(range(n), repeat=2):
+            dw = dark_weight[site, l]
+            if dw == 0.0:
+                continue
+            for jp, j in product(range(n), repeat=2):
+                d2 = float(jp == l) - float(j == l)
+                d3 = float(site == j) - float(site == jp)
+                for m1 in range(order + 1):
+                    m3 = order - m1
+                    if m1 > mm or m3 > mm:
+                        continue
+                    if m1 > 0 and site != l:
+                        continue
+                    w13 = s[m1] * s[m3] * (d3 ** m3)
+                    if w13 == 0.0:
+                        continue
+                    inner = (s * d2 ** m_idx * zp * gg[l, jp, j]).sum() * (z ** m3)
+                    acc += w13 * float(np.real(dw * inner))
+        stokes[order] = acc
+    return accum, stokes
 
 
 class TestIndexClasses:
@@ -613,6 +727,87 @@ class TestSlices:
         dec = decompose(build_matrix(sys))
         with pytest.raises(TooLarge, match=str(SLICES_MAX_N)):
             pump_probe_slices(sys, dec, kernel_from_params(sys), [0.0])
+
+
+def drawn_cases(monkeypatch, check) -> list:
+    """The cases ``check`` draws, taken from its call to ``fork_map``, which computes none."""
+    drawn = []
+    monkeypatch.setattr(validate, "fork_map", lambda error, cases: drawn.extend(cases) or [0.0])
+    check()
+    return drawn
+
+
+class TestBatchedOraclesMatchTheLoops:
+    """The loop oracles, batched over the index tuples, give the numbers of the literal
+    loops bit for bit: the comparisons are ==, with no tolerance."""
+
+    def test_twod_on_the_validate_cases(self, monkeypatch):
+        cases = drawn_cases(monkeypatch, check_twod_direct)
+        assert len(cases) == 80
+        for case in cases:
+            assert twod_signal_direct(*case) == loop_twod_signal_direct(*case)
+
+    def test_pump_probe_on_the_validate_cases(self, monkeypatch):
+        cases = drawn_cases(monkeypatch, check_pump_probe_direct)
+        assert len(cases) == 80
+        for case in cases:
+            assert pump_probe_direct(*case) == loop_pump_probe_direct(*case)
+
+    def test_batches_hold_at_most_the_budget(self):
+        members = list(range(10))
+        assert list(_batches(members, 3, 7)) == [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9]]
+        # a tuple that alone needs more than the budget runs alone
+        assert list(_batches(members[:3], 8, 7)) == [[0], [1], [2]]
+        assert list(_batches(members, 1)) == [members]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_twod_on_random_detuned_sets(self, n):
+        sys, dec, kernel, rng = random_detuned_case(700 + n, n)
+        for _ in range(3):
+            om1, om3 = rng.uniform(-2400.0, 2400.0, size=2)
+            t_wait = float(rng.uniform(0.0, 400.0))
+            args = (sys, dec, kernel, float(om1), float(om3), t_wait)
+            assert twod_signal_direct(*args) == loop_twod_signal_direct(*args)
+
+    @staticmethod
+    def assert_pump_probe_matches(sys, dec, kernel, rng, points: int):
+        for _ in range(points):
+            args = (sys, dec, kernel, float(rng.uniform(12000.0, 20000.0)),
+                    float(rng.uniform(0.0, 500.0)))
+            assert pump_probe_direct(*args) == loop_pump_probe_direct(*args)
+
+    @staticmethod
+    def assert_slice_sums_match(sys, dec, kernel, t_list, orders=(1, 2, 3)):
+        calls = []
+
+        def both(*args):
+            batched, loop = _slice_sums_direct(*args), loop_slice_sums_direct(*args)
+            assert batched == loop
+            calls.append(args)
+            return batched
+
+        _slice_report(sys, dec, kernel, t_list, orders, both)
+        assert len(calls) == len(t_list)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_pump_probe_on_random_detuned_sets(self, n):
+        sys, dec, kernel, rng = random_detuned_case(800 + n, n)
+        self.assert_pump_probe_matches(sys, dec, kernel, rng, 4)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_slice_sums_on_random_detuned_sets(self, n):
+        sys, dec, kernel, rng = random_detuned_case(900 + n, n)
+        self.assert_slice_sums_match(sys, dec, kernel, [0.0] + list(rng.uniform(0.0, 600.0, size=3)))
+
+    def test_at_lambda_2_with_the_cutoff_from_tail_eps(self):
+        # m_max = 22: one tuple's pump-probe products fill 23^3 values, so its batches
+        # are split by ORACLE_BATCH_VALUES
+        sys = reference_params(lambda_hr=2.0, n_molecules=4)
+        dec = decompose(build_matrix(sys))
+        kernel = kernel_from_params(sys)
+        assert kernel.m_max == franck_condon_cutoff(2.0, 1e-10)
+        self.assert_pump_probe_matches(sys, dec, kernel, np.random.default_rng(1002), 2)
+        self.assert_slice_sums_match(sys, dec, kernel, [0.0, 120.0, 480.0])
 
 
 def slot_sites(cls: IndexClass) -> tuple[int, ...]:
