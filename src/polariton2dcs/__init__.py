@@ -24,8 +24,6 @@ _HOMES = {
     "TruncationWarning": "errors",
     "RAD_PER_CM_FS": "model",
     "SystemParams": "model",
-    "derived_quantities": "model",
-    "time_phase": "model",
     "validate_params": "model",
     "DynamicsMatrix": "propagator",
     "ModeDecomposition": "propagator",

@@ -32,7 +32,7 @@ from .grids import Axis, SpectrumGrid, finite, integral, load_grid, write_csv, w
 # The layers of the package that the modes run, each with the names cli uses from it.  _load
 # binds these names as globals, which the code below looks up at call time.
 _LAYERS = {
-    "model": ("RAD_PER_CM_FS", "derived_quantities", "validate_params"),
+    "model": ("RAD_PER_CM_FS", "validate_params"),
     "vibrations": ("CutoffTooLarge", "kernel_from_params"),
     "propagator": ("build_matrix", "decompose"),
     "signals": ("linear_absorption", "pump_probe", "pump_probe_slices", "twod_signal"),
@@ -268,7 +268,7 @@ def build_jobspec(mode: str, config: dict, out_override: str | None = None,
     t_list = [_number(t, t_key) + 0.0 for t in tokens]     # -0.0 + 0.0 is 0.0
     if uses.waits:
         if not t_list:
-            raise ConfigError(f"mode '{mode}' needs at least one waiting time")
+            raise ConfigError(f"{t_key}: mode '{mode}' needs at least one waiting time")
         if any(t < 0.0 for t in t_list):
             raise ConfigError(f"{t_key} must be >= 0, got {min(t_list)}")
     # a grid mode writes one grid named after it, or one per waiting time named by its stem
@@ -485,16 +485,17 @@ def _eig_record(spec: JobSpec, dec) -> dict:
     if spec.params.n_molecules > EIG_MAX_N:
         raise TooLarge(f"eig lists every mode and is limited to N <= {EIG_MAX_N}, "
                        f"got system.n_molecules = {spec.params.n_molecules:g}")
-    derived = derived_quantities(spec.params)
-    offset = spec.params.axis_offset
+    params = spec.params
+    offset, gn = params.axis_offset, params.collective_coupling
     return {
         "labels": list(dec.labels),
         "decay_rates": [mu.real for mu in dec.eigenvalues],
         "frequencies_rotating": [mu.imag for mu in dec.eigenvalues],
         "frequencies_absolute": [mu.imag + offset for mu in dec.eigenvalues],
-        "rabi_splitting": derived.rabi_splitting,
-        "bright_absolute": list(derived.bright_absolute),
-        "polaron_shift": derived.polaron_shift,
+        "rabi_splitting": 2.0 * gn,
+        # the bright lines delta_x -/+ g sqrt(N) on the absolute axis
+        "bright_absolute": [offset + params.delta_x - gn, offset + params.delta_x + gn],
+        "polaron_shift": 2.0 * params.lambda_hr ** 2 * params.omega_v,
         "params_hash": params_hash(spec),
     }
 

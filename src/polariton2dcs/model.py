@@ -1,12 +1,10 @@
-"""Physical parameters, unit bridge and derived mode frequencies.
+"""Physical parameters and the unit bridge.
 
 Conventions used throughout the package:
 
 * frequencies, detunings and rates are wavenumbers (cm^-1),
 * times and delays are femtoseconds,
-* a phase exponent is a frequency times a time times ``RAD_PER_CM_FS``; the
-  kernels multiply by the constant directly, and :func:`time_phase` is the
-  same product for one scalar pair,
+* a phase exponent is a frequency times a time times ``RAD_PER_CM_FS``,
 * internal kernels work in the rotating frame of the probe carrier; output
   axes are shifted onto the absolute axis by ``SystemParams.axis_offset``.
 """
@@ -22,11 +20,6 @@ from .grids import finite, integral
 
 #: radians accumulated per (cm^-1 * fs): 2*pi*c with c = 2.99792458e-5 cm/fs
 RAD_PER_CM_FS = 2.0 * math.pi * 2.99792458e-5
-
-
-def time_phase(freq: float, t: float) -> float:
-    """Phase angle in radians accumulated after ``t`` fs by a line at ``freq`` cm^-1."""
-    return RAD_PER_CM_FS * freq * t
 
 
 @dataclass(frozen=True)
@@ -120,33 +113,3 @@ def validate_params(raw: Mapping) -> SystemParams:
     if violations:
         raise ParameterError(violations)
     return SystemParams(n_molecules=n, **floats)
-
-
-@dataclass(frozen=True)
-class DerivedQuantities:
-    """Closed-form consequences of a parameter set, for reporting."""
-
-    rabi_splitting: float            # 2*g*sqrt(N)
-    bright_rotating: tuple[float, float]   # delta_x -/+ g*sqrt(N); exact only for delta_x == delta_c
-    bright_absolute: tuple[float, float]   # same lines on the absolute axis
-    polaron_shift: float             # 2 * lambda_hr**2 * omega_v
-    omega_ref: float
-    omega_v: float
-
-    def eds_ladder(self, m: int) -> tuple[float, float]:
-        """Absolute frequencies omega_ref -/+ m*omega_v of the m-phonon ladder."""
-        return (self.omega_ref - m * self.omega_v, self.omega_ref + m * self.omega_v)
-
-
-def derived_quantities(sys: SystemParams) -> DerivedQuantities:
-    gn = sys.collective_coupling
-    offset = sys.axis_offset
-    return DerivedQuantities(
-        rabi_splitting=2.0 * gn,
-        bright_rotating=(sys.delta_x - gn, sys.delta_x + gn),
-        bright_absolute=(offset + sys.delta_x - gn, offset + sys.delta_x + gn),
-        polaron_shift=2.0 * sys.lambda_hr ** 2 * sys.omega_v,
-        omega_ref=sys.omega_ref,
-        omega_v=sys.omega_v,
-    )
-

@@ -271,12 +271,6 @@ def check_slices_direct() -> CheckResult:
     cases = [(reference_params(n_molecules=n), [0.0, 100.0, 250.0, 500.0]) for n in (2, 3, 4, 5)]
     cases += [(_random_params(rng, n), [0.0] + list(rng.uniform(0.0, 600.0, size=2)))
               for n in (1, 2, 3, 4)]
-    # Case i runs in process i mod k.  Measured per case (median of 15 runs,
-    # 2-vCPU x86_64), reference N = 2..5 take 0.017, 0.025, 0.029, 0.034 s and
-    # random N = 1..4 take 0.007, 0.013, 0.018, 0.022 s; in the order reference
-    # 5, 3, 4, 2, random 2, 4, 1, 3 the two shares at k = 2 cost 0.083 and
-    # 0.082 s.
-    cases = [cases[i] for i in (3, 1, 2, 0, 5, 7, 4, 6)]
 
     def error(case) -> float:
         sys, t_list = case

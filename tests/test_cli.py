@@ -80,11 +80,70 @@ def write_config(tmp_path, **changes) -> Path:
     return path
 
 
+def with_value(dotted: str, value) -> dict:
+    """BASE_CONFIG with ``dotted`` set to ``value``; unlike write_config, None is written as null."""
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    *parents, last = dotted.split(".")
+    node = cfg
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return cfg
+
+
 def run_cli(*args: str) -> subprocess.CompletedProcess:
     """``python -W error -m polariton2dcs.cli <args>`` in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(Path(polariton2dcs.__file__).resolve().parents[1]))
     return subprocess.run([sys.executable, "-W", "error", "-m", "polariton2dcs.cli", *args],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+# a config key set to a value of the wrong JSON type, and the text that its refusal names
+HAND_PICKED_WRONG_TYPES = [
+    ("system", 5, "system"),
+    ("kernel", 5, "kernel"),
+    ("grids", 5, "grids"),
+    ("grids.absorption", 5, "grids.absorption"),
+    ("output", 5, "output"),
+    ("stokes_orders", 5, "stokes_orders"),
+    ("output.formats", 5, "output.formats"),
+    ("output.directory", 5, "output.directory"),
+    ("t_wait", "abc", "t_wait"),
+    ("t_wait", [0.0, None], "t_wait"),
+    ("kernel.tail_eps", "abc", "kernel.tail_eps"),
+    ("system.n_molecules", "abc", "n_molecules"),
+    ("system.n_molecules", "3", "n_molecules"),
+    ("system.g", True, "(g)"),
+    ("system.gamma_x", "1.0", "gamma_x"),
+    ("t_wait", "250", "t_wait"),
+    ("t_wait", [0.0, True], "t_wait"),
+    ("kernel.tail_eps", "1e-10", "kernel.tail_eps"),
+    ("kernel.tail_eps", False, "kernel.tail_eps"),
+    ("grids.absorption.start", "13000", "grids.absorption.start"),
+    ("grids.omega3.stop", True, "grids.omega3.stop"),
+]
+
+
+def _wrong_type_rows(rows):
+    """``rows``, then null, {} and true in every key, and a numeric string and [1.0] in every
+    number; a system field is named as the parameter error names it, (field)."""
+    numbers = ([f"system.{f.name}" for f in dataclasses.fields(SystemParams)]
+               + [f"grids.{axis}.{key}" for axis in BASE_CONFIG["grids"]
+                  for key in ("start", "stop", "count")]
+               + ["kernel.tail_eps"])
+    keys = numbers + ["t_wait", "stokes_orders", "output.formats", "output.directory"]
+    generated = [(key, value) for key in keys for value in (None, {}, True)]
+    generated += [(key, value) for key in numbers for value in ("1", [1.0])] + [("t_wait", "1")]
+    seen = {(dotted, json.dumps(value)) for dotted, value, _ in rows}
+    rows = [pytest.param(*row, id=f"{row[0]}={json.dumps(row[1])}") for row in rows]
+    for dotted, value in generated:
+        if (dotted, json.dumps(value)) not in seen:
+            key = f"({dotted[len('system.'):]})" if dotted.startswith("system.") else dotted
+            rows.append(pytest.param(dotted, value, key, id=f"{dotted}={json.dumps(value)}"))
+    return rows
+
+
+WRONG_TYPE_ROWS = _wrong_type_rows(HAND_PICKED_WRONG_TYPES)
 
 
 class TestJobSpec:
@@ -173,33 +232,17 @@ class TestMainExitCodes:
         assert main(["absorption", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert key in capsys.readouterr().err
 
-    @pytest.mark.parametrize("dotted, value, key", [
-        ("system", 5, "system"),
-        ("kernel", 5, "kernel"),
-        ("grids", 5, "grids"),
-        ("grids.absorption", 5, "grids.absorption"),
-        ("output", 5, "output"),
-        ("stokes_orders", 5, "stokes_orders"),
-        ("output.formats", 5, "output.formats"),
-        ("output.directory", 5, "output.directory"),
-        ("t_wait", "abc", "t_wait"),
-        ("t_wait", [0.0, None], "t_wait"),
-        ("kernel.tail_eps", "abc", "kernel.tail_eps"),
-        ("system.n_molecules", "abc", "n_molecules"),
-        ("system.n_molecules", "3", "n_molecules"),
-        ("system.g", True, "(g)"),
-        ("system.gamma_x", "1.0", "gamma_x"),
-        ("t_wait", "250", "t_wait"),
-        ("t_wait", [0.0, True], "t_wait"),
-        ("kernel.tail_eps", "1e-10", "kernel.tail_eps"),
-        ("kernel.tail_eps", False, "kernel.tail_eps"),
-        ("grids.absorption.start", "13000", "grids.absorption.start"),
-        ("grids.omega3.stop", True, "grids.omega3.stop"),
-    ])
-    def test_wrong_json_type_exits_2(self, tmp_path, capsys, dotted, value, key):
-        cfg = write_config(tmp_path, **{dotted: value})
-        assert main(["eig", "--config", str(cfg)]) == 2
-        assert key in capsys.readouterr().err
+    @pytest.mark.parametrize("dotted, value, key", WRONG_TYPE_ROWS)
+    def test_wrong_json_type_exits_2(self, tmp_path, monkeypatch, capsys, dotted, value, key):
+        # no --out: output.directory is read only without it, relative to the working directory
+        monkeypatch.chdir(tmp_path)
+        Path("config.json").write_text(json.dumps(with_value(dotted, value)))
+        for mode in CONFIG_MODES:
+            assert main([mode, "--config", "config.json"]) == 2, mode
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("config error: ") and err.count("\n") == 1, (mode, err)
+            assert key in err, (mode, err)
+            assert os.listdir() == ["config.json"], mode
 
     @pytest.mark.parametrize("dotted, value, key", [
         ("grids.absorption.stop", math.inf, "grids.absorption.stop"),
@@ -245,6 +288,16 @@ class TestMainExitCodes:
         assert main([mode, "--config", str(cfg), "--out", str(tmp_path / "o"),
                      "--t-list", "-1"]) == 2
         assert "--t-list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["twod", "pump-probe", "slices"])
+    @pytest.mark.parametrize("key, t_list", [("t_wait", None), ("--t-list", ""), ("--t-list", ",")])
+    def test_no_waiting_time_exits_2_naming_its_key(self, tmp_path, capsys, mode, key, t_list):
+        cfg, out = write_config(tmp_path, t_wait=[]), tmp_path / "o"
+        flags = [] if t_list is None else ["--t-list", t_list]
+        assert main([mode, "--config", str(cfg), "--out", str(out), *flags]) == 2
+        assert capsys.readouterr() == (
+            "", f"config error: {key}: mode '{mode}' needs at least one waiting time\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("mode, key, t_list, clash", [
         ("pump-probe", "--t-list", "0.1,0.1000001,250,250.0000001",
@@ -682,6 +735,37 @@ class TestMainExitCodes:
         assert manifest["oracle_seconds"] == {"stub": 1.25}
         assert json.loads((out / "validate.json").read_text()) == [
             {"name": "stub", "max_err": 0.1, "tol": 0.5, "passed": True}]
+
+
+class TestEigClosedForms:
+    """eig.json holds the Rabi splitting 2 g sqrt(N), the bright lines omega_ref -/+ g sqrt(N)
+    and the polaron shift 2 lambda_hr^2 omega_v."""
+
+    @staticmethod
+    def eig_doc(tmp_path, **system) -> dict:
+        cfg = write_config(tmp_path, **{f"system.{name}": value for name, value in system.items()})
+        assert main(["eig", "--config", str(cfg), "--out", str(tmp_path / "eig")]) == 0
+        return json.loads((tmp_path / "eig" / "eig.json").read_text())
+
+    @pytest.mark.parametrize("delta_x", [0.0, 250.0])
+    def test_reference_set(self, tmp_path, delta_x):
+        doc = self.eig_doc(tmp_path, delta_x=delta_x)
+        assert doc["rabi_splitting"] == pytest.approx(3600.0)
+        assert doc["bright_absolute"] == pytest.approx([14313.0, 17913.0])
+        assert doc["polaron_shift"] == pytest.approx(2400.0)
+
+    @pytest.mark.parametrize("n", [1, 4, 9, 16])
+    def test_splitting_holds_at_fixed_collective_coupling(self, tmp_path, n):
+        doc = self.eig_doc(tmp_path, n_molecules=n, g=1800.0 / math.sqrt(n))
+        assert doc["rabi_splitting"] == pytest.approx(3600.0, abs=1e-9)
+
+    def test_decoupled_cavity(self, tmp_path):
+        doc = self.eig_doc(tmp_path, g=0.0)
+        assert doc["rabi_splitting"] == 0.0
+        assert doc["bright_absolute"] == [16113.0, 16113.0]
+
+    def test_no_vibronic_coupling(self, tmp_path):
+        assert self.eig_doc(tmp_path, lambda_hr=0.0)["polaron_shift"] == 0.0
 
 
 # the flags each mode takes: --format where it writes grids, --t-list where it takes waiting
@@ -1145,19 +1229,17 @@ class TestValidateOnEveryCpu:
         assert [(r.name, float.hex(r.max_err)) for r in forked] == \
             [(r["name"], float.hex(r["max_err"])) for r in serial]
 
-    def test_slices_direct_shares_cost_about_the_same(self, monkeypatch):
+    def test_slices_direct_hands_out_its_cases_in_draw_order(self, monkeypatch):
         handed = []
         monkeypatch.setattr(validate, "fork_map", lambda fn, items: handed.extend(items) or [0.0])
         validate.check_slices_direct()
-        # reference N = 5, 3, 4, 2, then random N = 2, 4, 1, 3: shares of 0.083 and 0.082 s at 2 CPUs
-        assert [params.n_molecules for params, _ in handed] == [5, 3, 4, 2, 2, 4, 1, 3]
+        # reference N = 2, 3, 4, 5, then random N = 1, 2, 3, 4
+        assert [params.n_molecules for params, _ in handed] == [2, 3, 4, 5, 1, 2, 3, 4]
         # drawn as before: the random cases in N order 1, 2, 3, 4 from seed 107
         rng = np.random.default_rng(107)
-        drawn = {n: (validate._random_params(rng, n), list(rng.uniform(0.0, 600.0, size=2)))
-                 for n in (1, 2, 3, 4)}
-        for params, t_list in handed[4:]:
-            random_params, t_drawn = drawn[params.n_molecules]
-            assert (params, t_list) == (random_params, [0.0] + t_drawn)
+        drawn = [(validate._random_params(rng, n), [0.0] + list(rng.uniform(0.0, 600.0, size=2)))
+                 for n in (1, 2, 3, 4)]
+        assert handed[4:] == drawn
 
     def test_divergent_transform_in_a_child_exits_3_like_serial(self, tmp_path, monkeypatch, capsys):
         # the second quadrature case, case 1, is in a child's share at 2 and 4 CPUs

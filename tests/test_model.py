@@ -2,17 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from polariton2dcs import (
     ParameterError,
     RAD_PER_CM_FS,
-    derived_quantities,
-    time_phase,
     validate_params,
 )
 from polariton2dcs import grids
-from polariton2dcs.validate import reference_params
 
 
 def raw_reference(**overrides):
@@ -102,55 +98,16 @@ class TestValidateParams:
             sys.g = 5.0
 
 
-class TestDerived:
-    def test_reference_bright_lines(self, dye_system):
-        d = derived_quantities(dye_system)
-        assert d.rabi_splitting == pytest.approx(3600.0)
-        assert d.bright_absolute[0] == pytest.approx(14313.0)
-        assert d.bright_absolute[1] == pytest.approx(17913.0)
-
-    def test_decoupled_cavity(self):
-        sys = reference_params(collective=0.0)
-        d = derived_quantities(sys)
-        assert d.rabi_splitting == 0.0
-        assert d.bright_rotating == (sys.delta_x, sys.delta_x)
-
-    def test_no_vibronic_coupling(self):
-        d = derived_quantities(reference_params(lambda_hr=0.0))
-        assert d.polaron_shift == 0.0
-
-    def test_polaron_shift(self, dye_system):
-        assert derived_quantities(dye_system).polaron_shift == pytest.approx(2400.0)
-
-    def test_eds_ladder(self, dye_system):
-        d = derived_quantities(dye_system)
-        assert d.eds_ladder(1) == (14913.0, 17313.0)
-        assert d.eds_ladder(2) == (13713.0, 18513.0)
-
-    @pytest.mark.parametrize("n", [1, 4, 9, 16])
-    def test_rabi_scales_as_sqrt_n(self, n):
-        # g adjusted to hold g*sqrt(N) fixed: the splitting must not move at all
-        sys = reference_params(n_molecules=n, collective=1800.0)
-        assert derived_quantities(sys).rabi_splitting == pytest.approx(3600.0, abs=1e-9)
-
-
-class TestTimePhase:
-    def test_zero_frequency(self):
-        assert time_phase(0.0, 100.0) == 0.0
+class TestUnitBridge:
+    """``RAD_PER_CM_FS`` turns a wavenumber times a time into a phase in radians."""
 
     def test_unit_product(self):
-        assert time_phase(1.0, 1.0) == pytest.approx(1.883651567e-4, rel=1e-9)
+        assert RAD_PER_CM_FS == pytest.approx(1.883651567e-4, rel=1e-9)
 
     def test_one_vibrational_period(self):
         # inverting 2*pi*c*nu*T = 2*pi gives T = 1/(c*nu) ~ 27.79 fs at 1200 cm^-1
         period = 2.0 * math.pi / (RAD_PER_CM_FS * 1200.0)
         assert period == pytest.approx(27.797, abs=5e-3)
-        assert time_phase(1200.0, period) == pytest.approx(2.0 * math.pi, abs=1e-3)
-
-    @given(scale=st.floats(-1e3, 1e3), freq=st.floats(-5e4, 5e4), t=st.floats(-1e4, 1e4))
-    def test_bilinear(self, scale, freq, t):
-        assert time_phase(scale * freq, t) == pytest.approx(scale * time_phase(freq, t), rel=1e-12, abs=1e-300)
-
 
 
 class TestNumberRules:
