@@ -256,16 +256,18 @@ def build_jobspec(mode: str, config: dict, out_override: str | None = None,
         raise ConfigError(f"kernel.tail_eps: {exc}") from exc
     _check_grid_size(mode, grids, kernel)
 
+    # a key that a flag replaces is still read by its type rule; the mode's rules below
+    # apply to the value that runs
+    raw_t = config.get("t_wait", 0.0)
+    tokens = raw_t if isinstance(raw_t, (list, tuple)) else [raw_t]
     t_key = "t_wait" if t_list_override is None else "--t-list"
+    t_list = [_number(t, "t_wait") + 0.0 for t in tokens]     # -0.0 + 0.0 is 0.0
     if t_list_override is not None:
         try:
             tokens = [float(tok) for tok in t_list_override.split(",") if tok.strip()]
         except ValueError as exc:
             raise ConfigError(f"bad --t-list: {exc}") from exc
-    else:
-        raw_t = config.get("t_wait", 0.0)
-        tokens = raw_t if isinstance(raw_t, (list, tuple)) else [raw_t]
-    t_list = [_number(t, t_key) + 0.0 for t in tokens]     # -0.0 + 0.0 is 0.0
+        t_list = [_number(t, t_key) + 0.0 for t in tokens]
     if uses.waits:
         if not t_list:
             raise ConfigError(f"{t_key}: mode '{mode}' needs at least one waiting time")
@@ -293,15 +295,15 @@ def build_jobspec(mode: str, config: dict, out_override: str | None = None,
 
     out_cfg = _object(config.get("output", {}), "output")
     _reject_unknown(out_cfg, _OUTPUT_KEYS, "output")
-    directory = out_override or out_cfg.get("directory", ".")
+    directory = out_cfg.get("directory", ".")
     if not isinstance(directory, str):
         raise ConfigError(f"output.directory must be a string, got {directory!r}")
+    directory = out_override or directory
     out_dir = Path(directory)
+    formats = tuple(_list(out_cfg.get("formats", ("csv",)), "output.formats"))
     formats_key = "output.formats" if formats_override is None else "--format"
     if formats_override is not None:
         formats = tuple(tok.strip() for tok in formats_override.split(",") if tok.strip())
-    else:
-        formats = tuple(_list(out_cfg.get("formats", ("csv",)), formats_key))
     if not formats or any(not isinstance(f, str) or f not in _FORMATS for f in formats):
         raise ConfigError(f"{formats_key} must be a nonempty subset of {sorted(_FORMATS)}")
     _once(formats_key, zip(formats, formats))

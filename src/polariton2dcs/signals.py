@@ -124,6 +124,11 @@ def _tuple_groups(keys) -> dict:
     return groups
 
 
+def _sequential_sum(start: float, terms: np.ndarray) -> float:
+    """start + terms[0] + terms[1] + ..., added one at a time in C order."""
+    return np.add.accumulate(np.concatenate(([start], terms.ravel())))[-1]
+
+
 # The most complex values one batch of a loop oracle's products holds (1 MiB).
 ORACLE_BATCH_VALUES = 2 ** 16
 
@@ -324,10 +329,7 @@ def twod_signal_direct(sys: SystemParams, dec: ModeDecomposition, kernel: VibKer
                                      trans_b[jp[pos]][:, :, kappa])
             terms[pos] = np.conj(g_wait[l[pos]]) * g_wait[l[pos], j[pos]][:, None] * sums
     # add the p terms one at a time, in tuple and p order
-    total = 0.0 + 0.0j
-    for term in terms.ravel().tolist():
-        total += term
-    return complex(twod_prefactor(sys) * total)
+    return complex(twod_prefactor(sys) * complex(_sequential_sum(0.0, terms)))
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +532,9 @@ def _slice_sums_direct(s, z, zp, gg, dark_weight, stokes_orders) -> tuple[float,
     Both sums take the phonon sum of one site triple (l, j', j) from its own
     entry gg[l, j', j].  The triples with one value of d = (j' == l) - (j == l)
     share their weight vector, and their phonon sums are formed in batches
-    (see :func:`_batches`).  The loops over the triples, the sites and m1
-    then run in Python scalars, so each sum is that of the loops, bit for bit.
+    (see :func:`_batches`).  The upper-polariton sum adds them in triple order
+    (see :func:`_sequential_sum`), and the Stokes loops over the sites and m1
+    run in Python scalars, so each sum is that of the loops, bit for bit.
     """
     n = gg.shape[0]
     mm = s.size - 1
@@ -545,9 +548,7 @@ def _slice_sums_direct(s, z, zp, gg, dark_weight, stokes_orders) -> tuple[float,
         weight = s * d ** m_idx * zp
         for pos in _batches(members, mm + 1):
             phonon[pos] = np.multiply(weight, gg_of[pos][:, None], order="C").sum(axis=1)
-    accum = 0.0
-    for value in phonon.real.tolist():
-        accum += value
+    accum = _sequential_sum(0.0, phonon.real)
     phonon = phonon.reshape(n, n, n).tolist()                # [l][j'][j]
     # each dark weight as a complex number: numpy promotes it so in dw * inner
     weights, dark = s.tolist(), dark_weight.astype(complex).tolist()
@@ -574,11 +575,6 @@ def _slice_sums_direct(s, z, zp, gg, dark_weight, stokes_orders) -> tuple[float,
                     acc += w13[d3][m1] * (dw * inner).real
         stokes[order] = acc
     return accum, stokes
-
-
-def _sequential_sum(start: float, terms: np.ndarray) -> float:
-    """start + terms[0] + terms[1] + ..., added one at a time in C order."""
-    return np.add.accumulate(np.concatenate(([start], terms.ravel())))[-1]
 
 
 def _slice_sums(s, z, zp, gg, dark_weight, stokes_orders) -> tuple[float, dict]:
@@ -637,60 +633,33 @@ def _slice_sums(s, z, zp, gg, dark_weight, stokes_orders) -> tuple[float, dict]:
     return accum, stokes
 
 
-def _slice_report(sys: SystemParams, dec: ModeDecomposition, kernel: VibKernel,
-                  t_list, stokes_orders: tuple[int, ...], sums) -> SliceReport:
-    """Formula and exact traces, with ``sums`` evaluating the formula sums at each T."""
-    t_list = np.asarray(list(t_list), dtype=float)
+def _formula_traces(sys: SystemParams, dec: ModeDecomposition, kernel: VibKernel,
+                    t_list: np.ndarray, stokes_orders: tuple[int, ...],
+                    sums) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """The upper-polariton formula trace and the Stokes formula traces by order,
+    with ``sums`` evaluating the formula sums at each T."""
     n = sys.n_molecules
     lam2 = kernel.lambda_hr ** 2
     s = kernel.weights
-    mm = kernel.m_max
-    scale = pump_probe_prefactor(sys)
-
-    omega_up_abs = sys.axis_offset + dec.mu_up.imag
-    up_formula = np.empty(t_list.size)
-    up_exact = np.empty(t_list.size)
-
     # dark-basis phase vectors phi[s, q] for the Stokes traces
     q = np.arange(1, n)
     sites = np.arange(1, n + 1)
     phi = np.exp(-2j * np.pi * np.outer(sites, q) / n)
     dark_weight = (phi @ phi.conj().T).real     # sum over dark modes of phi_sk conj(phi_lk)
-
-    omega_stokes = {m: sys.axis_offset + sys.delta_x - m * kernel.omega_v for m in stokes_orders}
-    eds_formula = {m: np.empty(t_list.size) for m in stokes_orders}
-    eds_exact = {m: np.empty(t_list.size) for m in stokes_orders}
-
+    up = np.empty(t_list.size)
+    stokes = {m: np.empty(t_list.size) for m in stokes_orders}
     for it, t_wait in enumerate(t_list):
         z = _wait_factor(kernel, t_wait)
         g = propagator_G(dec, t_wait)[:n, :n]
         gg = np.conj(g)[:, :, None] * g[:, None, :]   # [l, jp, j]
-        zp = z ** np.arange(mm + 1)
+        zp = z ** np.arange(kernel.m_max + 1)
         accum, stokes_acc = sums(s, z, zp, gg, dark_weight, stokes_orders)
-
         # polariton line: only the zero-phonon absorption/emission term resonates
-        up_formula[it] = math.exp(-lam2) / (2.0 * dec.mu_up.real) * accum
-        up_exact[it] = pump_probe_values(dec, kernel,
-                                         np.array([omega_up_abs - sys.axis_offset]),
-                                         t_wait, scale)[0]
-
+        up[it] = math.exp(-lam2) / (2.0 * dec.mu_up.real) * accum
         for order in stokes_orders:
             gamma_res = dec.mu_dark.real + order * kernel.gamma_v
-            eds_formula[order][it] = math.exp(lam2) / n * stokes_acc[order] / gamma_res
-            eds_exact[order][it] = pump_probe_values(
-                dec, kernel, np.array([omega_stokes[order] - sys.axis_offset]), t_wait, scale)[0]
-
-    up_scale, up_res = _fit_scale(up_formula, up_exact)
-    stokes = {}
-    for order in stokes_orders:
-        sc, res = _fit_scale(eds_formula[order], eds_exact[order])
-        stokes[order] = SliceTrace(omega_stokes[order], eds_formula[order], eds_exact[order],
-                                   sc, res)
-    return SliceReport(
-        t_list=t_list,
-        upper_polariton=SliceTrace(omega_up_abs, up_formula, up_exact, up_scale, up_res),
-        stokes=stokes,
-    )
+            stokes[order][it] = math.exp(lam2) / n * stokes_acc[order] / gamma_res
+    return up, stokes
 
 
 def pump_probe_slices(sys: SystemParams, dec: ModeDecomposition, kernel: VibKernel,
@@ -706,15 +675,33 @@ def pump_probe_slices(sys: SystemParams, dec: ModeDecomposition, kernel: VibKern
     if sys.n_molecules > SLICES_MAX_N:
         raise TooLarge(f"slices limited to N <= {SLICES_MAX_N} (cost grows as N^3), "
                        f"got system.n_molecules = {sys.n_molecules}")
-    return _slice_report(sys, dec, kernel, t_list, stokes_orders, _slice_sums)
+    t_list = np.asarray(list(t_list), dtype=float)
+    up_formula, stokes_formula = _formula_traces(sys, dec, kernel, t_list, stokes_orders,
+                                                 _slice_sums)
+    scale = pump_probe_prefactor(sys)
+
+    def trace(omega_abs: float, formula: np.ndarray) -> SliceTrace:
+        exact = np.array([pump_probe_values(dec, kernel, np.array([omega_abs - sys.axis_offset]),
+                                            t_wait, scale)[0] for t_wait in t_list])
+        return SliceTrace(omega_abs, formula, exact, *_fit_scale(formula, exact))
+
+    return SliceReport(
+        t_list=t_list,
+        upper_polariton=trace(sys.axis_offset + dec.mu_up.imag, up_formula),
+        stokes={m: trace(sys.axis_offset + sys.delta_x - m * kernel.omega_v, stokes_formula[m])
+                for m in stokes_orders},
+    )
 
 
 def pump_probe_slices_direct(sys: SystemParams, dec: ModeDecomposition, kernel: VibKernel,
-                             t_list, stokes_orders: tuple[int, ...] = (1, 2)) -> SliceReport:
-    """:func:`pump_probe_slices` with the formula sums as literal site loops (oracle); refuse N > 6."""
+                             t_list, stokes_orders: tuple[int, ...] = (1, 2)
+                             ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """The formula traces of :func:`pump_probe_slices`, upper polariton and Stokes by
+    order, with the formula sums as literal site loops (oracle); refuse N > 6."""
     if sys.n_molecules > 6:
         raise TooLarge("direct slices oracle limited to N <= 6")
-    return _slice_report(sys, dec, kernel, t_list, stokes_orders, _slice_sums_direct)
+    return _formula_traces(sys, dec, kernel, np.asarray(list(t_list), dtype=float),
+                           stokes_orders, _slice_sums_direct)
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,13 @@ def _wrong_type_rows(rows):
 
 WRONG_TYPE_ROWS = _wrong_type_rows(HAND_PICKED_WRONG_TYPES)
 
+# a config key that a flag replaces: the flag with a valid value, and the modes that take it
+FLAG_OF_KEY = {
+    "output.directory": (["--out", "X"], CONFIG_MODES),
+    "output.formats": (["--format", "csv"], [m for m in CONFIG_MODES if cli._MODES[m].axes]),
+    "t_wait": (["--t-list", "0"], [m for m in CONFIG_MODES if cli._MODES[m].waits]),
+}
+
 
 class TestJobSpec:
     def test_valid_config(self, tmp_path):
@@ -239,6 +246,21 @@ class TestMainExitCodes:
         Path("config.json").write_text(json.dumps(with_value(dotted, value)))
         for mode in CONFIG_MODES:
             assert main([mode, "--config", "config.json"]) == 2, mode
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("config error: ") and err.count("\n") == 1, (mode, err)
+            assert key in err, (mode, err)
+            assert os.listdir() == ["config.json"], mode
+
+    @pytest.mark.parametrize("dotted, value, key", [
+        row for row in WRONG_TYPE_ROWS if row.values[0] in FLAG_OF_KEY])
+    def test_wrong_json_type_under_its_flag_exits_2(self, tmp_path, monkeypatch, capsys,
+                                                    dotted, value, key):
+        # the flag replaces the key's value, and the key is still read by its type rule
+        monkeypatch.chdir(tmp_path)
+        Path("config.json").write_text(json.dumps(with_value(dotted, value)))
+        flag, modes = FLAG_OF_KEY[dotted]
+        for mode in modes:
+            assert main([mode, "--config", "config.json", *flag]) == 2, mode
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("config error: ") and err.count("\n") == 1, (mode, err)
             assert key in err, (mode, err)

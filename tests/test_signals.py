@@ -1,4 +1,5 @@
 import math
+import os
 from itertools import product
 
 import numpy as np
@@ -42,9 +43,8 @@ from polariton2dcs.signals import (
     SLICES_MAX_N,
     IndexClass,
     _batches,
+    _formula_traces,
     _pp_class_weights,
-    _slice_report,
-    _slice_sums,
     _slice_sums_direct,
     _wait_factor,
     _weight_table,
@@ -52,6 +52,7 @@ from polariton2dcs.signals import (
 from polariton2dcs.validate import (
     _random_params,
     check_pump_probe_direct,
+    check_slices_direct,
     check_slices_grid,
     check_twod_direct,
     reference_params,
@@ -601,6 +602,25 @@ class TestSlices:
         result = check_slices_grid()
         assert not result.passed, result.line()
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("broken", ["upper_polariton", "stokes"])
+    def test_formula_check_catches_a_broken_fast_path(self, monkeypatch, broken, cpus):
+        # scale one of the array sums only; the literal site loops are untouched
+        from polariton2dcs import signals
+
+        sums = signals._slice_sums
+
+        def scaled(*args):
+            accum, stokes = sums(*args)
+            if broken == "upper_polariton":
+                return accum * (1.0 + 1e-9), stokes
+            return accum, {m: acc * (1.0 + 1e-9) for m, acc in stokes.items()}
+
+        monkeypatch.setattr(signals, "_slice_sums", scaled)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        result = check_slices_direct()
+        assert not result.passed, result.line()
+
     def test_long_delay_decay(self, dye_system, dye_dec, dye_kernel):
         report = pump_probe_slices(dye_system, dye_dec, dye_kernel,
                                    [0.0, 40000.0], stokes_orders=(1,))
@@ -631,21 +651,22 @@ class TestSlices:
 
     @staticmethod
     def assert_same_report(fast, slow):
-        pairs = [(fast.upper_polariton, slow.upper_polariton)]
-        pairs += [(fast.stokes[m], slow.stokes[m]) for m in slow.stokes]
-        for a, b in pairs:
-            assert np.array_equal(a.formula, b.formula)
-            assert np.array_equal(a.exact, b.exact)
-            assert (a.omega_abs, a.fitted_scale, a.residual) == (b.omega_abs, b.fitted_scale, b.residual)
+        """``fast``, a :class:`SliceReport`, has the formula traces ``slow``, bit for bit."""
+        up, stokes = slow
+        assert list(fast.stokes) == list(stokes)
+        assert np.array_equal(fast.upper_polariton.formula, up)
+        for m, formula in stokes.items():
+            assert np.array_equal(fast.stokes[m].formula, formula)
 
     def assert_sums_match_the_loops(self, sys, dec, kernel, t_list, orders):
-        """The array sums and the literal site loops give the same report, bit for bit."""
-        self.assert_same_report(_slice_report(sys, dec, kernel, t_list, orders, _slice_sums),
-                                _slice_report(sys, dec, kernel, t_list, orders, _slice_sums_direct))
+        """The array sums and the literal site loops give the same formula traces, bit for bit."""
+        loops = _formula_traces(sys, dec, kernel, np.asarray(t_list, dtype=float), orders,
+                                _slice_sums_direct)
+        self.assert_same_report(pump_probe_slices(sys, dec, kernel, t_list, orders), loops)
 
     @pytest.mark.parametrize("n", [7, 8])
     def test_sums_bitwise_past_the_oracle_bound(self, n):
-        # pump_probe_slices_direct refuses N > 6, so the report is built from both sums directly
+        # pump_probe_slices_direct refuses N > 6, so the loops' traces are built directly
         sys, dec, kernel, rng = random_detuned_case(500 + n, n)
         t_list = [0.0] + list(rng.uniform(0.0, 600.0, size=2))
         self.assert_sums_match_the_loops(sys, dec, kernel, t_list, (1, 2, 3))
@@ -786,7 +807,7 @@ class TestBatchedOraclesMatchTheLoops:
             calls.append(args)
             return batched
 
-        _slice_report(sys, dec, kernel, t_list, orders, both)
+        _formula_traces(sys, dec, kernel, np.asarray(t_list, dtype=float), orders, both)
         assert len(calls) == len(t_list)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
