@@ -298,7 +298,11 @@ def build_jobspec(mode: str, config: dict, out_override: str | None = None,
     directory = out_cfg.get("directory", ".")
     if not isinstance(directory, str):
         raise ConfigError(f"output.directory must be a string, got {directory!r}")
-    directory = out_override or directory
+    directory_key = "output.directory"
+    if out_override is not None:
+        directory, directory_key = out_override, "--out"
+    if not directory:
+        raise ConfigError(f"{directory_key} must name a directory, got an empty string")
     out_dir = Path(directory)
     formats = tuple(_list(out_cfg.get("formats", ("csv",)), "output.formats"))
     formats_key = "output.formats" if formats_override is None else "--format"
@@ -311,7 +315,7 @@ def build_jobspec(mode: str, config: dict, out_override: str | None = None,
     echo, echo_output = dict(config), dict(out_cfg)   # what ran: each flag's value at its key
     if t_list_override is not None:
         echo["t_wait"] = t_list
-    if out_override:
+    if out_override is not None:
         echo_output["directory"] = directory
     if formats_override is not None:
         echo_output["formats"] = list(formats)

@@ -22,7 +22,6 @@ import cmath
 import math
 from dataclasses import asdict, dataclass
 from functools import cache, cached_property
-from itertools import product
 
 import numpy as np
 
@@ -452,9 +451,9 @@ def pump_probe_direct(sys: SystemParams, dec: ModeDecomposition, kernel: VibKern
     Every index tuple (i, l, j, j') reads its own dense transform and
     propagator entries.  The tuples with one Kronecker-delta pattern share a
     phonon weight table, and their phonon sums are formed in batches (see
-    :func:`_batches`).  Each sum is then weighted and added in Python
-    scalars, in tuple order, so the result is that of a loop over the tuples,
-    bit for bit.
+    :func:`_batches`).  Each sum is then weighted in Python scalars, and the
+    terms are added in tuple order (see :func:`_sequential_sum`), so the
+    result is that of a loop over the tuples, bit for bit.
     """
     n = sys.n_molecules
     if n > 6:
@@ -482,10 +481,9 @@ def pump_probe_direct(sys: SystemParams, dec: ModeDecomposition, kernel: VibKern
             sums[pos] = np.multiply(weight, trans[i[pos], l[pos]][:, m1 + m3],
                                     order="C").reshape(len(pos), -1).sum(axis=1)
     conj_g, g = np.conj(g_wait).tolist(), g_wait.tolist()
-    total = 0.0 + 0.0j
-    for l_, j_, jp_, part in zip(l.tolist(), j.tolist(), jp.tolist(), sums.tolist()):
-        total += conj_g[l_][jp_] * g[l_][j_] * part
-    return float(pump_probe_prefactor(sys) * np.real(total))
+    terms = np.array([conj_g[l_][jp_] * g[l_][j_] * part for l_, j_, jp_, part
+                      in zip(l.tolist(), j.tolist(), jp.tolist(), sums.tolist())])
+    return float(pump_probe_prefactor(sys) * np.real(_sequential_sum(0.0, terms)))
 
 
 # ---------------------------------------------------------------------------
@@ -527,53 +525,38 @@ SLICES_MAX_N = 100
 
 
 def _slice_sums_direct(s, z, zp, gg, dark_weight, stokes_orders) -> tuple[float, dict]:
-    """Upper-polariton and Stokes sums of the slice formulas as literal site loops.
+    """Upper-polariton and Stokes sums of the slice formulas, term by term as in site loops.
 
-    Both sums take the phonon sum of one site triple (l, j', j) from its own
-    entry gg[l, j', j].  The triples with one value of d = (j' == l) - (j == l)
-    share their weight vector, and their phonon sums are formed in batches
-    (see :func:`_batches`).  The upper-polariton sum adds them in triple order
-    (see :func:`_sequential_sum`), and the Stokes loops over the sites and m1
-    run in Python scalars, so each sum is that of the loops, bit for bit.
+    Each site triple (l, j', j) takes its phonon sum from its own entry
+    gg[l, j', j], and the upper-polariton sum adds them in triple order.  Each
+    Stokes order forms its terms over (site, l, j', j, m1), keeps those the
+    loops keep, and adds them in that order (see :func:`_sequential_sum`).
+    z^m3 times a phonon sum is a Python complex product, as in the loops, so
+    each sum is that of the loops, bit for bit.
     """
     n = gg.shape[0]
     mm = s.size - 1
-    m_idx = np.arange(mm + 1)
     eye = np.eye(n)
-    # d of every site triple (l, j', j), in loop order, and its entry of gg
-    d_of = (eye[:, :, None] - eye[:, None, :]).ravel()
-    gg_of = gg.reshape(-1)
-    phonon = np.empty(n ** 3, dtype=complex)
-    for d, members in _tuple_groups(d_of.tolist()).items():
-        weight = s * d ** m_idx * zp
-        for pos in _batches(members, mm + 1):
-            phonon[pos] = np.multiply(weight, gg_of[pos][:, None], order="C").sum(axis=1)
+    d = (eye[:, :, None] - eye[:, None, :]).reshape(-1, 1)   # (j' == l) - (j == l) of each triple
+    # order="C" keeps each triple's terms contiguous, summed pairwise like a flat array
+    phonon = np.multiply(s * d ** np.arange(mm + 1) * zp, gg.reshape(-1, 1), order="C").sum(axis=1)
     accum = _sequential_sum(0.0, phonon.real)
-    phonon = phonon.reshape(n, n, n).tolist()                # [l][j'][j]
-    # each dark weight as a complex number: numpy promotes it so in dw * inner
-    weights, dark = s.tolist(), dark_weight.astype(complex).tolist()
+    d3 = eye[:, None, :] - eye[:, :, None]     # [site, j', j] = (site == j) - (site == j')
+    dw = dark_weight[:, :, None, None, None]   # [site, l, ...]
     stokes = {}
     for order in stokes_orders:
-        acc = 0.0
-        # w13[d3][m1] = s[m1] s[m3] d3^m3 and z^m3, over the m1 that keep m1 and
-        # m3 = order - m1 within the cutoff
-        m1_kept = range(max(0, order - mm), min(order, mm) + 1)
-        w13 = {d3: {m1: weights[m1] * weights[order - m1] * (d3 ** (order - m1)) for m1 in m1_kept}
-               for d3 in (-1.0, 0.0, 1.0)}
-        z_m3 = {m1: complex(z ** (order - m1)) for m1 in m1_kept}
-        for site, l in product(range(n), repeat=2):
-            dw = dark[site][l]
-            if dw == 0.0:
-                continue
-            m1_site = m1_kept if site == l else m1_kept[:1] if 0 in m1_kept else ()
-            for jp, j in product(range(n), repeat=2):
-                d3 = float(site == j) - float(site == jp)
-                for m1 in m1_site:
-                    if w13[d3][m1] == 0.0:
-                        continue
-                    inner = phonon[l][jp][j] * z_m3[m1]
-                    acc += w13[d3][m1] * (dw * inner).real
-        stokes[order] = acc
+        # the m1 that keep m1 and m3 = order - m1 within the cutoff
+        m1 = np.array(range(max(0, order - mm), min(order, mm) + 1), dtype=int)
+        m3 = [order - m for m in m1.tolist()]               # Python ints: order may pass int64
+        w13 = s[m1] * s[m3] * d3[..., None] ** m3           # [site, j', j, m1]
+        z_m3 = [complex(z ** m) for m in m3]
+        inner = np.array([part * zm for part in phonon.tolist() for zm in z_m3],
+                         dtype=complex).reshape(n, n, n, m1.size)    # [l, j', j, m1]
+        terms = w13[:, None] * np.real(dw * inner)
+        # the loops skip a zero dark weight or w13, and every m1 but 0 off the site's row
+        kept = ((dw != 0.0) & (w13[:, None] != 0.0)
+                & ((m1 == 0) | (eye == 1.0)[:, :, None, None, None]))
+        stokes[order] = _sequential_sum(0.0, terms[kept])
     return accum, stokes
 
 

@@ -64,7 +64,8 @@ BASE_CONFIG = {
 }
 
 
-def write_config(tmp_path, **changes) -> Path:
+def config_text(**changes) -> str:
+    """BASE_CONFIG as JSON text with each dotted key of ``changes`` set, or removed by None."""
     cfg = json.loads(json.dumps(BASE_CONFIG))
     for dotted, value in changes.items():
         node = cfg
@@ -75,8 +76,12 @@ def write_config(tmp_path, **changes) -> Path:
             node.pop(last, None)
         else:
             node[last] = value
+    return json.dumps(cfg)
+
+
+def write_config(tmp_path, **changes) -> Path:
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(config_text(**changes))
     return path
 
 
@@ -144,6 +149,27 @@ def _wrong_type_rows(rows):
 
 
 WRONG_TYPE_ROWS = _wrong_type_rows(HAND_PICKED_WRONG_TYPES)
+
+# documented refusals with exit 2: the mode, the text of its config file, its flags, and the
+# text that the one stderr line holds
+DOCUMENTED_REFUSALS = [
+    pytest.param("absorption", config_text(**{"grids.absorption.count": None}), [],
+                 "grids.absorption missing key(s): count", id="grid-without-count"),
+    pytest.param("eig", json.dumps([BASE_CONFIG]), [], "config root must be a JSON object",
+                 id="list-root"),
+    pytest.param("eig", config_text(system=None), [], "config needs a 'system' section",
+                 id="no-system"),
+    pytest.param("twod", config_text(), ["--t-list", "0,abc"], "bad --t-list: ", id="t-list-abc"),
+    pytest.param("slices", config_text(stokes_orders=[0]), [], "stokes_orders must be >= 1",
+                 id="stokes-order-0"),
+    pytest.param("eig", "{not json", [], "config.json is not valid JSON: ", id="not-json"),
+    pytest.param("eig", config_text(**{"system.dipole": 0.0}), [], "NonPositiveRate(dipole)",
+                 id="dipole-0"),
+    pytest.param("eig", config_text(**{"system.lambda_hr": -0.5}), [],
+                 "NonPositiveRate(lambda_hr)", id="negative-lambda"),
+    pytest.param("eig", config_text(**{"system.g": 1e308}), [],
+                 "NonFinite(g): Rabi splitting 2*g*sqrt(N) overflows", id="g-1e308"),
+]
 
 # a config key that a flag replaces: the flag with a valid value, and the modes that take it
 FLAG_OF_KEY = {
@@ -265,6 +291,35 @@ class TestMainExitCodes:
             assert out == "" and err.startswith("config error: ") and err.count("\n") == 1, (mode, err)
             assert key in err, (mode, err)
             assert os.listdir() == ["config.json"], mode
+
+    @pytest.mark.parametrize("flags, changes, key", [
+        pytest.param(["--out", ""], {}, "--out", id="--out"),
+        pytest.param([], {"output.directory": ""}, "output.directory", id="output.directory"),
+    ])
+    def test_empty_output_directory_exits_2(self, tmp_path, monkeypatch, capsys, flags, changes,
+                                            key):
+        # an empty --out was taken as no flag and wrote output.directory; an empty
+        # output.directory wrote into the working directory
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, **changes)
+        runs = [[mode, "--config", "config.json", *flags] for mode in CONFIG_MODES]
+        if flags:
+            runs.append(["validate", *flags])
+        for argv in runs:
+            assert main(argv) == 2, argv
+            assert capsys.readouterr() == (
+                "", f"config error: {key} must name a directory, got an empty string\n"), argv
+            assert os.listdir() == ["config.json"], argv
+
+    @pytest.mark.parametrize("mode, text, flags, key", DOCUMENTED_REFUSALS)
+    def test_documented_refusal_exits_2(self, tmp_path, capsys, mode, text, flags, key):
+        cfg, out = tmp_path / "config.json", tmp_path / "o"
+        cfg.write_text(text)
+        assert main([mode, "--config", str(cfg), "--out", str(out), *flags]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.startswith("config error: ") and err.count("\n") == 1, err
+        assert key in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("dotted, value, key", [
         ("grids.absorption.stop", math.inf, "grids.absorption.stop"),
@@ -676,6 +731,14 @@ class TestMainExitCodes:
         found = sorted(round(p["refined"]) for p in report)
         assert len(found) == 3
         assert abs(found[0] - 14313) < 6 and abs(found[2] - 17913) < 6
+
+    def test_peaks_report_file_holds_the_stdout_bytes(self, tmp_path, capsysbinary):
+        out, report = tmp_path / "out", tmp_path / "peaks.json"
+        assert main(["absorption", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+        capsysbinary.readouterr()
+        assert main(["peaks", str(out / "absorption.csv"), "--report", str(report)]) == 0
+        stdout = capsysbinary.readouterr().out
+        assert json.loads(stdout) and report.read_bytes() == stdout
 
     def test_peaks_on_a_map_with_a_subnormal_omega_v(self, tmp_path):
         # an offset over omega_v = 1e-320 is no finite number of quanta; int() of it raised

@@ -289,6 +289,12 @@ class TestGridIO:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("config error: "), captured
 
+    def test_2d_map_without_its_last_row_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "grid.csv"
+        write_csv(path, self.make_grid(True))
+        self.rewrite_rows(path, lambda rows: rows[:-1])
+        self.assert_refused(path, capsys, "2D grid is not a full product grid")
+
     @pytest.mark.parametrize("two_dimensional", [False, True])
     def test_shuffled_rows_are_refused(self, tmp_path, capsys, two_dimensional):
         path = tmp_path / "grid.csv"

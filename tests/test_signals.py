@@ -1,6 +1,8 @@
+import json
 import math
 import os
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from polariton2dcs import (
     validate_params,
 )
 from polariton2dcs import validate
+from polariton2dcs.cli import build_jobspec
 from polariton2dcs.peaks import find_peaks_1d, find_peaks_2d
 from polariton2dcs.signals import (
     I_,
@@ -65,6 +68,7 @@ from polariton2dcs.vibrations import (
     kernel_from_params,
 )
 
+SHIPPED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "cyanine_n10.json"
 POLARITON_LINES = (14313.0, 17913.0)
 ORACLE_RTOL = 1e-10
 
@@ -371,6 +375,27 @@ class TestTwodSignal:
         slow = twod_signal_direct(sys, dec, kernel, -1800.0, 1800.0, 120.0)
         assert fast == pytest.approx(slow, rel=1e-11)
 
+    @pytest.mark.parametrize("t_wait", [0.0, 250.0, 500.0])
+    def test_groups_by_distinct_sites_sum_to_the_map(self, monkeypatch, t_wait):
+        # the classes with b distinct sites give the map S_b of the pathways through b
+        # molecules; the four maps interfere (max|S_b| reaches 5 max|S| at 250 fs), and no
+        # pathway through four molecules has arrived at T = 0
+        from polariton2dcs import signals
+
+        spec = build_jobspec("twod", json.loads(SHIPPED_CONFIG.read_text()))
+        args = (decompose(build_matrix(spec.params)), spec.kernel, spec.grids["omega1"].rotating(),
+                spec.grids["omega3"].rotating(), t_wait, twod_prefactor(spec.params))
+        full = twod_values(*args)
+        classes = index_classes()
+        groups = []
+        for b in (1, 2, 3, 4):
+            monkeypatch.setattr(signals, "index_classes",
+                                lambda b=b: tuple(cls for cls in classes if cls.blocks == b))
+            groups.append(twod_values(*args))
+        assert np.abs(sum(groups) - full).max() <= 1e-14 * sum(np.abs(g).max() for g in groups)
+        if t_wait == 0.0:
+            assert np.abs(groups[3]).max() <= 1e-15 * np.abs(full).max()
+
     def test_direct_loop_agreement_sample(self):
         result = check_twod_direct(points=4)
         assert result.passed, result.line()
@@ -636,6 +661,20 @@ class TestSlices:
         # the fitted constant is the kernel-side normalization left out of the
         # resonance form: 4 * exp(-lambda^2)
         assert report.upper_polariton.fitted_scale == pytest.approx(4 * math.exp(-1.0), rel=1e-2)
+
+    @pytest.mark.parametrize("lambda_hr, n, dipole", [
+        (1.0, 10, 1.0), (0.5, 10, 2.0), (1.5, 10, 1.0), (2.0, 10, 1.0), (1.0, 3, 1.0),
+        (1.0, 40, 1.0)])
+    def test_fitted_scale_is_the_constant_on_resonance(self, lambda_hr, n, dipole):
+        # fitted_scale = 4 dipole^4 exp(-lambda^2) (1 + eps) at g sqrt(N) = 1800 on the shipped
+        # waiting times; below lambda = 0.5 the order-2 eps grows (3.4e-2 at lambda = 0.3)
+        sys = reference_params(lambda_hr=lambda_hr, n_molecules=n, dipole=dipole)
+        report = pump_probe_slices(sys, decompose(build_matrix(sys)), kernel_from_params(sys),
+                                   [0.0, 250.0, 500.0, 750.0], (1, 2))
+        constant = pump_probe_prefactor(sys) * math.exp(-lambda_hr ** 2)
+        assert abs(report.upper_polariton.fitted_scale / constant - 1.0) <= 5e-5
+        for trace in report.stokes.values():
+            assert abs(trace.fitted_scale / constant - 1.0) <= 1e-2
 
     def test_negative_waiting_time_rejected(self, dye_system, dye_dec, dye_kernel):
         with pytest.raises(NegativeWaitingTime):
