@@ -378,8 +378,8 @@ class TestTwodSignal:
     @pytest.mark.parametrize("t_wait", [0.0, 250.0, 500.0])
     def test_groups_by_distinct_sites_sum_to_the_map(self, monkeypatch, t_wait):
         # the classes with b distinct sites give the map S_b of the pathways through b
-        # molecules; the four maps interfere (max|S_b| reaches 5 max|S| at 250 fs), and no
-        # pathway through four molecules has arrived at T = 0
+        # molecules; the four maps interfere (max|S_b| reaches 5 max|S| at 250 fs), and S_4
+        # vanishes at T = 0, where the propagator has no entry between two sites
         from polariton2dcs import signals
 
         spec = build_jobspec("twod", json.loads(SHIPPED_CONFIG.read_text()))
