@@ -8,8 +8,10 @@ onto the 15 set partitions of (i, l, j, j') weighted by the number of index
 tuples realizing each partition, with p contributing at most four extra cases
 (p equal to l, equal to j', another molecule, or the photon slot).  This makes
 grid evaluation O(1) in N.  The oracles kept alongside sum over every index
-tuple, each with its own dense entries; they form the products of the tuples
-with one Kronecker-delta pattern together, and add the terms in loop order.
+tuple, each with its own dense entries.  The 2D and pump-probe oracles group
+the tuples in numpy by the shape of their phonon weight table and form each
+group's products in batches of at most ``ORACLE_BATCH_VALUES`` values; every
+oracle adds its terms in loop order.
 
 Phonon sums use the Kronecker-power convention delta^0 == 1 (also for unequal
 indices) and delta^(m>=1) == delta, so the m = 0 terms reproduce the
@@ -115,14 +117,6 @@ def _wait_factor(kernel: VibKernel, t_wait: float) -> complex:
     return z
 
 
-def _tuple_groups(keys) -> dict:
-    """The positions of ``keys`` by value, each list in increasing order."""
-    groups: dict = {}
-    for pos, key in enumerate(keys):
-        groups.setdefault(key, []).append(pos)
-    return groups
-
-
 def _sequential_sum(start: float, terms: np.ndarray) -> float:
     """start + terms[0] + terms[1] + ..., added one at a time in C order."""
     return np.add.accumulate(np.concatenate(([start], terms.ravel())))[-1]
@@ -132,10 +126,10 @@ def _sequential_sum(start: float, terms: np.ndarray) -> float:
 ORACLE_BATCH_VALUES = 2 ** 16
 
 
-def _batches(members: list, per_tuple: int, budget: int = ORACLE_BATCH_VALUES):
-    """``members`` in runs whose products hold at most ``budget`` values together,
-    ``per_tuple`` each; a tuple that needs more than ``budget`` alone runs alone."""
-    step = max(1, budget // per_tuple)
+def _batches(members: np.ndarray, per_tuple: int):
+    """``members`` in runs that hold at most ``ORACLE_BATCH_VALUES`` values together,
+    ``per_tuple`` each; a tuple that needs more than that alone runs alone."""
+    step = max(1, ORACLE_BATCH_VALUES // per_tuple)
     return (members[start:start + step] for start in range(0, len(members), step))
 
 
@@ -290,12 +284,12 @@ def twod_signal_direct(sys: SystemParams, dec: ModeDecomposition, kernel: VibKer
     """Literal quintuple-index sum with explicit Kronecker deltas (oracle).
 
     Every index tuple (i, l, j, j') reads its own dense transform and
-    propagator entries.  The tuples with one Kronecker-delta pattern share a
-    phonon weight table, and their products are formed in batches (see
-    :func:`_batches`), each product with the operand shapes of one tuple and
-    a leading tuple axis.  The p terms are then added one at a time, in
-    tuple and p order, so the sum is that of a loop over the tuples, bit for
-    bit.  Cost grows as N^4 (N+1) m_max^6 with pinned-m pruning; refuse N > 6.
+    propagator entries.  The tuples whose six Kronecker deltas form one 6-bit
+    code share a phonon weight table; each code's products are formed in
+    batches (see :func:`_batches`), with the operand shapes of one tuple and a
+    leading tuple axis.  The p terms are then added one at a time, in tuple
+    and p order, so the sum is that of a loop over the tuples, bit for bit.
+    Cost grows as N^4 (N+1) m_max^6 with pinned-m pruning; refuse N > 6.
     """
     n = sys.n_molecules
     if n > 6:
@@ -313,17 +307,17 @@ def twod_signal_direct(sys: SystemParams, dec: ModeDecomposition, kernel: VibKer
                         for k in range(dim)], axis=-1)
     full = np.arange(mm + 1)
     pinned = np.arange(1)
-    i, l, j, jp = np.indices((n,) * 4).reshape(4, -1)       # every index tuple, in loop order
-    groups = _tuple_groups(zip(*[eq.tolist() for eq in
-                                 (jp == j, i == l, j == l, jp == l, i == j, i == jp)]))
+    index = np.indices((n,) * 4).reshape(4, -1)       # every index tuple, in loop order
+    i, l, j, jp = index
+    # each tuple's Kronecker-delta pattern as a 6-bit code, bit k - 1 for the pair of m_k
+    codes = sum((index[x] == index[y]) << bit for bit, (x, y) in enumerate(_M_PAIRS))
     terms = np.empty((n ** 4, n + 1), dtype=complex)          # [tuple, p]
-    for deltas, members in groups.items():
-        m1, m2, m3, m4, m5, m6 = np.ix_(*[full if eq else pinned for eq in deltas])
+    for code in dict.fromkeys(codes.tolist()):      # in the order the loop first meets them
+        m1, m2, m3, m4, m5, m6 = np.ix_(*[full if code >> bit & 1 else pinned for bit in range(6)])
         weight = (s[m1] * s[m2] * s[m3] * s[m4] * s[m5] * s[m6]
                   * (-1.0) ** (m3 + m6) * z ** (m3 + m4 + m5 + m6))
         alpha, kappa = m2 + m5 + m6, m1 + m4 + m6
-        # no batch holds more terms than the tuple with every m free, (N+1)(m_max+1)^6
-        for pos in _batches(members, (n + 1) * weight.size, (n + 1) * (mm + 1) ** 6):
+        for pos in _batches(np.flatnonzero(codes == code), (n + 1) * weight.size):
             sums = _twod_phonon_sums(weight, trans_a[i[pos], l[pos]][:, alpha],
                                      trans_b[jp[pos]][:, :, kappa])
             terms[pos] = np.conj(g_wait[l[pos]]) * g_wait[l[pos], j[pos]][:, None] * sums
@@ -449,11 +443,12 @@ def pump_probe_direct(sys: SystemParams, dec: ModeDecomposition, kernel: VibKern
     """Literal quadruple-index pump-probe sum (oracle); refuse N > 6.
 
     Every index tuple (i, l, j, j') reads its own dense transform and
-    propagator entries.  The tuples with one Kronecker-delta pattern share a
-    phonon weight table, and their phonon sums are formed in batches (see
-    :func:`_batches`).  Each sum is then weighted in Python scalars, and the
-    terms are added in tuple order (see :func:`_sequential_sum`), so the
-    result is that of a loop over the tuples, bit for bit.
+    propagator entries.  Its weight table's shape depends on i == l alone, and
+    d2 = (j' == l) - (j == l), d3 = (i == j) - (i == j') enter as per-tuple
+    arrays; each of the two groups' weights and phonon sums are formed in
+    batches (see :func:`_batches`).  Each sum is then weighted in Python
+    scalars and the terms are added in tuple order (see :func:`_sequential_sum`),
+    so the result is that of a loop over the tuples, bit for bit.
     """
     n = sys.n_molecules
     if n > 6:
@@ -469,14 +464,16 @@ def pump_probe_direct(sys: SystemParams, dec: ModeDecomposition, kernel: VibKern
     full = np.arange(mm + 1)
     pinned = np.arange(1)
     i, l, j, jp = np.indices((n,) * 4).reshape(4, -1)       # every index tuple, in loop order
-    # the Kronecker-delta pattern (i == l, d2, d3) of each tuple
-    groups = _tuple_groups(zip((i == l).tolist(), ((jp == l) - (j == l) * 1.0).tolist(),
-                               ((i == j) - (i == jp) * 1.0).tolist()))
+    # [tuple, m1, m2, m3]: the Kronecker deltas d2 and d3 of each tuple
+    d2 = ((jp == l) - (j == l) * 1.0)[:, None, None, None]
+    d3 = ((i == j) - (i == jp) * 1.0)[:, None, None, None]
     sums = np.empty(n ** 4, dtype=complex)
-    for (same_il, d2, d3), members in groups.items():
+    for same_il in (True, False):       # m1 ranges freely where i == l and is 0 elsewhere
         m1, m2, m3 = np.ix_(full if same_il else pinned, full, full)
-        weight = (s[m1] * s[m2] * s[m3] * d2 ** m2 * d3 ** m3 * z ** (m2 + m3))
-        for pos in _batches(members, weight.size):
+        fc, zp = s[m1] * s[m2] * s[m3], z ** (m2 + m3)
+        # a batch holds each tuple's weights and its products, fc.size values each
+        for pos in _batches(np.flatnonzero((i == l) == same_il), 2 * fc.size):
+            weight = fc * d2[pos] ** m2 * d3[pos] ** m3 * zp
             # order="C" keeps each tuple's terms contiguous, summed pairwise like a flat array
             sums[pos] = np.multiply(weight, trans[i[pos], l[pos]][:, m1 + m3],
                                     order="C").reshape(len(pos), -1).sum(axis=1)

@@ -695,6 +695,26 @@ class TestMainExitCodes:
         assert err.startswith("config error: stokes_orders: the Stokes line of order more than 1e300")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("mode", ["absorption", "twod", "pump-probe", "slices", "eig"])
+    def test_rates_and_detunings_far_apart_run_without_warnings(self, tmp_path, mode):
+        # the shipped config with gamma_x = 1e12 under a common detuning of 1e13, under -W
+        # error: a job ends in 0 with finite files or in 3 with one numeric failure line
+        cfg = json.loads((CONFIGS / "cyanine_n10.json").read_text())
+        cfg["system"].update(gamma_x=1e12, delta_x=1e13, delta_c=1e13)
+        path, out = tmp_path / "config.json", tmp_path / "o"
+        path.write_text(json.dumps(cfg))
+        result = run_cli(mode, "--config", str(path), "--out", str(out))
+        assert "Traceback" not in result.stderr, result.stderr
+        if result.returncode == 3:
+            assert result.stderr.startswith("numeric failure: ") and result.stderr.count("\n") == 1
+            return
+        assert result.returncode == 0 and result.stderr == "", result.stderr
+        for file in out.iterdir():
+            if file.suffix == ".csv":
+                assert np.isfinite(grids.load_grid(file).values).all(), file.name
+            else:
+                json.loads(file.read_text(), parse_constant=lambda name: pytest.fail(name))
+
     @pytest.mark.parametrize("mode, key, outputs", [
         ("absorption", "omega_v", "absorption.csv, absorption.json"),
         ("absorption", "gamma_v", "absorption.csv, absorption.json"),

@@ -35,7 +35,7 @@ from polariton2dcs import (
     twod_values,
     validate_params,
 )
-from polariton2dcs import validate
+from polariton2dcs import signals, validate
 from polariton2dcs.cli import build_jobspec
 from polariton2dcs.peaks import find_peaks_1d, find_peaks_2d
 from polariton2dcs.signals import (
@@ -676,6 +676,17 @@ class TestSlices:
         for trace in report.stokes.values():
             assert abs(trace.fitted_scale / constant - 1.0) <= 1e-2
 
+    @pytest.mark.parametrize("detuned", [dict(delta_x=300.0, gamma_c=5.0),
+                                         dict(delta_c=-400.0, gamma_x=3.0, lambda_hr=0.7)])
+    def test_fitted_scale_misses_the_constant_off_resonance(self, detuned):
+        # the README's off-resonance domain: on the shipped set, detuned, the upper polariton's
+        # eps is 0.0831 and 0.1104; this moves when the upper-polariton weight is mended
+        sys = reference_params(**detuned)
+        report = pump_probe_slices(sys, decompose(build_matrix(sys)), kernel_from_params(sys),
+                                   [0.0, 250.0, 500.0, 750.0], (1, 2))
+        constant = pump_probe_prefactor(sys) * math.exp(-sys.lambda_hr ** 2)
+        assert 0.05 <= report.upper_polariton.fitted_scale / constant - 1.0 <= 0.15
+
     def test_negative_waiting_time_rejected(self, dye_system, dye_dec, dye_kernel):
         with pytest.raises(NegativeWaitingTime):
             pump_probe_slices(dye_system, dye_dec, dye_kernel, [-10.0])
@@ -813,12 +824,36 @@ class TestBatchedOraclesMatchTheLoops:
         for case in cases:
             assert pump_probe_direct(*case) == loop_pump_probe_direct(*case)
 
-    def test_batches_hold_at_most_the_budget(self):
+    def test_batches_hold_at_most_the_budget(self, monkeypatch):
         members = list(range(10))
-        assert list(_batches(members, 3, 7)) == [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9]]
-        # a tuple that alone needs more than the budget runs alone
-        assert list(_batches(members[:3], 8, 7)) == [[0], [1], [2]]
         assert list(_batches(members, 1)) == [members]
+        monkeypatch.setattr(signals, "ORACLE_BATCH_VALUES", 7)
+        assert list(_batches(members, 3)) == [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9]]
+        # a tuple that alone needs more than the budget runs alone
+        assert list(_batches(members[:3], 8)) == [[0], [1], [2]]
+        monkeypatch.setattr(signals, "ORACLE_BATCH_VALUES", 1)
+        assert list(_batches(members[:3], 1)) == [[0], [1], [2]]
+        monkeypatch.setattr(signals, "ORACLE_BATCH_VALUES", 2 ** 40)
+        assert list(_batches(members, 10 ** 6)) == [members]
+
+    @pytest.mark.parametrize("budget", [1, 2 ** 40], ids=["tuple_alone", "pattern_whole"])
+    def test_batch_boundaries_move_no_bit(self, monkeypatch, budget):
+        # budget 1 puts every tuple in a batch of its own, 2^40 each pattern's tuples in one
+        twod_cases = drawn_cases(monkeypatch, check_twod_direct)
+        pp_cases = drawn_cases(monkeypatch, check_pump_probe_direct)
+        monkeypatch.setattr(signals, "ORACLE_BATCH_VALUES", budget)
+        for case in twod_cases:
+            if case[0].n_molecules == 5:
+                assert twod_signal_direct(*case) == loop_twod_signal_direct(*case)
+        for case in pp_cases:
+            if case[0].n_molecules == 5:
+                assert pump_probe_direct(*case) == loop_pump_probe_direct(*case)
+        # lambda = 2, m_max = 22: one tuple's pump-probe weights fill 23^3 values
+        sys = reference_params(lambda_hr=2.0, n_molecules=4)
+        kernel = kernel_from_params(sys)
+        assert kernel.m_max == 22
+        self.assert_pump_probe_matches(sys, decompose(build_matrix(sys)), kernel,
+                                       np.random.default_rng(1002), 2)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_twod_on_random_detuned_sets(self, n):
