@@ -9,9 +9,10 @@ measured peak-height ratio against the closed-form law.
 import sys
 from pathlib import Path
 
-from polariton2dcs import build_matrix, decompose, linear_absorption, peak_ratios
 from polariton2dcs.grids import Axis, write_csv
 from polariton2dcs.peaks import find_peaks_1d
+from polariton2dcs.propagator import build_matrix, decompose
+from polariton2dcs.signals import linear_absorption, peak_ratios
 from polariton2dcs.validate import reference_params
 from polariton2dcs.vibrations import kernel_from_params
 

@@ -11,9 +11,10 @@ from pathlib import Path
 
 import numpy as np
 
-from polariton2dcs import build_matrix, decompose, pump_probe, pump_probe_slices
 from polariton2dcs.grids import Axis, write_csv
 from polariton2dcs.peaks import find_peaks_1d
+from polariton2dcs.propagator import build_matrix, decompose
+from polariton2dcs.signals import pump_probe, pump_probe_slices
 from polariton2dcs.validate import reference_params
 from polariton2dcs.vibrations import kernel_from_params
 

@@ -11,10 +11,10 @@ from pathlib import Path
 
 import numpy as np
 
-from polariton2dcs import build_matrix, decompose, twod_signal
 from polariton2dcs.grids import Axis, write_csv
 from polariton2dcs.peaks import find_peaks_2d
-from polariton2dcs.signals import twod_prefactor, twod_values
+from polariton2dcs.propagator import build_matrix, decompose
+from polariton2dcs.signals import twod_prefactor, twod_signal, twod_values
 from polariton2dcs.validate import reference_params
 from polariton2dcs.vibrations import kernel_from_params
 

@@ -38,9 +38,6 @@ class DynamicsMatrix:
         g = 1j * self.coupling
         return PatternEntries(self.mol_diag, 0.0, g, g, self.photon_diag).to_dense(self.n_molecules)
 
-    def trace(self) -> complex:
-        return self.n_molecules * self.mol_diag + self.photon_diag
-
 
 def build_matrix(sys: SystemParams) -> DynamicsMatrix:
     """Assemble the arrowhead generator from validated parameters."""

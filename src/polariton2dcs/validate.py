@@ -118,12 +118,12 @@ def _random_params(rng: np.random.Generator, n: int) -> SystemParams:
     })
 
 
-def check_propagator_expm(sets_per_n: int = 20) -> CheckResult:
+def check_propagator_expm() -> CheckResult:
     """Closed-form arrowhead propagator against dense scaling-and-squaring."""
     rng = np.random.default_rng(101)
     errors = []
     for n in range(1, 7):
-        for _ in range(sets_per_n):
+        for _ in range(20):
             sys = _random_params(rng, n)
             m = build_matrix(sys)
             dec = decompose(m)
@@ -187,7 +187,7 @@ def check_transform_quadrature() -> CheckResult:
                    "relative, reference set")
 
 
-def check_fock_four_point(samples: int = 50) -> CheckResult:
+def check_fock_four_point() -> CheckResult:
     """Closed-form undamped correlator against truncated Fock-space mechanics."""
     rng = np.random.default_rng(104)
     lambdas = (0.3, 0.7, 1.0, 1.2)
@@ -195,7 +195,7 @@ def check_fock_four_point(samples: int = 50) -> CheckResult:
     for lam in lambdas:
         kernel = VibKernel(lambda_hr=lam, omega_v=1200.0, gamma_v=0.0,
                            m_max=max(1, franck_condon_cutoff(lam, 1e-10)), tail_eps=1e-10)
-        for _ in range(samples):
+        for _ in range(50):
             quad = TimeQuadruple(
                 times=tuple(float(t) for t in rng.uniform(0.0, 120.0, size=4)),
                 sites=tuple(int(s) for s in rng.integers(0, 4, size=4)),
@@ -206,20 +206,20 @@ def check_fock_four_point(samples: int = 50) -> CheckResult:
     return _result("fock_four_point", _worst(errors), 1e-8, f"lambdas={lambdas}, all orderings")
 
 
-def _loop_cases(rng, lambda_hr: float, m_max: int, points: int, draw) -> list[tuple]:
-    """The loop oracles' arguments (sys, dec, kernel, *draw(rng)), ``points`` per N = 2..5."""
+def _loop_cases(rng, lambda_hr: float, m_max: int, draw) -> list[tuple]:
+    """The loop oracles' arguments (sys, dec, kernel, *draw(rng)), 20 per N = 2..5."""
     cases = []
     for n in (2, 3, 4, 5):
         sys = reference_params(lambda_hr=lambda_hr, n_molecules=n)
         dec = decompose(build_matrix(sys))
         kernel = kernel_from_params(sys, m_max=m_max)
-        cases += [(sys, dec, kernel, *draw(rng)) for _ in range(points)]
+        cases += [(sys, dec, kernel, *draw(rng)) for _ in range(20)]
     return cases
 
 
-def check_twod_direct(points: int = 20) -> CheckResult:
+def check_twod_direct() -> CheckResult:
     """Class-collapsed 2D kernel against the literal quintuple loop."""
-    cases = _loop_cases(np.random.default_rng(105), 0.9, 4, points, lambda rng: (   # om1, om3, T
+    cases = _loop_cases(np.random.default_rng(105), 0.9, 4, lambda rng: (   # om1, om3, T
         float(rng.uniform(-2400.0, 2400.0)), float(rng.uniform(-2400.0, 2400.0)),
         float(rng.uniform(0.0, 400.0))))
 
@@ -229,9 +229,9 @@ def check_twod_direct(points: int = 20) -> CheckResult:
     return _result("twod_direct", _worst(fork_map(error, cases)), 1e-10, "N=2..5, relative")
 
 
-def check_pump_probe_direct(points: int = 20) -> CheckResult:
+def check_pump_probe_direct() -> CheckResult:
     """Class-collapsed pump-probe kernel against the literal quadruple loop."""
-    cases = _loop_cases(np.random.default_rng(106), 0.8, 5, points, lambda rng: (   # omega, T
+    cases = _loop_cases(np.random.default_rng(106), 0.8, 5, lambda rng: (   # omega, T
         float(rng.uniform(12000.0, 20000.0)), float(rng.uniform(0.0, 500.0))))
 
     def error(case) -> float:

@@ -1,6 +1,6 @@
 import pytest
 
-from polariton2dcs import build_matrix, decompose
+from polariton2dcs.propagator import build_matrix, decompose
 from polariton2dcs.validate import reference_params
 from polariton2dcs.vibrations import kernel_from_params
 

@@ -3,12 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from polariton2dcs import (
-    ParameterError,
-    RAD_PER_CM_FS,
-    validate_params,
-)
 from polariton2dcs import grids
+from polariton2dcs.errors import ParameterError
+from polariton2dcs.model import RAD_PER_CM_FS, validate_params
 
 
 def raw_reference(**overrides):

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import polariton2dcs
-from polariton2dcs import Axis, MalformedGrid, SpectrumGrid
+from polariton2dcs.errors import MalformedGrid
+from polariton2dcs.grids import Axis, SpectrumGrid
 from polariton2dcs.cli import load_grid, main, write_csv, write_json_grid
 from polariton2dcs.peaks import _mean_3x3, classify_2d, find_peaks_1d, find_peaks_2d, grid_peak_report
 

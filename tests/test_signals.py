@@ -8,36 +8,20 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from polariton2dcs import (
-    Axis,
-    NegativeWaitingTime,
-    SpectrumGrid,
-    TooLarge,
+from polariton2dcs import signals, validate
+from polariton2dcs.cli import build_jobspec
+from polariton2dcs.errors import NegativeWaitingTime, TooLarge
+from polariton2dcs.grids import Axis, SpectrumGrid
+from polariton2dcs.model import validate_params
+from polariton2dcs.peaks import find_peaks_1d, find_peaks_2d
+from polariton2dcs.propagator import (
     build_matrix,
     decompose,
     fourier_conj_entries,
     fourier_entries,
-    index_classes,
-    linear_absorption,
-    peak_ratios,
     propagator_G,
     propagator_fourier,
-    pump_probe,
-    pump_probe_direct,
-    pump_probe_prefactor,
-    pump_probe_slices,
-    pump_probe_slices_direct,
-    pump_probe_values,
-    twod_signal,
-    twod_signal_direct,
-    twod_prefactor,
-    twod_signal_point,
-    twod_values,
-    validate_params,
 )
-from polariton2dcs import signals, validate
-from polariton2dcs.cli import build_jobspec
-from polariton2dcs.peaks import find_peaks_1d, find_peaks_2d
 from polariton2dcs.signals import (
     I_,
     J_,
@@ -51,6 +35,20 @@ from polariton2dcs.signals import (
     _slice_sums_direct,
     _wait_factor,
     _weight_table,
+    index_classes,
+    linear_absorption,
+    peak_ratios,
+    pump_probe,
+    pump_probe_direct,
+    pump_probe_prefactor,
+    pump_probe_slices,
+    pump_probe_slices_direct,
+    pump_probe_values,
+    twod_prefactor,
+    twod_signal,
+    twod_signal_direct,
+    twod_signal_point,
+    twod_values,
 )
 from polariton2dcs.validate import (
     _random_params,
@@ -397,7 +395,7 @@ class TestTwodSignal:
             assert np.abs(groups[3]).max() <= 1e-15 * np.abs(full).max()
 
     def test_direct_loop_agreement_sample(self):
-        result = check_twod_direct(points=4)
+        result = check_twod_direct()
         assert result.passed, result.line()
 
     def test_direct_check_catches_a_broken_fast_path(self, monkeypatch):
@@ -406,7 +404,7 @@ class TestTwodSignal:
 
         values = signals.twod_values
         monkeypatch.setattr(signals, "twod_values", lambda *args: values(*args) * (1.0 + 1e-6))
-        result = check_twod_direct(points=4)
+        result = check_twod_direct()
         assert not result.passed, result.line()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -527,7 +525,7 @@ class TestTwodSignal:
 
 class TestPumpProbe:
     def test_direct_loop_agreement_sample(self):
-        result = check_pump_probe_direct(points=4)
+        result = check_pump_probe_direct()
         assert result.passed, result.line()
 
     def test_direct_check_catches_a_broken_fast_path(self, monkeypatch):
@@ -541,7 +539,7 @@ class TestPumpProbe:
             return w13, f2 * (1.0 + 1e-6)
 
         monkeypatch.setattr(signals, "_pp_class_weights", scaled)
-        result = check_pump_probe_direct(points=4)
+        result = check_pump_probe_direct()
         assert not result.passed, result.line()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -10,23 +10,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import polariton2dcs
-from polariton2dcs import (
-    RAD_PER_CM_FS,
+from polariton2dcs.errors import TruncationWarning
+from polariton2dcs.model import RAD_PER_CM_FS
+from polariton2dcs.propagator import matrix_exp
+from polariton2dcs.signals import index_classes
+from polariton2dcs.validate import check_fock_four_point, reference_params
+from polariton2dcs.vibrations import (
     TimeQuadruple,
-    TruncationWarning,
     VibKernel,
+    _lowering,
+    displacement_matrix,
     fock_correlator,
     four_point_correlator,
     franck_condon,
     franck_condon_cutoff,
     franck_condon_weights,
-    index_classes,
-    matrix_exp,
+    kernel_from_params,
     mode_commutator,
     phonon_shift,
 )
-from polariton2dcs.validate import check_fock_four_point, reference_params
-from polariton2dcs.vibrations import _lowering, displacement_matrix, kernel_from_params
 
 OMEGA_V = 1200.0
 GAMMA_V = 20.0
@@ -296,7 +298,7 @@ class TestFockCorrelator:
         exact = validate.four_point_correlator
         monkeypatch.setattr(validate, "four_point_correlator",
                             lambda *args: exact(*args) * (1.0 + 1e-6))
-        result = check_fock_four_point(samples=10)
+        result = check_fock_four_point()
         assert not result.passed, result.line()
 
     def test_no_displacement(self):
@@ -322,7 +324,7 @@ class TestFockCorrelator:
                        - four_point_correlator(q, kernel)) < 1e-8
 
     def test_suite_check(self):
-        result = check_fock_four_point(samples=10)
+        result = check_fock_four_point()
         assert result.passed, result.line()
 
     def test_truncation_warning_on_aligned_displacements(self):
@@ -371,18 +373,21 @@ class TestVibKernel:
     def test_invariant_checks_survive_python_O(self):
         # -O strips assert statements; both checks must still raise
         script = """
-import polariton2dcs as p
+from polariton2dcs.errors import DivergentTransform
+from polariton2dcs.propagator import build_matrix, decompose
+from polariton2dcs.signals import pump_probe_values
 from polariton2dcs.validate import reference_params
+from polariton2dcs.vibrations import VibKernel, kernel_from_params
 sys = reference_params()
-dec = p.decompose(p.build_matrix(sys))
-kernel = p.kernel_from_params(sys)
+dec = decompose(build_matrix(sys))
+kernel = kernel_from_params(sys)
 print(__debug__)
-for call in (lambda: p.VibKernel(1.0, 1200.0, float("nan"), 3, 1e-10),
-             lambda: p.pump_probe_values(dec, kernel, [0.0], float("nan"))):
+for call in (lambda: VibKernel(1.0, 1200.0, float("nan"), 3, 1e-10),
+             lambda: pump_probe_values(dec, kernel, [0.0], float("nan"))):
     try:
         call()
         print("accepted")
-    except (ValueError, p.DivergentTransform) as exc:
+    except (ValueError, DivergentTransform) as exc:
         print(type(exc).__name__)
 """
         env = dict(os.environ, PYTHONPATH=str(Path(polariton2dcs.__file__).resolve().parents[1]))
