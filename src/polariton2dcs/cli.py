@@ -549,11 +549,13 @@ def _peaks_text(args) -> str:
     """The peak report of ``args.grid_file``; a ``--report`` file is written in full first."""
     if finite(args.min_height) is None:
         raise ConfigError(f"--min-height must be a finite number, got {args.min_height}")
+    if args.report == "":
+        raise ConfigError("--report must name a file, got an empty string")
     grid = load_grid(args.grid_file)
     if not np.all(np.isfinite(grid.values)):
         raise MalformedGrid(f"{args.grid_file}: the values hold a NaN or an infinity")
     text = json.dumps(grid_peak_report(grid, min_rel_height=args.min_height), indent=2) + "\n"
-    if args.report:
+    if args.report is not None:
         Path(args.report).write_text(text)
     return text
 

@@ -28,12 +28,6 @@ class ParameterError(PolaritonError, ValueError):
         self.violations = tuple(violations)
         super().__init__("; ".join(str(v) for v in self.violations))
 
-    def kinds(self) -> set[str]:
-        return {v.kind for v in self.violations}
-
-    def fields(self) -> set[str]:
-        return {v.field for v in self.violations}
-
 
 class DegenerateBright(PolaritonError, ArithmeticError):
     """The two bright eigenvalues coincide; no perturbation is attempted."""

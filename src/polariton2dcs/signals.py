@@ -101,11 +101,6 @@ def index_classes() -> tuple[IndexClass, ...]:
 # shared helpers
 
 
-def phonon_parity(m3: int, m6: int) -> float:
-    """Sign carried by the two negative commutator exponents."""
-    return -1.0 if (m3 + m6) % 2 else 1.0
-
-
 def _wait_factor(kernel: VibKernel, t_wait: float) -> complex:
     if t_wait < 0:
         raise NegativeWaitingTime(f"waiting time must be >= 0, got {t_wait}")
@@ -145,13 +140,13 @@ def _weight_table(kernel: VibKernel, free: tuple[bool, ...], z: complex) -> np.n
     w1, w2, w3, w4, w5, w6 = (s if flag else s[:1] for flag in free)
     zp = z ** np.arange(len(s))
     # m3 appears in no composite shift: it collapses to a scalar factor
-    f3 = np.sum(w3 * np.array([phonon_parity(m, 0) for m in range(len(w3))]) * zp[: len(w3)])
+    f3 = np.sum(w3 * (-1.0) ** np.arange(len(w3)) * zp[: len(w3)])
     u = np.convolve(w2, w5 * zp[: len(w5)])      # u[x] = sum_m5 w5 z^m5 w2[x-m5]
     v = np.convolve(w1, w4 * zp[: len(w4)])      # v[y] = sum_m4 w4 z^m4 w1[y-m4]
     dim = 3 * kernel.m_max + 1
     table = np.zeros((dim, dim), dtype=complex)
     for m6 in range(len(w6)):
-        coeff = w6[m6] * phonon_parity(0, m6) * zp[m6] * f3
+        coeff = w6[m6] * (-1.0) ** m6 * zp[m6] * f3
         table[m6:m6 + len(u), m6:m6 + len(v)] += coeff * np.outer(u, v)
     return table
 
@@ -255,18 +250,6 @@ def twod_signal(sys: SystemParams, dec: ModeDecomposition, kernel: VibKernel,
     return SpectrumGrid("twod", axis1, axis3, t_wait, values, meta)
 
 
-def twod_signal_point(sys: SystemParams, dec: ModeDecomposition, kernel: VibKernel,
-                      omega1: float, omega3: float, t_wait: float) -> complex:
-    """Single point of the class-collapsed 2D kernel in formula coordinates.
-
-    ``omega1`` is the kernel-side first-interval frequency; it maps to the
-    user-facing absorption axis as w1_rot = -omega1.
-    """
-    vals = twod_values(dec, kernel, np.array([-omega1]), np.array([omega3]),
-                       t_wait, twod_prefactor(sys))
-    return complex(vals[0, 0])
-
-
 def _twod_phonon_sums(weight: np.ndarray, side_a: np.ndarray, side_b: np.ndarray) -> np.ndarray:
     """The phonon sums [tuple, p] of weight * side_a * side_b, for a batch of index tuples.
 
@@ -279,9 +262,10 @@ def _twod_phonon_sums(weight: np.ndarray, side_a: np.ndarray, side_b: np.ndarray
     return products.reshape(*side_b.shape[:2], -1).sum(axis=2)
 
 
-def twod_signal_direct(sys: SystemParams, dec: ModeDecomposition, kernel: VibKernel,
-                       omega1: float, omega3: float, t_wait: float) -> complex:
-    """Literal quintuple-index sum with explicit Kronecker deltas (oracle).
+def twod_signal_direct(dec: ModeDecomposition, kernel: VibKernel, w1_rot: float, w3_rot: float,
+                       t_wait: float, prefactor: complex = 1j) -> complex:
+    """:func:`twod_values` at one point as a literal quintuple-index sum with explicit
+    Kronecker deltas (oracle).
 
     Every index tuple (i, l, j, j') reads its own dense transform and
     propagator entries.  The tuples whose six Kronecker deltas form one 6-bit
@@ -291,7 +275,7 @@ def twod_signal_direct(sys: SystemParams, dec: ModeDecomposition, kernel: VibKer
     and p order, so the sum is that of a loop over the tuples, bit for bit.
     Cost grows as N^4 (N+1) m_max^6 with pinned-m pruning; refuse N > 6.
     """
-    n = sys.n_molecules
+    n = dec.n_molecules
     if n > 6:
         raise TooLarge("direct 2D oracle limited to N <= 6")
     z = _wait_factor(kernel, t_wait)
@@ -300,10 +284,10 @@ def twod_signal_direct(sys: SystemParams, dec: ModeDecomposition, kernel: VibKer
     g_wait = propagator_G(dec, t_wait)
     dim = 3 * mm + 1
     # [row, column, shift]
-    trans_a = np.stack([fourier_entries(dec, omega3 + kernel.shift(a)).to_dense(n)
+    trans_a = np.stack([fourier_entries(dec, w3_rot + kernel.shift(a)).to_dense(n)
                         for a in range(dim)], axis=-1)
     # [column, row, shift]: the rows p of one column j' sit next to each other
-    trans_b = np.stack([fourier_conj_entries(dec, -omega1 - kernel.shift(k)).to_dense(n).T
+    trans_b = np.stack([fourier_conj_entries(dec, w1_rot - kernel.shift(k)).to_dense(n).T
                         for k in range(dim)], axis=-1)
     full = np.arange(mm + 1)
     pinned = np.arange(1)
@@ -322,7 +306,7 @@ def twod_signal_direct(sys: SystemParams, dec: ModeDecomposition, kernel: VibKer
                                      trans_b[jp[pos]][:, :, kappa])
             terms[pos] = np.conj(g_wait[l[pos]]) * g_wait[l[pos], j[pos]][:, None] * sums
     # add the p terms one at a time, in tuple and p order
-    return complex(twod_prefactor(sys) * complex(_sequential_sum(0.0, terms)))
+    return complex(prefactor * complex(_sequential_sum(0.0, terms)))
 
 
 # ---------------------------------------------------------------------------
@@ -438,9 +422,10 @@ def pump_probe(sys: SystemParams, dec: ModeDecomposition, kernel: VibKernel,
     return SpectrumGrid("pump_probe", axis, None, t_wait, values, meta)
 
 
-def pump_probe_direct(sys: SystemParams, dec: ModeDecomposition, kernel: VibKernel,
-                      omega_abs: float, t_wait: float) -> float:
-    """Literal quadruple-index pump-probe sum (oracle); refuse N > 6.
+def pump_probe_direct(dec: ModeDecomposition, kernel: VibKernel, w_rot: float,
+                      t_wait: float, scale: float = 1.0) -> float:
+    """:func:`pump_probe_values` at one point as a literal quadruple-index sum (oracle);
+    refuse N > 6.
 
     Every index tuple (i, l, j, j') reads its own dense transform and
     propagator entries.  Its weight table's shape depends on i == l alone, and
@@ -450,13 +435,12 @@ def pump_probe_direct(sys: SystemParams, dec: ModeDecomposition, kernel: VibKern
     scalars and the terms are added in tuple order (see :func:`_sequential_sum`),
     so the result is that of a loop over the tuples, bit for bit.
     """
-    n = sys.n_molecules
+    n = dec.n_molecules
     if n > 6:
         raise TooLarge("direct pump-probe oracle limited to N <= 6")
     z = _wait_factor(kernel, t_wait)
     s = kernel.weights
     mm = kernel.m_max
-    w_rot = omega_abs - sys.axis_offset
     g_wait = propagator_G(dec, t_wait)
     # [row, column, shift]
     trans = np.stack([fourier_entries(dec, w_rot + kernel.shift(x)).to_dense(n)
@@ -480,7 +464,7 @@ def pump_probe_direct(sys: SystemParams, dec: ModeDecomposition, kernel: VibKern
     conj_g, g = np.conj(g_wait).tolist(), g_wait.tolist()
     terms = np.array([conj_g[l_][jp_] * g[l_][j_] * part for l_, j_, jp_, part
                       in zip(l.tolist(), j.tolist(), jp.tolist(), sums.tolist())])
-    return float(pump_probe_prefactor(sys) * np.real(_sequential_sum(0.0, terms)))
+    return float(scale * np.real(_sequential_sum(0.0, terms)))
 
 
 # ---------------------------------------------------------------------------

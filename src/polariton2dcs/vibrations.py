@@ -74,11 +74,6 @@ def franck_condon_cutoff(lam: float, tail_eps: float) -> int:
                                  f"Franck-Condon terms for tail_eps {tail_eps:g}")
 
 
-def phonon_shift(m: int, omega_v: float, gamma_v: float) -> complex:
-    """Complex frequency shift m*(omega_v + i*gamma_v) of an m-phonon sideband."""
-    return m * (omega_v + 1j * gamma_v)
-
-
 def mode_commutator(t: float, t_other: float, omega_v: float, gamma_v: float) -> complex:
     """Same-site commutator of the damped mode at two times (fs)."""
     if t >= t_other:
@@ -119,8 +114,9 @@ class VibKernel:
         return w
 
     def shift(self, m):
-        """Shift of the m-phonon sideband; an integer array of orders gives an array."""
-        return phonon_shift(m, self.omega_v, self.gamma_v)
+        """Complex frequency shift m*(omega_v + i*gamma_v) of the m-phonon sideband; an
+        integer array of orders gives an array."""
+        return m * (self.omega_v + 1j * self.gamma_v)
 
     def wait_factor(self, t_wait: float) -> complex:
         """exp(i*shift(1)*theta(T)); |.| <= 1 whenever gamma_v, T >= 0."""
@@ -209,24 +205,26 @@ def displacement_matrix(lam: float, n_max: int) -> np.ndarray:
     return out
 
 
-def fock_correlator(q: TimeQuadruple, lam: float, omega_v: float,
-                    n_max: int = 40) -> complex:
+def fock_correlator(q: TimeQuadruple, kernel: VibKernel, n_max: int = 40) -> complex:
     """Truncated-Fock-space evaluation of the four-point correlator at zero damping.
 
     Valid only for gamma_v = 0, where b(t) = exp(-i*w*theta(t)) b(0) is unitary
-    Heisenberg evolution with a finite-dimensional faithful truncation.  Sites
-    are independent tensor factors, so the vacuum expectation factorizes into
-    per-site operator strings (cross-site operators commute).
+    Heisenberg evolution with a finite-dimensional faithful truncation; a kernel
+    with gamma_v != 0 raises ``ValueError``.  Sites are independent tensor
+    factors, so the vacuum expectation factorizes into per-site operator strings
+    (cross-site operators commute).
 
     Each operator is the rotated displacement R E R^+ (R E^T R^+ for a daggered
-    slot), with E = exp(lam*(b - b^+)) from :func:`displacement_matrix` and
+    slot), with E = exp(lambda_hr*(b - b^+)) from :func:`displacement_matrix` and
     R = diag(exp(i*w*theta(t)*n)).  This is exact in the truncated space,
     where R b R^+ = exp(-i*w*theta(t)) b holds level by level, so one matrix
     exponential serves every time and site.
     """
+    if kernel.gamma_v != 0.0:
+        raise ValueError(f"the Fock reference is undamped; got kernel.gamma_v = {kernel.gamma_v}")
     if n_max < 30:
         raise ValueError("n_max must be >= 30 for a trustworthy truncation")
-    disp = displacement_matrix(lam, n_max)
+    disp = displacement_matrix(kernel.lambda_hr, n_max)
     levels = np.arange(n_max)
     daggered = (False, True, True, False)
 
@@ -236,7 +234,7 @@ def fock_correlator(q: TimeQuadruple, lam: float, omega_v: float,
         state = np.zeros(n_max, dtype=complex)
         state[0] = 1.0
         for time, dagger in reversed(ops):  # rightmost operator acts first
-            rot = np.exp(1j * omega_v * RAD_PER_CM_FS * time * levels)
+            rot = np.exp(1j * kernel.omega_v * RAD_PER_CM_FS * time * levels)
             state = rot * ((disp.T if dagger else disp) @ (np.conj(rot) * state))
             leak = float(np.sum(np.abs(state[-3:]) ** 2))
             if leak > 1e-10:

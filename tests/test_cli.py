@@ -777,6 +777,20 @@ class TestMainExitCodes:
         stdout = capsysbinary.readouterr().out
         assert json.loads(stdout) and report.read_bytes() == stdout
 
+    def test_peaks_empty_report_exits_2_before_reading_the_grid(self, tmp_path, monkeypatch,
+                                                                capsys):
+        # an empty --report was taken as no flag: exit 0, the report on stdout, no file
+        out = tmp_path / "out"
+        assert main(["absorption", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+        capsys.readouterr()
+        monkeypatch.chdir(out)
+        files = sorted(os.listdir())
+        refusal = ("", "config error: --report must name a file, got an empty string\n")
+        for grid_file in ("absorption.csv", "absorption.json", "missing.csv"):
+            assert main(["peaks", grid_file, "--report", ""]) == 2, grid_file
+            assert capsys.readouterr() == refusal, grid_file
+        assert sorted(os.listdir()) == files
+
     def test_peaks_on_a_map_with_a_subnormal_omega_v(self, tmp_path):
         # an offset over omega_v = 1e-320 is no finite number of quanta; int() of it raised
         cfg = write_config(tmp_path, **{"system.omega_v": 1e-320, "t_wait": [0.0]})
@@ -1415,12 +1429,12 @@ class TestValidateOnEveryCpu:
     def test_broken_fast_path_in_a_child_only_fails(self, monkeypatch):
         set_cpus(monkeypatch, 2)
         parent = os.getpid()
-        values = signals.twod_values
+        values = validate.twod_values
 
         def broken_in_child(*args):
             return values(*args) * (1.0 if os.getpid() == parent else 1.0 + 1e-6)
 
-        monkeypatch.setattr(signals, "twod_values", broken_in_child)
+        monkeypatch.setattr(validate, "twod_values", broken_in_child)
         result = validate.check_twod_direct()
         assert_no_child_left()
         assert not result.passed, result.line()
@@ -1428,8 +1442,8 @@ class TestValidateOnEveryCpu:
     def test_nan_fast_path_fails_forked_and_serial_checks(self, monkeypatch):
         # max(0.0, nan) is 0.0: a worst case taken with max would pass these
         set_cpus(monkeypatch, 2)
-        values = signals.twod_values
-        monkeypatch.setattr(signals, "twod_values", lambda *args: values(*args) * math.nan)
+        values = validate.twod_values
+        monkeypatch.setattr(validate, "twod_values", lambda *args: values(*args) * math.nan)
         monkeypatch.setattr(validate, "propagator_G", lambda dec, t: propagator_G(dec, t) * math.nan)
         for result in (validate.check_twod_direct(),
                        validate.check_propagator_expm()):
@@ -1499,9 +1513,10 @@ class TestBenchmarkTracingContract:
         assert set().union(*(called for _, called in self.JOBS)) == set(self.TRACED)
 
 
-def loaded_modules(*args: str) -> set[str]:
-    """The package modules that ``python -W error -X importtime <args>`` loads, in a fresh
-    interpreter; the module that ``-m`` runs is ``__main__``, which importtime does not list."""
+def loaded_modules(*args: str, package: str = "polariton2dcs") -> set[str]:
+    """The modules of ``package`` that ``python -W error -X importtime <args>`` loads, in a
+    fresh interpreter; the module that ``-m`` runs is ``__main__``, which importtime does not
+    list."""
     env = dict(os.environ, PYTHONPATH=str(Path(polariton2dcs.__file__).resolve().parents[1]))
     result = subprocess.run([sys.executable, "-W", "error", "-X", "importtime", *args],
                             capture_output=True, text=True, env=env, timeout=120)
@@ -1510,7 +1525,7 @@ def loaded_modules(*args: str) -> set[str]:
              if line.startswith("import time:")}
     if args[0] == "-m":
         names.add(args[1])
-    return {name for name in names if name.split(".")[0] == "polariton2dcs"}
+    return {name for name in names if name.split(".")[0] == package}
 
 
 PACKAGE = {f"polariton2dcs{name}" for name in ("", ".cli", ".errors", ".grids")}
@@ -1533,6 +1548,22 @@ class TestImportBudget:
     def test_spectrum_modes_load_the_stack_without_the_oracles(self, tmp_path, mode):
         argv = [mode, "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "o")]
         assert loaded_modules("-m", "polariton2dcs.cli", *argv) == STACK
+
+    @pytest.mark.parametrize("mode", ["absorption", "twod", "pump-probe", "slices", "eig", "peaks",
+                                      "validate"])
+    def test_only_validate_loads_numpy_random(self, tmp_path, mode):
+        # only validate draws random numbers; loading numpy.random adds ~6 MiB to a job's RSS
+        cfg, out = str(write_config(tmp_path)), tmp_path / "o"
+        if mode == "peaks":
+            assert main(["absorption", "--config", cfg, "--out", str(out)]) == 0
+            argv = ["peaks", str(out / "absorption.csv")]
+        elif mode == "validate":
+            argv = ["validate", "--out", str(out)]
+        else:
+            argv = [mode, "--config", cfg, "--out", str(out)]
+        loaded = loaded_modules("-m", "polariton2dcs.cli", *argv, package="numpy")
+        assert "numpy" in loaded
+        assert ("numpy.random" in loaded) == (mode == "validate")
 
     def test_package_import_loads_no_submodule(self):
         assert loaded_modules("-c", "import polariton2dcs") == {"polariton2dcs"}

@@ -35,23 +35,24 @@ class TestValidateParams:
     def test_zero_rate_rejected(self):
         with pytest.raises(ParameterError) as err:
             validate_params(raw_reference(gamma_x=0.0))
-        assert "NonPositiveRate" in err.value.kinds()
-        assert "gamma_x" in err.value.fields()
+        assert "NonPositiveRate" in {v.kind for v in err.value.violations}
+        assert "gamma_x" in {v.field for v in err.value.violations}
 
     def test_zero_count_rejected(self):
         with pytest.raises(ParameterError) as err:
             validate_params(raw_reference(n_molecules=0))
-        assert "NegativeCount" in err.value.kinds()
+        assert "NegativeCount" in {v.kind for v in err.value.violations}
 
     def test_all_violations_reported_at_once(self):
         with pytest.raises(ParameterError) as err:
             validate_params(raw_reference(gamma_x=-1.0, gamma_c=0.0, omega_v=-5.0, n_molecules=-2))
-        assert err.value.fields() >= {"gamma_x", "gamma_c", "omega_v", "n_molecules"}
+        fields = {v.field for v in err.value.violations}
+        assert fields >= {"gamma_x", "gamma_c", "omega_v", "n_molecules"}
 
     def test_non_finite_rejected(self):
         with pytest.raises(ParameterError) as err:
             validate_params(raw_reference(g=float("nan")))
-        assert "NonFinite" in err.value.kinds()
+        assert "NonFinite" in {v.kind for v in err.value.violations}
 
     def test_numpy_scalars_give_the_same_params(self):
         plain = validate_params(raw_reference())
@@ -69,19 +70,19 @@ class TestValidateParams:
     def test_n_that_is_not_a_count_in_the_float_range_rejected(self, n):
         with pytest.raises(ParameterError) as err:
             validate_params(raw_reference(n_molecules=n))
-        assert err.value.kinds() == {"NegativeCount"} and err.value.fields() == {"n_molecules"}
+        assert {(v.kind, v.field) for v in err.value.violations} == {("NegativeCount", "n_molecules")}
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ParameterError) as err:
             validate_params(raw_reference(gamma_z=1.0))
-        assert "UnknownField" in err.value.kinds()
+        assert "UnknownField" in {v.kind for v in err.value.violations}
 
     def test_missing_required_rejected(self):
         raw = raw_reference()
         del raw["omega_v"]
         with pytest.raises(ParameterError) as err:
             validate_params(raw)
-        assert "MissingField" in err.value.kinds()
+        assert "MissingField" in {v.kind for v in err.value.violations}
 
     def test_optional_defaults(self):
         raw = raw_reference()

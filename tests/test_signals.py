@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -17,10 +18,12 @@ from polariton2dcs.peaks import find_peaks_1d, find_peaks_2d
 from polariton2dcs.propagator import (
     build_matrix,
     decompose,
+    expm_propagator,
     fourier_conj_entries,
     fourier_entries,
     propagator_G,
     propagator_fourier,
+    quadrature_fourier,
 )
 from polariton2dcs.signals import (
     I_,
@@ -47,7 +50,6 @@ from polariton2dcs.signals import (
     twod_prefactor,
     twod_signal,
     twod_signal_direct,
-    twod_signal_point,
     twod_values,
 )
 from polariton2dcs.validate import (
@@ -61,6 +63,7 @@ from polariton2dcs.validate import (
 from polariton2dcs.vibrations import (
     TimeQuadruple,
     VibKernel,
+    fock_correlator,
     four_point_correlator,
     franck_condon_cutoff,
     kernel_from_params,
@@ -99,14 +102,14 @@ def full_axis(count=300, offset=16113.0):
     return Axis(13000.0, 19000.0, count, offset)
 
 
-def reference_twod_signal_direct(sys, dec, kernel, omega1: float, omega3: float,
-                                 t_wait: float) -> complex:
+def reference_twod_signal_direct(dec, kernel, w1_rot: float, w3_rot: float, t_wait: float,
+                                 prefactor: complex = 1j) -> complex:
     """Literal quintuple-index sum with one phonon sum per (i, l, j, j', p).
 
     The reference for :func:`twod_signal_direct`, which forms the phonon sums
     of all p of one index tuple in one reduction.
     """
-    n = sys.n_molecules
+    n = dec.n_molecules
     if n > 6:
         raise TooLarge("direct 2D oracle limited to N <= 6")
     z = _wait_factor(kernel, t_wait)
@@ -115,9 +118,9 @@ def reference_twod_signal_direct(sys, dec, kernel, omega1: float, omega3: float,
     g_wait = propagator_G(dec, t_wait)
     dim = 3 * mm + 1
     # [shift, row, column]
-    trans_a = np.stack([fourier_entries(dec, omega3 + kernel.shift(a)).to_dense(n)
+    trans_a = np.stack([fourier_entries(dec, w3_rot + kernel.shift(a)).to_dense(n)
                         for a in range(dim)])
-    trans_b = np.stack([fourier_conj_entries(dec, -omega1 - kernel.shift(k)).to_dense(n)
+    trans_b = np.stack([fourier_conj_entries(dec, w1_rot - kernel.shift(k)).to_dense(n)
                         for k in range(dim)])
     full = np.arange(mm + 1)
     pinned = np.arange(1)
@@ -136,20 +139,20 @@ def reference_twod_signal_direct(sys, dec, kernel, omega1: float, omega3: float,
             total += np.conj(g_wait[l, p]) * g_wait[l, j] * np.sum(
                 weighted_a * trans_b[:, p, jp][kappa]
             )
-    return complex(twod_prefactor(sys) * total)
+    return complex(prefactor * total)
 
 
 # The loop oracles as they were before their products were batched over the index tuples;
 # the batched oracles must reproduce them exactly.
 
 
-def loop_twod_signal_direct(sys, dec, kernel, omega1: float, omega3: float,
-                            t_wait: float) -> complex:
+def loop_twod_signal_direct(dec, kernel, w1_rot: float, w3_rot: float, t_wait: float,
+                            prefactor: complex = 1j) -> complex:
     """:func:`twod_signal_direct` as a loop over the index tuples, one tuple at a time.
 
     The batched oracle must give the same complex number, bit for bit.
     """
-    n = sys.n_molecules
+    n = dec.n_molecules
     if n > 6:
         raise TooLarge("direct 2D oracle limited to N <= 6")
     z = _wait_factor(kernel, t_wait)
@@ -158,10 +161,10 @@ def loop_twod_signal_direct(sys, dec, kernel, omega1: float, omega3: float,
     g_wait = propagator_G(dec, t_wait)
     dim = 3 * mm + 1
     # [shift, row, column]
-    trans_a = np.stack([fourier_entries(dec, omega3 + kernel.shift(a)).to_dense(n)
+    trans_a = np.stack([fourier_entries(dec, w3_rot + kernel.shift(a)).to_dense(n)
                         for a in range(dim)])
     # [column, row, shift]: the rows p of one column j' sit next to each other
-    trans_b = np.stack([fourier_conj_entries(dec, -omega1 - kernel.shift(k)).to_dense(n).T
+    trans_b = np.stack([fourier_conj_entries(dec, w1_rot - kernel.shift(k)).to_dense(n).T
                         for k in range(dim)], axis=-1)
     full = np.arange(mm + 1)
     pinned = np.arange(1)
@@ -183,18 +186,18 @@ def loop_twod_signal_direct(sys, dec, kernel, omega1: float, omega3: float,
         # add the p terms one at a time, in p order
         for term in (np.conj(g_wait[l]) * g_wait[l, j] * sums).tolist():
             total += term
-    return complex(twod_prefactor(sys) * total)
+    return complex(prefactor * total)
 
 
-def loop_pump_probe_direct(sys, dec, kernel, omega_abs: float, t_wait: float) -> float:
+def loop_pump_probe_direct(dec, kernel, w_rot: float, t_wait: float,
+                           scale: float = 1.0) -> float:
     """:func:`pump_probe_direct` as a loop over the index tuples, one tuple at a time."""
-    n = sys.n_molecules
+    n = dec.n_molecules
     if n > 6:
         raise TooLarge("direct pump-probe oracle limited to N <= 6")
     z = _wait_factor(kernel, t_wait)
     s = kernel.weights
     mm = kernel.m_max
-    w_rot = omega_abs - sys.axis_offset
     g_wait = propagator_G(dec, t_wait)
     # [shift, row, column]
     trans = np.stack([fourier_entries(dec, w_rot + kernel.shift(x)).to_dense(n)
@@ -213,7 +216,7 @@ def loop_pump_probe_direct(sys, dec, kernel, omega_abs: float, t_wait: float) ->
             tables[deltas] = (weight, m1 + m3)
         weight, m13 = tables[deltas]
         total += np.conj(g_wait[l, jp]) * g_wait[l, j] * (weight * trans[:, i, l][m13]).sum()
-    return float(pump_probe_prefactor(sys) * np.real(total))
+    return float(scale * np.real(total))
 
 
 def loop_slice_sums_direct(s, z, zp, gg, dark_weight, stokes_orders) -> tuple[float, dict]:
@@ -369,8 +372,9 @@ class TestTwodSignal:
         kernel = kernel_from_params(sys, m_max=3)
         active = [cls for cls in index_classes() if cls.multiplicity(1) > 0]
         assert len(active) == 1
-        fast = twod_signal_point(sys, dec, kernel, -1800.0, 1800.0, 120.0)
-        slow = twod_signal_direct(sys, dec, kernel, -1800.0, 1800.0, 120.0)
+        args = (dec, kernel, 1800.0, 1800.0, 120.0, twod_prefactor(sys))
+        fast = complex(twod_values(*args)[0, 0])
+        slow = twod_signal_direct(*args)
         assert fast == pytest.approx(slow, rel=1e-11)
 
     @pytest.mark.parametrize("t_wait", [0.0, 250.0, 500.0])
@@ -400,10 +404,8 @@ class TestTwodSignal:
 
     def test_direct_check_catches_a_broken_fast_path(self, monkeypatch):
         # scale the class-collapsed 2D values only; the literal loop is untouched
-        from polariton2dcs import signals
-
-        values = signals.twod_values
-        monkeypatch.setattr(signals, "twod_values", lambda *args: values(*args) * (1.0 + 1e-6))
+        values = validate.twod_values
+        monkeypatch.setattr(validate, "twod_values", lambda *args: values(*args) * (1.0 + 1e-6))
         result = check_twod_direct()
         assert not result.passed, result.line()
 
@@ -413,8 +415,8 @@ class TestTwodSignal:
         for _ in range(3):
             om1, om3 = rng.uniform(-2400.0, 2400.0, size=2)
             t_wait = float(rng.uniform(0.0, 400.0))
-            assert_oracle_match(twod_signal_point(sys, dec, kernel, om1, om3, t_wait),
-                                twod_signal_direct(sys, dec, kernel, om1, om3, t_wait))
+            args = (dec, kernel, -om1, om3, t_wait, twod_prefactor(sys))
+            assert_oracle_match(twod_values(*args)[0, 0], twod_signal_direct(*args))
 
     def test_direct_loop_matches_reference_on_reference_set(self):
         rng = np.random.default_rng(205)
@@ -425,8 +427,9 @@ class TestTwodSignal:
             for _ in range(2):
                 om1, om3 = rng.uniform(-2400.0, 2400.0, size=2)
                 t_wait = float(rng.uniform(0.0, 400.0))
-                ref = reference_twod_signal_direct(sys, dec, kernel, om1, om3, t_wait)
-                new = twod_signal_direct(sys, dec, kernel, om1, om3, t_wait)
+                args = (dec, kernel, -om1, om3, t_wait, twod_prefactor(sys))
+                ref = reference_twod_signal_direct(*args)
+                new = twod_signal_direct(*args)
                 assert abs(new - ref) <= 1e-11 * abs(ref)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -438,13 +441,14 @@ class TestTwodSignal:
         for _ in range(3):
             om1, om3 = rng.uniform(-2400.0, 2400.0, size=2)
             t_wait = float(rng.uniform(0.0, 400.0))
-            ref = reference_twod_signal_direct(sys, dec, kernel, om1, om3, t_wait)
-            new = twod_signal_direct(sys, dec, kernel, om1, om3, t_wait)
+            args = (dec, kernel, -om1, om3, t_wait, twod_prefactor(sys))
+            ref = reference_twod_signal_direct(*args)
+            new = twod_signal_direct(*args)
             assert abs(new - ref) <= 1e-11 * abs(ref)
 
-    def test_direct_loop_size_guard(self, dye_system, dye_dec, dye_kernel):
+    def test_direct_loop_size_guard(self, dye_dec, dye_kernel):
         with pytest.raises(TooLarge):
-            twod_signal_direct(dye_system, dye_dec, dye_kernel, 0.0, 0.0, 0.0)
+            twod_signal_direct(dye_dec, dye_kernel, 0.0, 0.0, 0.0)
 
     def test_negative_waiting_time_rejected(self, dye_system, dye_dec, dye_kernel):
         axis = full_axis(8)
@@ -507,19 +511,31 @@ class TestTwodSignal:
         for a, b in zip(twod_peaks, abs_peaks):
             assert abs(a - b) <= axis.step
 
-    def test_sign_flip_canary(self, monkeypatch, dye_system):
+    def test_sign_flip_canary(self, monkeypatch):
         # forcing the phonon-exchange sign positive must break the oracle match
         sys = reference_params(lambda_hr=0.9, n_molecules=3)
         dec = decompose(build_matrix(sys))
         kernel = kernel_from_params(sys, m_max=3)
-        args = (sys, dec, kernel, -1700.0, 1100.0, 90.0)
+        args = (dec, kernel, 1700.0, 1100.0, 90.0, twod_prefactor(sys))
         scale = abs(twod_signal_direct(*args))
-        baseline = abs(twod_signal_point(*args) - twod_signal_direct(*args))
+        baseline = abs(twod_values(*args)[0, 0] - twod_signal_direct(*args))
         assert baseline < 1e-12 * scale
-        import polariton2dcs.signals as signals_mod
 
-        monkeypatch.setattr(signals_mod, "phonon_parity", lambda m3, m6: 1.0)
-        broken = abs(twod_signal_point(*args) - twod_signal_direct(*args))
+        def unsigned_weight_table(kernel, free, z):
+            """:func:`_weight_table` with the sign (-1)^(m3+m6) taken as +1."""
+            s = kernel.weights
+            w1, w2, w3, w4, w5, w6 = (s if flag else s[:1] for flag in free)
+            zp = z ** np.arange(len(s))
+            f3 = np.sum(w3 * zp[: len(w3)])
+            u = np.convolve(w2, w5 * zp[: len(w5)])
+            v = np.convolve(w1, w4 * zp[: len(w4)])
+            table = np.zeros((3 * kernel.m_max + 1,) * 2, dtype=complex)
+            for m6 in range(len(w6)):
+                table[m6:m6 + len(u), m6:m6 + len(v)] += w6[m6] * zp[m6] * f3 * np.outer(u, v)
+            return table
+
+        monkeypatch.setattr(signals, "_weight_table", unsigned_weight_table)
+        broken = abs(twod_values(*args)[0, 0] - twod_signal_direct(*args))
         assert broken > 1e-2 * scale
 
 
@@ -547,13 +563,12 @@ class TestPumpProbe:
         sys, dec, kernel, rng = random_detuned_case(400 + n, n)
         omegas = rng.uniform(12000.0, 20000.0, size=3)
         for omega, t_wait in zip(omegas, rng.uniform(0.0, 500.0, size=3)):
-            fast = pump_probe_values(dec, kernel, np.array([omega - sys.axis_offset]),
-                                     t_wait, 4.0 * sys.dipole ** 4)[0]
-            assert_oracle_match(fast, pump_probe_direct(sys, dec, kernel, omega, t_wait))
+            args = (dec, kernel, omega - sys.axis_offset, t_wait, 4.0 * sys.dipole ** 4)
+            assert_oracle_match(pump_probe_values(*args)[0], pump_probe_direct(*args))
 
-    def test_direct_loop_size_guard(self, dye_system, dye_dec, dye_kernel):
+    def test_direct_loop_size_guard(self, dye_dec, dye_kernel):
         with pytest.raises(TooLarge):
-            pump_probe_direct(dye_system, dye_dec, dye_kernel, 16113.0, 0.0)
+            pump_probe_direct(dye_dec, dye_kernel, 0.0, 0.0)
 
     def test_stokes_side_peaks(self, dye_system, dye_dec, dye_kernel):
         axis = Axis(12000.0, 19000.0, 2500, dye_system.axis_offset)
@@ -806,6 +821,33 @@ def drawn_cases(monkeypatch, check) -> list:
     return drawn
 
 
+def leading_parameters(function, count: int) -> list[tuple]:
+    """(name, kind, default) of the first ``count`` parameters of ``function``."""
+    params = list(inspect.signature(function).parameters.values())[:count]
+    return [(p.name, p.kind, p.default) for p in params]
+
+
+class TestOraclesTakeTheArgumentsOfTheirFastPaths:
+    """A reference takes its fast path's argument list, so a check calls both with one
+    tuple and neither can see another N, frame or prefactor."""
+
+    @pytest.mark.parametrize("fast, reference", [
+        (twod_values, twod_signal_direct),
+        (pump_probe_values, pump_probe_direct),
+        (four_point_correlator, fock_correlator),
+        (propagator_fourier, quadrature_fourier),
+        (pump_probe_slices, pump_probe_slices_direct),
+    ], ids=lambda f: f.__name__)
+    def test_leading_parameters_are_the_fast_paths(self, fast, reference):
+        count = len(inspect.signature(fast).parameters)
+        assert leading_parameters(reference, count) == leading_parameters(fast, count)
+
+    def test_expm_reference_alone_takes_the_matrix(self):
+        # the dense exponential must not use the decomposition that propagator_G reads
+        assert [name for name, *_ in leading_parameters(propagator_G, 2)] == ["dec", "t"]
+        assert [name for name, *_ in leading_parameters(expm_propagator, 2)] == ["m", "t"]
+
+
 class TestBatchedOraclesMatchTheLoops:
     """The loop oracles, batched over the index tuples, give the numbers of the literal
     loops bit for bit: the comparisons are ==, with no tolerance."""
@@ -859,14 +901,14 @@ class TestBatchedOraclesMatchTheLoops:
         for _ in range(3):
             om1, om3 = rng.uniform(-2400.0, 2400.0, size=2)
             t_wait = float(rng.uniform(0.0, 400.0))
-            args = (sys, dec, kernel, float(om1), float(om3), t_wait)
+            args = (dec, kernel, -float(om1), float(om3), t_wait, twod_prefactor(sys))
             assert twod_signal_direct(*args) == loop_twod_signal_direct(*args)
 
     @staticmethod
     def assert_pump_probe_matches(sys, dec, kernel, rng, points: int):
         for _ in range(points):
-            args = (sys, dec, kernel, float(rng.uniform(12000.0, 20000.0)),
-                    float(rng.uniform(0.0, 500.0)))
+            args = (dec, kernel, float(rng.uniform(12000.0, 20000.0)) - sys.axis_offset,
+                    float(rng.uniform(0.0, 500.0)), pump_probe_prefactor(sys))
             assert pump_probe_direct(*args) == loop_pump_probe_direct(*args)
 
     @staticmethod

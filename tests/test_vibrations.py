@@ -27,7 +27,6 @@ from polariton2dcs.vibrations import (
     franck_condon_weights,
     kernel_from_params,
     mode_commutator,
-    phonon_shift,
 )
 
 OMEGA_V = 1200.0
@@ -104,14 +103,14 @@ class TestFranckCondon:
 
 class TestPhononShift:
     def test_zero_order(self):
-        assert phonon_shift(0, OMEGA_V, GAMMA_V) == 0.0
+        assert make_kernel(1.0).shift(0) == 0.0
 
     def test_definition(self):
-        assert phonon_shift(2, OMEGA_V, GAMMA_V) == pytest.approx(2400.0 + 40.0j)
+        assert make_kernel(1.0).shift(2) == pytest.approx(2400.0 + 40.0j)
 
     def test_conjugate_use(self):
         omega = 500.0
-        shifted = omega - np.conj(phonon_shift(1, OMEGA_V, GAMMA_V))
+        shifted = omega - np.conj(make_kernel(1.0).shift(1))
         assert shifted == pytest.approx(500.0 - 1200.0 + 20.0j)
 
 
@@ -268,6 +267,7 @@ class TestFockCorrelator:
     @pytest.mark.parametrize("lam", [0.3, 1.0, 1.2])
     def test_matches_reference_on_every_site_pattern(self, lam):
         rng = np.random.default_rng(round(100 * lam))
+        kernel = make_kernel(lam, gamma_v=0.0)
         for cls in index_classes():
             for _ in range(3):
                 q = TimeQuadruple(times=tuple(float(t) for t in rng.uniform(0.0, 120.0, size=4)),
@@ -277,7 +277,7 @@ class TestFockCorrelator:
                     ref = reference_fock_correlator(q, lam, OMEGA_V)
                 with warnings.catch_warnings(record=True) as leaks:
                     warnings.simplefilter("always")
-                    value = fock_correlator(q, lam, OMEGA_V)
+                    value = fock_correlator(q, kernel)
                 assert abs(value - ref) <= 1e-11 * abs(ref)
                 # the same operators leak into the top levels (some do at lambda = 1.2)
                 assert len(leaks) == len(ref_leaks)
@@ -303,13 +303,13 @@ class TestFockCorrelator:
 
     def test_no_displacement(self):
         q = TimeQuadruple(times=(4.0, 8.0, 1.0, 9.0), sites=(0, 1, 2, 3))
-        assert fock_correlator(q, 0.0, OMEGA_V) == pytest.approx(1.0)
+        assert fock_correlator(q, make_kernel(0.0, gamma_v=0.0)) == pytest.approx(1.0)
 
     def test_equal_time_pairs_are_unitary(self):
         # D(t)D^+(t) on one site and D^+(u)D(u) on another multiply to identity
         q = TimeQuadruple(times=(6.0, 6.0, 15.0, 15.0), sites=(0, 0, 1, 1))
-        assert fock_correlator(q, 1.0, OMEGA_V) == pytest.approx(1.0, abs=1e-12)
         kernel = make_kernel(1.0, gamma_v=0.0)
+        assert fock_correlator(q, kernel) == pytest.approx(1.0, abs=1e-12)
         assert four_point_correlator(q, kernel) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_analytic_sample(self):
@@ -320,7 +320,7 @@ class TestFockCorrelator:
                 times=tuple(float(t) for t in rng.uniform(0.0, 100.0, size=4)),
                 sites=tuple(int(s) for s in rng.integers(0, 4, size=4)),
             )
-            assert abs(fock_correlator(q, 1.0, OMEGA_V, n_max=40)
+            assert abs(fock_correlator(q, kernel, n_max=40)
                        - four_point_correlator(q, kernel)) < 1e-8
 
     def test_suite_check(self):
@@ -333,12 +333,18 @@ class TestFockCorrelator:
         half_period = math.pi / (OMEGA_V * RAD_PER_CM_FS)
         q = TimeQuadruple(times=(0.0, half_period, half_period, 0.0), sites=(0, 0, 0, 0))
         with pytest.warns(TruncationWarning):
-            fock_correlator(q, 2.0, OMEGA_V, n_max=30)
+            fock_correlator(q, make_kernel(2.0, gamma_v=0.0), n_max=30)
+
+    def test_damped_kernel_rejected(self):
+        # the truncated Fock space models the undamped mode only
+        q = TimeQuadruple(times=(0.0, 1.0, 2.0, 3.0), sites=(0, 0, 0, 0))
+        with pytest.raises(ValueError, match="gamma_v"):
+            fock_correlator(q, make_kernel(1.0))
 
     def test_small_truncation_rejected(self):
         q = TimeQuadruple(times=(0.0, 1.0, 2.0, 3.0), sites=(0, 0, 0, 0))
         with pytest.raises(ValueError):
-            fock_correlator(q, 1.0, OMEGA_V, n_max=10)
+            fock_correlator(q, make_kernel(1.0, gamma_v=0.0), n_max=10)
 
 
 class TestVibKernel:
