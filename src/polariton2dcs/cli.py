@@ -406,7 +406,7 @@ def _environment() -> dict:
     }
 
 
-def write_manifest(spec: JobSpec, wall_time: float, extra: dict | None = None) -> Path:
+def write_manifest(spec: JobSpec, wall_time: float, extra: dict) -> Path:
     manifest = {
         "environment": _environment(),
         "mode": spec.mode,
@@ -418,9 +418,8 @@ def write_manifest(spec: JobSpec, wall_time: float, extra: dict | None = None) -
         "unit_bridge_rad_per_cm_fs": RAD_PER_CM_FS,
         "outputs": spec.outputs,
         "created_unix": time.time(),
+        **extra,
     }
-    if extra:
-        manifest.update(extra)
     path = spec.out_dir / "manifest.json"
     tmp = path.with_suffix(".json.tmp")
     tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -42,8 +42,8 @@ class SystemParams:
     gamma_v: float      # vibrational damping
     lambda_hr: float    # dimensionless displacement; Huang-Rhys factor is lambda_hr**2
     omega_ref: float    # absolute exciton frequency (axis offset anchor)
-    dipole: float = 1.0
-    phase: float = 0.0  # global four-pulse phase, radians
+    dipole: float
+    phase: float        # global four-pulse phase, radians
 
     @property
     def collective_coupling(self) -> float:

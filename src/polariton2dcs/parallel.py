@@ -2,7 +2,7 @@
 
 :func:`fork_map` is the package's only use of ``os.fork``: ``cli`` writes the
 spectra of each batch of waiting times through it, and ``validate`` spreads
-the cases of its heavy oracle checks with it.
+the cases of its three loop-oracle checks with it.
 """
 
 from __future__ import annotations

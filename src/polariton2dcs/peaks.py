@@ -122,7 +122,7 @@ def find_peaks_2d(ax1: np.ndarray, ax2: np.ndarray, values: np.ndarray,
     return out
 
 
-def grid_peak_report(grid: SpectrumGrid, min_rel_height: float = 0.01) -> list[dict]:
+def grid_peak_report(grid: SpectrumGrid, min_rel_height: float) -> list[dict]:
     """Peak list of a loaded grid, sorted by height, as plain dicts."""
     if grid.axis2 is None:
         found = find_peaks_1d(grid.axis1.values(), grid.display(), min_rel_height)

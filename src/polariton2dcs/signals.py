@@ -353,7 +353,7 @@ class PeakRatios:
     approximate: bool
 
 
-def peak_ratios(sys: SystemParams, dec: ModeDecomposition, m_max: int = 3) -> PeakRatios:
+def peak_ratios(sys: SystemParams, dec: ModeDecomposition, m_max: int) -> PeakRatios:
     lam2 = sys.lambda_hr ** 2
     n = sys.n_molecules
     g_lp, g_dark = dec.mu_lp.real, dec.mu_dark.real
@@ -597,12 +597,12 @@ def _slice_sums(s, z, zp, gg, dark_weight, stokes_orders) -> tuple[float, dict]:
     return accum, stokes
 
 
-def _formula_traces(sys: SystemParams, dec: ModeDecomposition, kernel: VibKernel,
-                    t_list: np.ndarray, stokes_orders: tuple[int, ...],
+def _formula_traces(dec: ModeDecomposition, kernel: VibKernel, t_list: np.ndarray,
+                    stokes_orders: tuple[int, ...],
                     sums) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """The upper-polariton formula trace and the Stokes formula traces by order,
     with ``sums`` evaluating the formula sums at each T."""
-    n = sys.n_molecules
+    n = dec.n_molecules
     lam2 = kernel.lambda_hr ** 2
     s = kernel.weights
     # dark-basis phase vectors phi[s, q] for the Stokes traces
@@ -627,7 +627,7 @@ def _formula_traces(sys: SystemParams, dec: ModeDecomposition, kernel: VibKernel
 
 
 def pump_probe_slices(sys: SystemParams, dec: ModeDecomposition, kernel: VibKernel,
-                      t_list, stokes_orders: tuple[int, ...] = (1, 2)) -> SliceReport:
+                      t_list, stokes_orders: tuple[int, ...]) -> SliceReport:
     """Waiting-time traces at the upper polariton and the Stokes phonon lines.
 
     The closed-form traces use the resonance-dominated expressions (uniform
@@ -636,12 +636,11 @@ def pump_probe_slices(sys: SystemParams, dec: ModeDecomposition, kernel: VibKern
     kernel up to a fitted constant, which is reported alongside.  The Stokes
     sums cost O(N^3) per waiting time; refuse N > SLICES_MAX_N.
     """
-    if sys.n_molecules > SLICES_MAX_N:
+    if dec.n_molecules > SLICES_MAX_N:
         raise TooLarge(f"slices limited to N <= {SLICES_MAX_N} (cost grows as N^3), "
-                       f"got system.n_molecules = {sys.n_molecules}")
+                       f"got system.n_molecules = {dec.n_molecules}")
     t_list = np.asarray(list(t_list), dtype=float)
-    up_formula, stokes_formula = _formula_traces(sys, dec, kernel, t_list, stokes_orders,
-                                                 _slice_sums)
+    up_formula, stokes_formula = _formula_traces(dec, kernel, t_list, stokes_orders, _slice_sums)
     scale = pump_probe_prefactor(sys)
 
     def trace(omega_abs: float, formula: np.ndarray) -> SliceTrace:
@@ -658,14 +657,14 @@ def pump_probe_slices(sys: SystemParams, dec: ModeDecomposition, kernel: VibKern
 
 
 def pump_probe_slices_direct(sys: SystemParams, dec: ModeDecomposition, kernel: VibKernel,
-                             t_list, stokes_orders: tuple[int, ...] = (1, 2)
+                             t_list, stokes_orders: tuple[int, ...]
                              ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """The formula traces of :func:`pump_probe_slices`, upper polariton and Stokes by
     order, with the formula sums as literal site loops (oracle); refuse N > 6."""
-    if sys.n_molecules > 6:
+    if dec.n_molecules > 6:
         raise TooLarge("direct slices oracle limited to N <= 6")
-    return _formula_traces(sys, dec, kernel, np.asarray(list(t_list), dtype=float),
-                           stokes_orders, _slice_sums_direct)
+    return _formula_traces(dec, kernel, np.asarray(list(t_list), dtype=float), stokes_orders,
+                           _slice_sums_direct)
 
 
 # ---------------------------------------------------------------------------

@@ -205,14 +205,19 @@ def displacement_matrix(lam: float, n_max: int) -> np.ndarray:
     return out
 
 
-def fock_correlator(q: TimeQuadruple, kernel: VibKernel, n_max: int = 40) -> complex:
+# Levels per site of the Fock reference; a state that puts more than 1e-10 into
+# the top three levels raises a TruncationWarning.
+FOCK_LEVELS = 40
+
+
+def fock_correlator(q: TimeQuadruple, kernel: VibKernel) -> complex:
     """Truncated-Fock-space evaluation of the four-point correlator at zero damping.
 
     Valid only for gamma_v = 0, where b(t) = exp(-i*w*theta(t)) b(0) is unitary
     Heisenberg evolution with a finite-dimensional faithful truncation; a kernel
     with gamma_v != 0 raises ``ValueError``.  Sites are independent tensor
     factors, so the vacuum expectation factorizes into per-site operator strings
-    (cross-site operators commute).
+    (cross-site operators commute), each truncated to FOCK_LEVELS levels.
 
     Each operator is the rotated displacement R E R^+ (R E^T R^+ for a daggered
     slot), with E = exp(lambda_hr*(b - b^+)) from :func:`displacement_matrix` and
@@ -222,16 +227,14 @@ def fock_correlator(q: TimeQuadruple, kernel: VibKernel, n_max: int = 40) -> com
     """
     if kernel.gamma_v != 0.0:
         raise ValueError(f"the Fock reference is undamped; got kernel.gamma_v = {kernel.gamma_v}")
-    if n_max < 30:
-        raise ValueError("n_max must be >= 30 for a trustworthy truncation")
-    disp = displacement_matrix(kernel.lambda_hr, n_max)
-    levels = np.arange(n_max)
+    disp = displacement_matrix(kernel.lambda_hr, FOCK_LEVELS)
+    levels = np.arange(FOCK_LEVELS)
     daggered = (False, True, True, False)
 
     result = 1.0 + 0.0j
     for site in sorted(set(q.sites)):
         ops = [(q.times[k], daggered[k]) for k in range(4) if q.sites[k] == site]
-        state = np.zeros(n_max, dtype=complex)
+        state = np.zeros(FOCK_LEVELS, dtype=complex)
         state[0] = 1.0
         for time, dagger in reversed(ops):  # rightmost operator acts first
             rot = np.exp(1j * kernel.omega_v * RAD_PER_CM_FS * time * levels)

@@ -853,10 +853,10 @@ class TestMainExitCodes:
         from polariton2dcs.validate import CheckResult
 
         monkeypatch.setattr(cli_mod, "run_suite",
-                            lambda: [CheckResult("stub", 1.0, 0.5, False)])
+                            lambda: [CheckResult("stub", 1.0, 0.5)])
         assert main(["validate", "--out", str(tmp_path / "v")]) == 1
         monkeypatch.setattr(cli_mod, "run_suite",
-                            lambda: [CheckResult("stub", 0.1, 0.5, True)])
+                            lambda: [CheckResult("stub", 0.1, 0.5)])
         assert main(["validate", "--out", str(tmp_path / "v")]) == 0
 
     def test_validate_check_times_in_manifest_only(self, tmp_path, monkeypatch):
@@ -864,7 +864,7 @@ class TestMainExitCodes:
         from polariton2dcs.validate import CheckResult
 
         monkeypatch.setattr(cli_mod, "run_suite",
-                            lambda: [CheckResult("stub", 0.1, 0.5, True, seconds=1.25)])
+                            lambda: [CheckResult("stub", 0.1, 0.5, seconds=1.25)])
         out = tmp_path / "v"
         assert main(["validate", "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
@@ -954,7 +954,7 @@ class TestModeFlags:
 
     def test_validate_reads_no_config(self, tmp_path, monkeypatch, capsys):
         # validate --config on a degenerate bright pair exited 3 before any check ran
-        monkeypatch.setattr(cli, "run_suite", lambda: [validate.CheckResult("stub", 0.1, 0.5, True)])
+        monkeypatch.setattr(cli, "run_suite", lambda: [validate.CheckResult("stub", 0.1, 0.5)])
         cfg = write_config(tmp_path, **{"system.g": 0.0, "system.gamma_c": 1.0})
         with pytest.raises(SystemExit) as exc:
             main(["validate", "--config", str(cfg), "--out", str(tmp_path / "v")])
@@ -1063,7 +1063,7 @@ class TestManifestConfigEcho:
 class TestManifestEnvironment:
     @pytest.mark.parametrize("mode", ["absorption", "twod", "pump-probe", "slices", "eig", "validate"])
     def test_every_mode_records_the_environment(self, tmp_path, monkeypatch, mode):
-        monkeypatch.setattr(cli, "run_suite", lambda: [validate.CheckResult("stub", 0.1, 0.5, True)])
+        monkeypatch.setattr(cli, "run_suite", lambda: [validate.CheckResult("stub", 0.1, 0.5)])
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.setenv("OMP_NUM_THREADS", "2")
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
@@ -1106,18 +1106,6 @@ class TestValidateSuite:
             assert res.passed, res.line()
             assert 0.0 < res.seconds < elapsed
         assert elapsed < 10.0
-
-
-class TestDeterminism:
-    def test_two_runs_write_identical_bytes(self, tmp_path):
-        cfg = write_config(tmp_path, **{"t_wait": [0.0], "output.formats": ["csv"]})
-        out1 = tmp_path / "run1"
-        out2 = tmp_path / "run2"
-        assert main(["twod", "--config", str(cfg), "--out", str(out1)]) == 0
-        assert main(["twod", "--config", str(cfg), "--out", str(out2)]) == 0
-        a = (out1 / "twod_T0fs.csv").read_bytes()
-        b = (out2 / "twod_T0fs.csv").read_bytes()
-        assert a == b
 
 
 def assert_no_child_left():
@@ -1349,7 +1337,7 @@ def serial_validate(tmp_path_factory):
 
 
 class TestValidateOnEveryCpu:
-    """The heavy checks share their cases among the CPUs of the affinity set."""
+    """The three loop-oracle checks share their cases among the CPUs of the affinity set."""
 
     @pytest.mark.parametrize("cpus", [1, 2, 4])
     def test_same_bytes_as_one_process(self, tmp_path, monkeypatch, serial_validate, cpus):
@@ -1377,30 +1365,44 @@ class TestValidateOnEveryCpu:
                  for n in (1, 2, 3, 4)]
         assert handed[4:] == drawn
 
-    def test_divergent_transform_in_a_child_exits_3_like_serial(self, tmp_path, monkeypatch, capsys):
-        # the second quadrature case, case 1, is in a child's share at 2 and 4 CPUs
-        quadrature = validate.quadrature_fourier
-        omegas = []
+    def test_only_the_loop_oracles_fork(self, monkeypatch):
+        # the quadrature and slices_grid cases run in the job's process: sharing them among
+        # two CPUs saved nothing measurable
+        def no_fork(fn, items):
+            raise AssertionError("fork_map called")
 
-        def diverge_on_second_call(dec, omega, **kwargs):
-            omegas.append(omega)
-            if len(omegas) == 2:
-                raise DivergentTransform(f"no transform at omega = {omega!r}")
-            return quadrature(dec, omega, **kwargs)
+        monkeypatch.setattr(validate, "fork_map", no_fork)
+        for check in (validate.check_transform_quadrature, validate.check_slices_grid):
+            assert check().passed
+        for check in (validate.check_twod_direct, validate.check_pump_probe_direct,
+                      validate.check_slices_direct):
+            with pytest.raises(AssertionError, match="fork_map called"):
+                check()
+
+    def test_divergent_transform_in_a_child_exits_3_like_serial(self, tmp_path, monkeypatch, capsys):
+        # the second 2D loop-oracle case, case 1, is in a child's share at 2 and 4 CPUs
+        direct = validate.twod_signal_direct
+        points = []
+
+        def diverge_on_second_call(*args):
+            points.append(args[2:5])
+            if len(points) == 2:
+                raise DivergentTransform(f"no transform at (w1_rot, w3_rot, T) = {args[2:5]!r}")
+            return direct(*args)
 
         with monkeypatch.context() as patch:
             patch.delattr(cli.os, "fork")
-            patch.setattr(validate, "quadrature_fourier", diverge_on_second_call)
+            patch.setattr(validate, "twod_signal_direct", diverge_on_second_call)
             assert main(["validate", "--out", str(tmp_path / "serial")]) == 3
         serial_err = capsys.readouterr().err
-        assert serial_err.startswith("numeric failure: DivergentTransform: no transform at omega")
+        assert serial_err.startswith("numeric failure: DivergentTransform: no transform at")
 
-        def diverge_at_case_1(dec, omega, **kwargs):
-            if omega == omegas[1]:
-                raise DivergentTransform(f"no transform at omega = {omega!r}")
-            return quadrature(dec, omega, **kwargs)
+        def diverge_at_case_1(*args):
+            if args[2:5] == points[1]:
+                raise DivergentTransform(f"no transform at (w1_rot, w3_rot, T) = {args[2:5]!r}")
+            return direct(*args)
 
-        monkeypatch.setattr(validate, "quadrature_fourier", diverge_at_case_1)
+        monkeypatch.setattr(validate, "twod_signal_direct", diverge_at_case_1)
         for cpus in (2, 4):
             set_cpus(monkeypatch, cpus)
             out = tmp_path / f"cpus{cpus}"
@@ -1559,6 +1561,8 @@ class TestImportBudget:
             argv = ["peaks", str(out / "absorption.csv")]
         elif mode == "validate":
             argv = ["validate", "--out", str(out)]
+        elif mode in ("absorption", "twod", "pump-probe"):
+            argv = [mode, "--config", cfg, "--format", "csv,json", "--out", str(out)]
         else:
             argv = [mode, "--config", cfg, "--out", str(out)]
         loaded = loaded_modules("-m", "polariton2dcs.cli", *argv, package="numpy")

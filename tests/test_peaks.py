@@ -501,7 +501,7 @@ class TestGridIO:
             found = find_peaks_1d(x, mag, 0.01)
         path = tmp_path / "grid.csv"
         write_csv(path, grid)
-        report = grid_peak_report(load_grid(path))
+        report = grid_peak_report(load_grid(path), 0.01)
         assert [list(entry) for entry in report] == [keys, keys]
         assert report == [dataclasses.asdict(p) for p in found]
 
@@ -512,6 +512,6 @@ class TestGridIO:
                             lorentzian(x, 40.0, 3.0).astype(complex), {})
         path = tmp_path / "grid.csv"
         write_csv(path, grid)
-        report = grid_peak_report(load_grid(path))
+        report = grid_peak_report(load_grid(path), 0.01)
         assert len(report) == 1
         assert report[0]["omega"] == pytest.approx(40.0, abs=0.5)

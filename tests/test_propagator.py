@@ -445,21 +445,21 @@ class TestFourier:
         # its 10 conjugate points as conj(quadrature_fourier(dec, conj(omega)))
         from polariton2dcs import validate
 
-        cases, targets = [], []
+        conjugate, targets = [], []
+        conj_entries = validate.fourier_conj_entries
 
-        def serial(fn, items):
-            cases.extend(items)
-            return [fn(item) for item in items]
+        def recorded_conjugate(dec, omega):
+            conjugate.append(complex(omega))
+            return conj_entries(dec, omega)
 
         def recorded(dec, omega):
             targets.append(complex(omega))
             return quadrature_fourier(dec, omega)
 
-        monkeypatch.setattr(validate, "fork_map", serial)
+        monkeypatch.setattr(validate, "fourier_conj_entries", recorded_conjugate)
         monkeypatch.setattr(validate, "quadrature_fourier", recorded)
         assert check_transform_quadrature().passed
-        assert len(cases) == len(targets) == 110
-        conjugate = [omega for omega, conjugated in cases if conjugated]
+        assert len(targets) == 110
         assert len(conjugate) == 10 and all(omega.imag == -20.0 for omega in conjugate)
         assert targets[100:] == [omega.conjugate() for omega in conjugate]
         for omega in conjugate:

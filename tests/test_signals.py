@@ -13,7 +13,6 @@ from polariton2dcs import signals, validate
 from polariton2dcs.cli import build_jobspec
 from polariton2dcs.errors import NegativeWaitingTime, TooLarge
 from polariton2dcs.grids import Axis, SpectrumGrid
-from polariton2dcs.model import validate_params
 from polariton2dcs.peaks import find_peaks_1d, find_peaks_2d
 from polariton2dcs.propagator import (
     build_matrix,
@@ -75,21 +74,10 @@ ORACLE_RTOL = 1e-10
 
 
 def random_detuned_case(seed: int, n: int):
-    """Detuned parameter set with unequal rates, drawn from the ranges of the
-    validate suite's random sets, with a small random phonon cutoff."""
+    """Detuned parameter set with unequal rates, drawn as the validate suite's random
+    sets are, with a small random phonon cutoff."""
     rng = np.random.default_rng(seed)
-    sys = validate_params({
-        "n_molecules": n,
-        "g": float(rng.uniform(5.0, 600.0)),
-        "delta_x": float(rng.uniform(-300.0, 300.0)),
-        "delta_c": float(rng.uniform(-300.0, 300.0)),
-        "gamma_x": float(rng.uniform(0.3, 3.0)),
-        "gamma_c": float(rng.uniform(0.3, 3.0)),
-        "omega_v": float(rng.uniform(600.0, 1600.0)),
-        "gamma_v": float(rng.uniform(5.0, 40.0)),
-        "lambda_hr": float(rng.uniform(0.0, 1.5)),
-        "omega_ref": 16113.0,
-    })
+    sys = validate._random_params(rng, n)
     kernel = kernel_from_params(sys, m_max=int(rng.integers(1, 4)))
     return sys, decompose(build_matrix(sys)), kernel, rng
 
@@ -702,7 +690,7 @@ class TestSlices:
 
     def test_negative_waiting_time_rejected(self, dye_system, dye_dec, dye_kernel):
         with pytest.raises(NegativeWaitingTime):
-            pump_probe_slices(dye_system, dye_dec, dye_kernel, [-10.0])
+            pump_probe_slices(dye_system, dye_dec, dye_kernel, [-10.0], (1, 2))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_direct_loop_bitwise_random_detuned_sets(self, n):
@@ -723,7 +711,7 @@ class TestSlices:
 
     def assert_sums_match_the_loops(self, sys, dec, kernel, t_list, orders):
         """The array sums and the literal site loops give the same formula traces, bit for bit."""
-        loops = _formula_traces(sys, dec, kernel, np.asarray(t_list, dtype=float), orders,
+        loops = _formula_traces(dec, kernel, np.asarray(t_list, dtype=float), orders,
                                 _slice_sums_direct)
         self.assert_same_report(pump_probe_slices(sys, dec, kernel, t_list, orders), loops)
 
@@ -804,13 +792,13 @@ class TestSlices:
 
     def test_direct_loop_size_guard(self, dye_system, dye_dec, dye_kernel):
         with pytest.raises(TooLarge):
-            pump_probe_slices_direct(dye_system, dye_dec, dye_kernel, [0.0])
+            pump_probe_slices_direct(dye_system, dye_dec, dye_kernel, [0.0], (1, 2))
 
     def test_size_bound(self):
         sys = reference_params(n_molecules=SLICES_MAX_N + 1)
         dec = decompose(build_matrix(sys))
         with pytest.raises(TooLarge, match=str(SLICES_MAX_N)):
-            pump_probe_slices(sys, dec, kernel_from_params(sys), [0.0])
+            pump_probe_slices(sys, dec, kernel_from_params(sys), [0.0], (1, 2))
 
 
 def drawn_cases(monkeypatch, check) -> list:
@@ -921,7 +909,7 @@ class TestBatchedOraclesMatchTheLoops:
             calls.append(args)
             return batched
 
-        _formula_traces(sys, dec, kernel, np.asarray(t_list, dtype=float), orders, both)
+        _formula_traces(dec, kernel, np.asarray(t_list, dtype=float), orders, both)
         assert len(calls) == len(t_list)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])

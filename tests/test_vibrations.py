@@ -16,6 +16,7 @@ from polariton2dcs.propagator import matrix_exp
 from polariton2dcs.signals import index_classes
 from polariton2dcs.validate import check_fock_four_point, reference_params
 from polariton2dcs.vibrations import (
+    FOCK_LEVELS,
     TimeQuadruple,
     VibKernel,
     _lowering,
@@ -228,15 +229,13 @@ class TestFourPointCorrelator:
         assert abs(tiny - zero) < 1e-6
 
 
-def reference_fock_correlator(q: TimeQuadruple, lam: float, omega_v: float,
-                              n_max: int = 40) -> complex:
+def reference_fock_correlator(q: TimeQuadruple, lam: float, omega_v: float) -> complex:
     """Truncated-Fock-space correlator with one matrix exponential per operator.
 
     The reference for :func:`fock_correlator`, which exponentiates once per
     lambda and rotates the result to each operator's time.
     """
-    if n_max < 30:
-        raise ValueError("n_max must be >= 30 for a trustworthy truncation")
+    n_max = FOCK_LEVELS
     b = _lowering(n_max)
     bdag = b.conj().T
     daggered = (False, True, True, False)
@@ -320,8 +319,7 @@ class TestFockCorrelator:
                 times=tuple(float(t) for t in rng.uniform(0.0, 100.0, size=4)),
                 sites=tuple(int(s) for s in rng.integers(0, 4, size=4)),
             )
-            assert abs(fock_correlator(q, kernel, n_max=40)
-                       - four_point_correlator(q, kernel)) < 1e-8
+            assert abs(fock_correlator(q, kernel) - four_point_correlator(q, kernel)) < 1e-8
 
     def test_suite_check(self):
         result = check_fock_four_point()
@@ -329,22 +327,17 @@ class TestFockCorrelator:
 
     def test_truncation_warning_on_aligned_displacements(self):
         # half a vibrational period between the daggered pair aligns all four
-        # displacement amplitudes: coherent amplitude 4*lam overflows n_max=30
+        # displacement amplitudes: coherent amplitude 4*lam overflows 40 levels
         half_period = math.pi / (OMEGA_V * RAD_PER_CM_FS)
         q = TimeQuadruple(times=(0.0, half_period, half_period, 0.0), sites=(0, 0, 0, 0))
         with pytest.warns(TruncationWarning):
-            fock_correlator(q, make_kernel(2.0, gamma_v=0.0), n_max=30)
+            fock_correlator(q, make_kernel(2.0, gamma_v=0.0))
 
     def test_damped_kernel_rejected(self):
         # the truncated Fock space models the undamped mode only
         q = TimeQuadruple(times=(0.0, 1.0, 2.0, 3.0), sites=(0, 0, 0, 0))
         with pytest.raises(ValueError, match="gamma_v"):
             fock_correlator(q, make_kernel(1.0))
-
-    def test_small_truncation_rejected(self):
-        q = TimeQuadruple(times=(0.0, 1.0, 2.0, 3.0), sites=(0, 0, 0, 0))
-        with pytest.raises(ValueError):
-            fock_correlator(q, make_kernel(1.0, gamma_v=0.0), n_max=10)
 
 
 class TestVibKernel:
