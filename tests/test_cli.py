@@ -1107,6 +1107,27 @@ class TestValidateSuite:
             assert 0.0 < res.seconds < elapsed
         assert elapsed < 10.0
 
+    def test_passed_follows_max_err(self):
+        # passed is derived from max_err < tol, so an error at the tolerance fails
+        from polariton2dcs.validate import CheckResult
+
+        assert CheckResult("stub", 0.49, 0.5).passed
+        assert not CheckResult("stub", 0.5, 0.5).passed
+        result = dataclasses.replace(CheckResult("stub", 0.1, 0.5), max_err=2.0)
+        assert not result.passed and result.line().startswith("[FAIL] stub:")
+
+
+class TestDeterminism:
+    def test_two_runs_write_identical_bytes(self, tmp_path):
+        cfg = write_config(tmp_path, **{"t_wait": [0.0], "output.formats": ["csv"]})
+        out1 = tmp_path / "run1"
+        out2 = tmp_path / "run2"
+        assert main(["twod", "--config", str(cfg), "--out", str(out1)]) == 0
+        assert main(["twod", "--config", str(cfg), "--out", str(out2)]) == 0
+        a = (out1 / "twod_T0fs.csv").read_bytes()
+        b = (out2 / "twod_T0fs.csv").read_bytes()
+        assert a == b
+
 
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
